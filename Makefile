@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build fmt fmt-check vet lint test race race-sweep bench-smoke bench-record bench-gate profile serve serve-smoke adaptive-smoke router-smoke loadgen tournament-smoke tournament-nightly ci
+.PHONY: build fmt fmt-check vet lint test race race-sweep fuzz-smoke bench-smoke bench-record bench-gate profile serve serve-smoke adaptive-smoke router-smoke loadgen tournament-smoke tournament-nightly ci
 
 build:
 	$(GO) build ./...
@@ -48,11 +48,17 @@ race:
 race-sweep:
 	$(GO) test -race -run 'TestParallelSweep' ./internal/exactsim/
 
+# Fuzz every Fuzz* target for FUZZTIME (default 10s) each; plain
+# `go test` only replays their seed corpora. A crasher lands in the
+# package's testdata/fuzz/ (CI uploads it as an artifact).
+fuzz-smoke:
+	./scripts/fuzz_smoke.sh
+
 # Every benchmark must at least execute once without panicking.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# Re-record the committed benchmark baseline (BENCH_9.json). Run on a
+# Re-record the committed benchmark baseline (BENCH_10.json). Run on a
 # quiet machine; commit the result with an explanation of what moved.
 bench-record:
 	./scripts/bench_record.sh
@@ -109,4 +115,4 @@ tournament-nightly:
 		-ckpt .tournament-ckpt -resume \
 		-out tournament.csv -meta runmeta.tournament.json
 
-ci: fmt-check test lint race race-sweep bench-smoke bench-gate serve-smoke adaptive-smoke router-smoke tournament-smoke
+ci: fmt-check test lint race race-sweep fuzz-smoke bench-smoke bench-gate serve-smoke adaptive-smoke router-smoke tournament-smoke

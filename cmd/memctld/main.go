@@ -86,6 +86,13 @@ func main() {
 		fatal(err)
 	}
 
+	// Catch SIGINT/SIGTERM before anything can report readiness: a
+	// signal sent the moment an address file appears must drain the
+	// daemon, not kill it. An early signal waits in sigc until serving
+	// is set up.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -143,8 +150,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "memctld: listening on %s — %d banks × %d lines, scheme %s (regions %d, interval %d)\n",
 		bound, cfg.Banks, cfg.Lines/uint64(cfg.Banks), cfg.Scheme, cfg.Regions, cfg.Interval)
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
 		fmt.Fprintf(os.Stderr, "memctld: %v — draining\n", sig)

@@ -83,6 +83,13 @@ func main() {
 		fatal(err)
 	}
 
+	// Catch SIGINT/SIGTERM before anything can report readiness: a
+	// signal sent the moment an address file appears must drain the
+	// router, not kill it. An early signal waits in sigc until serving
+	// is set up.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -116,8 +123,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "memrouterd: control on %s, binary on %s — %d lines over %d shards (%d groups)\n",
 		ln.Addr(), bln.Addr(), m.Lines(), m.Shards(), m.Groups())
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
 		fmt.Fprintf(os.Stderr, "memrouterd: %v — draining\n", sig)

@@ -70,6 +70,11 @@ func getFrame() *frameJob {
 // closes. It returns nil on a clean close.
 func (r *Router) ServeBinary(ln net.Listener) error {
 	r.fe.mu.Lock()
+	if r.fe.closing { // shut down before this listener got here
+		r.fe.mu.Unlock()
+		ln.Close()
+		return nil
+	}
 	if r.fe.conns == nil {
 		r.fe.conns = make(map[net.Conn]struct{})
 	}

@@ -2,6 +2,7 @@ package memrouter
 
 import (
 	"context"
+	"errors"
 	"net"
 	"net/http/httptest"
 	"strings"
@@ -371,6 +372,41 @@ func TestRouterHealthz(t *testing.T) {
 			t.Fatalf("line-count mismatch not detected (ok=%v detail=%q)", ok, detail)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestRouterServeBinaryAfterShutdown: a router told to drain before its
+// ServeBinary goroutine got going must not leave that goroutine parked
+// in Accept. ServeBinary returns nil at once and closes the listener.
+func TestRouterServeBinaryAfterShutdown(t *testing.T) {
+	_, bin, ctl := startShard(t, shardConfig(256, 6))
+	r, err := New(Config{Shards: []string{bin}, ShardControl: []string{ctl}, Lines: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := r.Shutdown(ctx); err != nil {
+		t.Fatalf("router shutdown: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	done := make(chan error, 1)
+	go func() { done <- r.ServeBinary(ln) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("serve binary after shutdown: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ServeBinary after shutdown blocked")
+	}
+	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("listener still open after ServeBinary returned: Accept error %v", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package memserver
 
 import (
-	"slices"
 	"sync/atomic"
 
 	"securityrbsg/internal/detector"
@@ -50,13 +49,22 @@ type BankSnapshot struct {
 	// controller's applied transition counts.
 	SecurityLevel            int
 	LevelRaises, LevelLowers uint64
-	// Wear distribution percentiles over the bank's physical lines.
+	// Wear distribution percentiles over the bank's physical lines,
+	// exact when computed but refreshed only every
+	// max(Config.SnapshotEvery, lines per bank) ops, so between
+	// refreshes they lag the other fields.
 	WearP50, WearP90, WearP99 uint64
 }
 
 // actor is the single writer for one bank: exactly one goroutine runs
 // run(), and only that goroutine touches ctrl, det, or the counters
 // below (the atomics exist so snapshot readers need no lock).
+//
+// Telemetry has two cadences. The O(1) counters republish every
+// snapEvery ops; the wear percentiles read every physical line, so they
+// refresh only every wearEvery = max(snapEvery, lines) ops, which keeps
+// their cost O(1) amortized per op at any bank size. Both refresh at
+// start-up and on drain, so post-drain metrics are exact.
 type actor struct {
 	bank      int
 	ctrl      *wear.Controller
@@ -65,10 +73,11 @@ type actor struct {
 	ch        chan bankReq
 	done      chan struct{}
 	snapEvery uint64
+	wearEvery uint64
 
 	setWrites   uint64 // actor-private running split
 	resetWrites uint64
-	wearScratch []uint32      // publish-time sort buffer, actor-private
+	wearSel     wearSelect    // percentile scratch, actor-private
 	rejected    atomic.Uint64 // written by submitters, not the actor
 	snap        atomic.Pointer[BankSnapshot]
 }
@@ -79,20 +88,21 @@ func newActor(bank int, ctrl *wear.Controller, det *detector.AdaptiveRBSG, adapt
 		ch:        make(chan bankReq, depth),
 		done:      make(chan struct{}),
 		snapEvery: snapEvery,
+		wearEvery: max(snapEvery, ctrl.Bank().Lines()),
 	}
-	a.publish()
+	a.publish(true)
 	return a
 }
 
 // run is the actor loop: drain the queue until it closes, republishing
-// telemetry every snapEvery ops and once more on exit so post-drain
-// metrics are exact.
+// telemetry on the two cadences described at actor and once more, in
+// full, on exit.
 //
 //rbsglint:hotpath
 func (a *actor) run() {
 	defer close(a.done)
-	defer a.publish()
-	var sinceSnap uint64
+	defer a.publish(true)
+	var sinceSnap, sinceWear uint64
 	for req := range a.ch {
 		rb := getResBuf(len(req.ops))
 		res := rb.res
@@ -116,15 +126,22 @@ func (a *actor) run() {
 			putResBuf(rb)
 		}
 		sinceSnap += uint64(len(req.ops))
-		if sinceSnap >= a.snapEvery {
-			a.publish()
+		sinceWear += uint64(len(req.ops))
+		refreshWear := sinceWear >= a.wearEvery
+		if refreshWear || sinceSnap >= a.snapEvery {
+			a.publish(refreshWear)
 			sinceSnap = 0
+			if refreshWear {
+				sinceWear = 0
+			}
 		}
 	}
 }
 
-// publish computes a fresh snapshot and swaps it in.
-func (a *actor) publish() {
+// publish computes a fresh snapshot and swaps it in. The wear
+// percentiles are recomputed only when refreshWear is set; otherwise
+// they carry over from the previous snapshot.
+func (a *actor) publish(refreshWear bool) {
 	//rbsglint:allow hotpathalloc -- one immutable snapshot per snapEvery ops (and once on drain); readers hold the previous pointer, so the atomic swap needs fresh memory
 	s := &BankSnapshot{
 		Bank:        a.bank,
@@ -148,29 +165,16 @@ func (a *actor) publish() {
 		s.LevelRaises = a.adaptive.Controller().Raises()
 		s.LevelLowers = a.adaptive.Controller().Lowers()
 	}
-	s.WearP50, s.WearP90, s.WearP99 = a.wearPercentiles()
+	if refreshWear {
+		// publish runs on the actor goroutine between ops, so it may read
+		// the live wear array; the selection never writes it.
+		s.WearP50, s.WearP90, s.WearP99 = a.wearSel.quantiles(a.ctrl.Bank().WearCounts(), uint32(s.Stats.MaxWear))
+	} else {
+		prev := a.snap.Load() // newActor's full publish makes this non-nil
+		s.WearP50, s.WearP90, s.WearP99 = prev.WearP50, prev.WearP90, prev.WearP99
+	}
 	a.snap.Store(s)
 }
 
 // Snapshot returns the latest published telemetry (never nil).
 func (a *actor) Snapshot() *BankSnapshot { return a.snap.Load() }
-
-// wearPercentiles summarizes the bank's wear distribution. It works on a
-// WearSnapshot into a scratch buffer owned by the actor goroutine
-// (publish is only ever called from it) — never on the live WearCounts
-// slice, which aliases bank state — so steady-state snapshots allocate
-// nothing and the subsequent sort cannot disturb the bank.
-func (a *actor) wearPercentiles() (p50, p90, p99 uint64) {
-	a.wearScratch = a.ctrl.Bank().WearSnapshot(a.wearScratch)
-	sorted := a.wearScratch
-	if len(sorted) == 0 {
-		return 0, 0, 0
-	}
-	slices.Sort(sorted)
-	return wearAt(sorted, 0.50), wearAt(sorted, 0.90), wearAt(sorted, 0.99)
-}
-
-// wearAt reads the q-quantile of an ascending wear snapshot.
-func wearAt[T ~uint32 | ~uint64](sorted []T, q float64) uint64 {
-	return uint64(sorted[int(q*float64(len(sorted)-1))])
-}

@@ -3,6 +3,7 @@ package memserver
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"testing"
 
@@ -174,5 +175,28 @@ func BenchmarkMemserverSingleWrite(b *testing.B) {
 		if rec.Code != 200 {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 		}
+	}
+}
+
+// BenchmarkActorPublish is the telemetry rung: one full publish — the
+// O(1) counters plus the exact wear-percentile selection over every line
+// — on a bank carrying hammer-shaped wear (0–50 writes per line, one
+// line near 800k), at serve_uniform's and serve_attack_large's bank
+// sizes. ns/line is the selection's per-line cost; the one alloc/op is
+// the immutable snapshot readers hold.
+func BenchmarkActorPublish(b *testing.B) {
+	for _, lines := range []uint64{1 << 12, 1 << 18} {
+		b.Run(fmt.Sprintf("lines=%d", lines), func(b *testing.B) {
+			s := MustNew(Config{Banks: 1, Lines: lines, Scheme: SchemeAdaptive, Seed: 1})
+			a := s.actors[0]
+			applyWear(a.ctrl.Bank(), hammerShaped(stats.NewRNG(5), int(lines)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.publish(true)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(lines), "ns/line")
+		})
 	}
 }

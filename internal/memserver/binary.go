@@ -46,6 +46,11 @@ type connScratch struct {
 // SIGTERM). It returns nil on a clean close.
 func (s *Server) ServeBinary(ln net.Listener) error {
 	s.bin.mu.Lock()
+	if s.bin.closing { // shut down before this listener got here
+		s.bin.mu.Unlock()
+		ln.Close()
+		return nil
+	}
 	if s.bin.conns == nil {
 		s.bin.conns = make(map[net.Conn]struct{})
 	}

@@ -357,6 +357,36 @@ func TestBinaryDrainGoodbye(t *testing.T) {
 	}
 }
 
+// TestServeBinaryAfterShutdown: a daemon told to drain before its
+// ServeBinary goroutine got going must not leave that goroutine parked
+// in Accept. ServeBinary returns nil at once and closes the listener.
+func TestServeBinaryAfterShutdown(t *testing.T) {
+	s := MustNew(testConfig())
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.ShutdownBinary(ctx); err != nil {
+		t.Fatalf("binary shutdown: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	done := make(chan error, 1)
+	go func() { done <- s.ServeBinary(ln) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("serve binary after shutdown: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ServeBinary after shutdown blocked")
+	}
+	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("listener still open after ServeBinary returned: Accept error %v", err)
+	}
+}
+
 // TestBinaryRejectPathZeroAlloc pins the satellite contract directly:
 // once warm, every pre-execution reject path through processFrame
 // allocates nothing.

@@ -72,7 +72,10 @@ type Config struct {
 	// QueueDepth bounds each bank's request queue (default 256 entries).
 	QueueDepth int
 	// SnapshotEvery is how many ops an actor processes between telemetry
-	// snapshots (default 8192; tests set 1 for exact live metrics).
+	// snapshots (default 8192; tests set 1 for exact live metrics). The
+	// wear percentiles read every line of the bank, so they refresh only
+	// every max(SnapshotEvery, lines per bank) ops; like every other
+	// field they are exact after drain.
 	SnapshotEvery uint64
 	// Detector tunes the per-bank online detector (rbsg+detector and
 	// srbsg+adaptive).

@@ -90,11 +90,11 @@ func (s *Server) renderMetrics(b *strings.Builder) {
 			func(a *actor, s *BankSnapshot) uint64 { return s.LevelLowers }},
 		{"wear_max", "Highest wear count of any physical line.", "gauge",
 			func(a *actor, s *BankSnapshot) uint64 { return s.Stats.MaxWear }},
-		{"wear_p50", "Median wear count over physical lines.", "gauge",
+		{"wear_p50", "Median wear count over physical lines, refreshed every max(SnapshotEvery, lines per bank) ops and exact after drain.", "gauge",
 			func(a *actor, s *BankSnapshot) uint64 { return s.WearP50 }},
-		{"wear_p90", "90th-percentile wear count over physical lines.", "gauge",
+		{"wear_p90", "90th-percentile wear count over physical lines, refreshed every max(SnapshotEvery, lines per bank) ops and exact after drain.", "gauge",
 			func(a *actor, s *BankSnapshot) uint64 { return s.WearP90 }},
-		{"wear_p99", "99th-percentile wear count over physical lines.", "gauge",
+		{"wear_p99", "99th-percentile wear count over physical lines, refreshed every max(SnapshotEvery, lines per bank) ops and exact after drain.", "gauge",
 			func(a *actor, s *BankSnapshot) uint64 { return s.WearP99 }},
 		{"queue_depth", "Requests currently queued for the bank's actor.", "gauge",
 			func(a *actor, s *BankSnapshot) uint64 { return uint64(len(a.ch)) }},
