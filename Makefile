@@ -58,7 +58,7 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# Re-record the committed benchmark baseline (BENCH_10.json). Run on a
+# Re-record the committed benchmark baseline (BENCH_13.json). Run on a
 # quiet machine; commit the result with an explanation of what moved.
 bench-record:
 	./scripts/bench_record.sh
@@ -69,20 +69,23 @@ bench-record:
 bench-gate:
 	./scripts/bench_gate.sh
 
-# Capture a CPU profile of memctld under loadgen (writes cpu.pprof).
+# Capture a CPU profile of memctld's binary listener under loadgen
+# (writes cpu.pprof).
 profile:
 	./scripts/profile.sh
 
-# Run the memory-controller daemon with defaults (Ctrl-C drains).
+# Run the memory-controller daemon with defaults plus the binary
+# listener `make loadgen` drives (Ctrl-C drains).
 serve:
-	$(GO) run ./cmd/memctld
+	$(GO) run ./cmd/memctld -binary-addr 127.0.0.1:8101
 
 # Drive a running memctld with the default closed-loop benign stream.
 loadgen:
 	$(GO) run ./cmd/loadgen
 
-# End-to-end server check: boot memctld, drive it with loadgen under
-# benign and attack streams, assert detector + metrics + clean drain.
+# End-to-end server check: boot memctld, probe its binary listener,
+# drive it with loadgen under benign and attack streams, assert
+# detector + metrics + clean drain.
 serve-smoke:
 	./scripts/serve_smoke.sh
 

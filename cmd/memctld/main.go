@@ -1,17 +1,18 @@
 // Command memctld runs the memory-controller daemon: a sharded,
 // wear-leveled PCM memory (one single-writer actor per bank, the
 // paper's "managed in the memory controller, each bank separately")
-// behind an HTTP API.
+// behind an HTTP API and, optionally, the binary wire protocol.
 //
-// Endpoints: POST /v1/write, /v1/read, /v1/batch; GET /healthz,
-// /metrics (Prometheus text). Full queues answer 429 + Retry-After.
-// SIGINT/SIGTERM drains gracefully: the listeners stop, queued
-// requests finish, final per-bank telemetry is printed.
+// HTTP endpoints: GET /healthz, /metrics (Prometheus text) — the
+// control plane — and POST /v1/batch, a plain JSON batch API. Full
+// queues answer 429 + Retry-After. SIGINT/SIGTERM drains gracefully:
+// the listeners stop, queued requests finish, final per-bank telemetry
+// is printed.
 //
-// With -binary-addr set, the daemon additionally serves the binary
-// batch protocol (length-prefixed frames, see internal/memserver
-// wire.go) on a second TCP listener — the hot data path without JSON
-// framing. The control plane (/healthz, /metrics) stays HTTP-only.
+// With -binary-addr set, the daemon also serves the binary batch
+// protocol (length-prefixed frames, see internal/memserver wire.go) on
+// a second TCP listener: the hot data path loadgen, binprobe and
+// memrouterd use.
 //
 // Usage:
 //

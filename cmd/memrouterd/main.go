@@ -1,6 +1,8 @@
 // Command memrouterd runs the shard router: a stateless binary-protocol
 // front for N memctld shards. Clients speak the same wire protocol they
-// would speak to a single memctld; the router splits each batch across
+// would speak to a single memctld, served by the same connection loop
+// (internal/memserver's ConnServer, up to memserver.FrameWindow frames
+// in flight per client connection); the router splits each batch across
 // the shards named by its bank-group map, pipelines the sub-batches
 // over pooled connections, and merges the responses back in op order.
 //
@@ -51,7 +53,6 @@ func main() {
 	groupMap := flag.String("group-map", "", "comma-separated shard index per group (empty = rendezvous-hash assignment)")
 	conns := flag.Int("conns", 2, "pooled connections per shard")
 	window := flag.Int("window", 32, "in-flight frame window per shard connection")
-	feWindow := flag.Int("frontend-window", 32, "in-flight frame window per client connection")
 	healthEvery := flag.Duration("health-every", 2*time.Second, "shard health-probe period")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-drain deadline")
 	flag.Parse()
@@ -60,14 +61,13 @@ func main() {
 		fatal(fmt.Errorf("-shards is required"))
 	}
 	cfg := memrouter.Config{
-		Shards:         splitList(*shards),
-		ShardControl:   splitList(*shardCtl),
-		Lines:          *lines,
-		Groups:         *groups,
-		Conns:          *conns,
-		Window:         *window,
-		FrontendWindow: *feWindow,
-		HealthEvery:    *healthEvery,
+		Shards:       splitList(*shards),
+		ShardControl: splitList(*shardCtl),
+		Lines:        *lines,
+		Groups:       *groups,
+		Conns:        *conns,
+		Window:       *window,
+		HealthEvery:  *healthEvery,
 	}
 	if *groupMap != "" {
 		for _, f := range splitList(*groupMap) {
@@ -149,11 +149,10 @@ func main() {
 func printSummary(r *memrouter.Router) {
 	totals := memserver.ParseMetrics(r.MetricsText())
 	fmt.Fprintf(os.Stderr,
-		"memrouterd: routed %0.f frames (%0.f split across shards), %0.f line ops (%0.f streaming reads); %0.f rejected, %0.f nacked, %0.f shard errors\n",
+		"memrouterd: routed %0.f frames (%0.f split across shards), %0.f line ops; %0.f rejected, %0.f nacked, %0.f shard errors\n",
 		totals["router_frames_total"],
 		totals["router_split_frames_total"],
 		totals["router_line_ops_total"],
-		totals["router_read_batch_ops_total"],
 		totals["router_reject_total"],
 		totals["router_nack_total"],
 		totals["router_shard_errors_total"])

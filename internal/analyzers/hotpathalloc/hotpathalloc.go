@@ -1,8 +1,8 @@
 // Package hotpathalloc enforces the PR 4 hot-path allocation contract:
 // functions annotated //rbsglint:hotpath (the memserver actor loop, the
-// pooled /v1/batch encode/decode path, the exactsim sweep kernels, the
-// seclevel adaptive apply path) and everything they reach through
-// static in-module calls must not allocate per operation.
+// binary wire's connection loop, codec and frame handlers, the exactsim
+// sweep kernels, the seclevel adaptive apply path) and everything they
+// reach through static in-module calls must not allocate per operation.
 //
 // The analyzer computes an AllocProfile fact for every package-level
 // function and method: alloc-free, or allocating with a human-readable
@@ -99,16 +99,9 @@ var safePrefixes = []string{
 }
 
 // safeFuncs lists individual stdlib functions (by types.Func.FullName)
-// that are alloc-free: accessors, and Append-style encoders that write
-// into a caller-provided buffer (amortized like the append builtin).
+// that are alloc-free.
 var safeFuncs = map[string]bool{
-	"slices.Sort":                              true,
-	"(*bytes.Buffer).Reset":                    true,
-	"(*bytes.Buffer).Len":                      true,
-	"(*bytes.Buffer).Cap":                      true,
-	"(*bytes.Buffer).Bytes":                    true,
-	"(*encoding/base64.Encoding).AppendEncode": true,
-	"(*encoding/base64.Encoding).AppendDecode": true,
+	"slices.Sort": true,
 }
 
 // reason is one allocating construct (or allocating call) found in a

@@ -163,7 +163,6 @@ func (r *Router) renderMetrics(b *strings.Builder) {
 	counter("reject_total", "Client frames rejected before routing (malformed, version-skewed, oversized, bad op, draining).", r.rejects.Load())
 	counter("nack_total", "Client frames answered with aggregated backpressure.", r.nacks.Load())
 	counter("line_ops_total", "Line ops routed to shards.", r.lineOps.Load())
-	counter("read_batch_ops_total", "Of the routed ops, reads on streaming read-batch frames.", r.readOps.Load())
 	counter("split_frames_total", "Client frames that touched more than one shard.", r.splitFr.Load())
 
 	// Per-shard routing series, labeled by shard index.

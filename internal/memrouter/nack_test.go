@@ -1,18 +1,19 @@
 package memrouter
 
 import (
-	"encoding/binary"
-	"io"
+	"context"
+	"math"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"securityrbsg/internal/memserver"
 )
 
-// Fake shards speaking raw frames through the exported wire surface:
-// the only way to get deterministic Nack and failure injection, since
-// real shards Nack only under racy queue pressure.
+// Fake shards: memserver's connection server with a scripted frame
+// handler, the only way to get deterministic Nack and failure
+// injection, since real shards Nack only under racy queue pressure.
 
 const (
 	fakeOK = iota
@@ -20,83 +21,63 @@ const (
 	fakeDrop // read the frame, close the connection: transport loss
 )
 
-// startFakeShard serves the binary protocol with a scripted behavior.
-// OK responses synthesize per-op results from the shard-LOCAL line
-// (ns = 1000·local+7, data = local%3), so tests can verify the router
-// rewrote lines correctly AND scattered results back to the right
-// client slots.
+// fakeShard answers frames by its mode. OK responses synthesize per-op
+// results from the shard-LOCAL line (ns = 1000·local+7, data =
+// local%3), so tests can verify the router rewrote lines correctly AND
+// scattered results back to the right client slots.
+type fakeShard struct {
+	mode      int
+	retrySecs uint32
+	out       [memserver.FrameWindow][]byte
+}
+
+func (f *fakeShard) Begin(slot int, body []byte) ([]byte, bool) {
+	if f.mode == fakeDrop {
+		return []byte{}, true // close without an answer
+	}
+	ops, code, msg := memserver.DecodeRequest(body, math.MaxUint64, nil)
+	if code != 0 {
+		f.out[slot] = memserver.ErrFrame(f.out[slot], code, msg)
+		return f.out[slot], false
+	}
+	var resp memserver.BatchResponse
+	resp.Reset(len(ops))
+	if f.mode == fakeNack {
+		resp.Rejected = len(ops)
+	} else {
+		resp.Applied = len(ops)
+		for i, o := range ops {
+			resp.Ns[i] = o.Line*1000 + 7
+			resp.Data[i] = uint8(o.Line % 3)
+			resp.NsSum += resp.Ns[i]
+			resp.NsMax = max(resp.NsMax, resp.Ns[i])
+		}
+	}
+	f.out[slot] = memserver.RespFrame(f.out[slot], &resp, f.mode == fakeNack, f.retrySecs)
+	return f.out[slot], false
+}
+
+func (f *fakeShard) Finish(slot int) []byte { return f.out[slot] }
+
+// startFakeShard serves the binary protocol with a scripted behavior
+// and returns its address.
 func startFakeShard(t *testing.T, mode int, retrySecs uint32) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				for {
-					var hdr [4]byte
-					if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-						return
-					}
-					body := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
-					if _, err := io.ReadFull(conn, body); err != nil {
-						return
-					}
-					if mode == fakeDrop {
-						return
-					}
-					read := len(body) >= memserver.WireHdrSize && body[1] == memserver.WireFrameReadReq
-					var ops []memserver.BatchOp
-					var code uint16
-					if read {
-						ops, code = memserver.DecodeWireReadReq(body[memserver.WireHdrSize:], nil)
-					} else {
-						ops, code = memserver.DecodeWireBatchReq(body[memserver.WireHdrSize:], nil)
-					}
-					if code != 0 {
-						conn.Write(memserver.AppendWireFrame(nil, memserver.AppendWireErr(nil, code, "decode")))
-						continue
-					}
-					resp := &memserver.BatchResponse{}
-					if mode == fakeNack {
-						resp.Rejected = len(ops)
-						resp.Ns = make([]uint64, len(ops))
-						resp.Data = make([]uint8, len(ops))
-					} else {
-						resp.Applied = len(ops)
-						for _, o := range ops {
-							ns := o.Line*1000 + 7
-							resp.Ns = append(resp.Ns, ns)
-							resp.Data = append(resp.Data, uint8(o.Line%3))
-							resp.NsSum += ns
-							if ns > resp.NsMax {
-								resp.NsMax = ns
-							}
-						}
-					}
-					var out []byte
-					switch {
-					case mode == fakeNack && read:
-						out = memserver.AppendWireReadNack(nil, retrySecs, resp)
-					case mode == fakeNack:
-						out = memserver.AppendWireNack(nil, retrySecs, resp)
-					case read:
-						out = memserver.AppendWireReadResp(nil, resp)
-					default:
-						out = memserver.AppendWireBatchResp(nil, resp)
-					}
-					conn.Write(memserver.AppendWireFrame(nil, out))
-				}
-			}()
+	cs := memserver.NewConnServer(func() memserver.FrameHandler {
+		return &fakeShard{mode: mode, retrySecs: retrySecs}
+	}, new(atomic.Uint64), "fake shard draining")
+	go cs.Serve(ln)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := cs.Shutdown(ctx); err != nil {
+			t.Errorf("fake shard shutdown: %v", err)
 		}
-	}()
+	})
 	return ln.Addr().String()
 }
 
@@ -145,37 +126,6 @@ func TestRouterNackAggregation(t *testing.T) {
 			t.Fatalf("op %d: ns=%d data=%d, want %d/%d (dropped or reordered in the merge)",
 				i, r.Ns[i], r.Data[i], wantNs[i], wantData[i])
 		}
-	}
-}
-
-// TestRouterNackAggregationReadMode: the same aggregation over a
-// streaming read-batch frame.
-func TestRouterNackAggregationReadMode(t *testing.T) {
-	addrs := []string{
-		startFakeShard(t, fakeOK, 0),
-		startFakeShard(t, fakeNack, 2),
-	}
-	_, c, _ := startRouter(t, Config{
-		Shards: addrs, Lines: 512, Groups: 2, GroupMap: []int{0, 1},
-		Conns: 1, Window: 4,
-	})
-	_, err := c.ReadBatch([]uint64{5, 300, 6})
-	be, ok := err.(*memserver.BackpressureError)
-	if !ok {
-		t.Fatalf("want BackpressureError, got %v", err)
-	}
-	if be.RetryAfter != 2*time.Second {
-		t.Fatalf("retry-after %v, want 2s", be.RetryAfter)
-	}
-	r := be.ReadResp
-	if r == nil {
-		t.Fatal("read Nack carries no partial accounting")
-	}
-	if r.Applied != 2 || r.Rejected != 1 {
-		t.Fatalf("applied=%d rejected=%d, want 2/1", r.Applied, r.Rejected)
-	}
-	if r.Data[0] != 5%3 || r.Data[1] != 0 || r.Data[2] != 6%3 {
-		t.Fatalf("read data scatter wrong: %v", r.Data)
 	}
 }
 

@@ -21,20 +21,17 @@ import (
 
 // Job completion states.
 const (
-	jobOK     = iota // resp/rresp carries the sub-batch results
+	jobOK     = iota // resp carries the sub-batch results
 	jobNack          // shard backpressure; partial accounting decoded
 	jobFailed        // transport or protocol loss; no trusted results
 )
 
-// shardJob is one shard sub-batch in flight. The ops/lines slices
-// alias the owning frame's split plan — valid until done is signaled,
-// after which only the response fields may be read.
+// shardJob is one shard sub-batch in flight. The ops slice aliases the
+// owning frame's split plan — valid until done is signaled, after which
+// only the response fields may be read.
 type shardJob struct {
-	read      bool
-	ops       []memserver.BatchOp // write path: shard-local ops
-	lines     []uint64            // read path: shard-local lines
+	ops       []memserver.BatchOp // shard-local ops
 	resp      memserver.BatchResponse
-	rresp     memserver.ReadBatchResponse
 	state     int
 	retrySecs uint32
 	done      chan struct{} // cap 1; one signal per dispatch
@@ -46,9 +43,7 @@ var jobPool = sync.Pool{New: func() any {
 
 func getJob() *shardJob {
 	j := jobPool.Get().(*shardJob)
-	j.read = false
 	j.ops = nil
-	j.lines = nil
 	j.state = jobOK
 	j.retrySecs = 0
 	return j
@@ -197,17 +192,11 @@ func (p *shardPool) runConn(bc *memserver.BinaryClient, window int) {
 				j.fail()
 				continue
 			}
-			var err error
-			if j.read {
-				err = bc.RecvReadBatch(&j.rresp)
-			} else {
-				err = bc.RecvBatch(&j.resp)
-			}
-			switch e := err.(type) {
+			switch e := bc.RecvBatch(&j.resp).(type) {
 			case nil:
 				j.state = jobOK
 			case *memserver.BackpressureError:
-				if (j.read && e.ReadResp == nil) || (!j.read && e.Resp == nil) {
+				if e.Resp == nil {
 					j.state = jobFailed
 					p.errs.Add(1)
 				} else {
@@ -239,24 +228,14 @@ func (p *shardPool) runConn(bc *memserver.BinaryClient, window int) {
 			goto out
 		case j = <-p.jobs:
 		}
-		var err error
-		if j.read {
-			err = bc.SendReadBatch(j.lines)
-		} else {
-			err = bc.SendBatch(j.ops)
-		}
-		if err != nil {
+		if err := bc.SendBatch(j.ops); err != nil {
 			// Never entered inflight, so the receiver will not touch it.
 			p.errs.Add(1)
 			j.fail()
 			kill()
 			goto out
 		}
-		if j.read {
-			p.ops.Add(uint64(len(j.lines)))
-		} else {
-			p.ops.Add(uint64(len(j.ops)))
-		}
+		p.ops.Add(uint64(len(j.ops)))
 		select {
 		case inflight <- j:
 		case <-dead:

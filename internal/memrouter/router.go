@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"securityrbsg/internal/memserver"
 )
 
 // Config describes one router instance.
@@ -29,11 +31,10 @@ type Config struct {
 	// Conns is the connection-pool size per shard (default 2).
 	Conns int
 	// Window is the in-flight frame window per shard connection
-	// (default 32).
+	// (default 32). Client connections pipeline up to
+	// memserver.FrameWindow frames, the same bound memctld's listener
+	// uses.
 	Window int
-	// FrontendWindow is the in-flight frame window per client
-	// connection (default 32).
-	FrontendWindow int
 	// HealthEvery is the shard health-probe period (default 2s).
 	HealthEvery time.Duration
 }
@@ -51,9 +52,6 @@ func (c *Config) normalize() error {
 	if c.Window <= 0 {
 		c.Window = 32
 	}
-	if c.FrontendWindow <= 0 {
-		c.FrontendWindow = 32
-	}
 	if c.HealthEvery <= 0 {
 		c.HealthEvery = 2 * time.Second
 	}
@@ -68,7 +66,7 @@ type Router struct {
 	m     *Map
 	pools []*shardPool
 
-	fe       frontendState
+	fe       *memserver.ConnServer
 	draining atomic.Bool
 	started  atomic.Bool
 
@@ -76,8 +74,7 @@ type Router struct {
 	frames   atomic.Uint64 // frames processed on the client listener
 	rejects  atomic.Uint64 // frames rejected before routing
 	nacks    atomic.Uint64 // frames answered with aggregated backpressure
-	lineOps  atomic.Uint64 // line ops routed (batch + read frames)
-	readOps  atomic.Uint64 // of those, ops on streaming read-batch frames
+	lineOps  atomic.Uint64 // line ops routed
 	splitFr  atomic.Uint64 // frames that touched more than one shard
 	healthMu sync.Mutex
 	health   []shardHealth // probe results, indexed by shard
@@ -110,6 +107,7 @@ func New(cfg Config) (*Router, error) {
 	for i := range r.health {
 		r.health[i] = shardHealth{ok: false, detail: "not probed yet"}
 	}
+	r.fe = memserver.NewConnServer(r.newConn, &r.rejects, "router draining")
 	return r, nil
 }
 
@@ -141,7 +139,7 @@ func (r *Router) Shutdown(ctx context.Context) error {
 	if r.draining.Swap(true) {
 		return nil
 	}
-	err := r.shutdownFrontend(ctx)
+	err := r.fe.Shutdown(ctx)
 	close(r.stopHealth)
 	r.healthWG.Wait()
 	if r.started.Load() {

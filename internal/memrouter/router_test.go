@@ -64,6 +64,21 @@ func startShard(t *testing.T, cfg memserver.Config) (*memserver.Server, string, 
 // returns it, a connected client, and the router's control host:port.
 func startRouter(t *testing.T, cfg Config) (*Router, *memserver.BinaryClient, string) {
 	t.Helper()
+	r, addr := serveRouter(t, cfg)
+	ts := httptest.NewServer(r.Handler())
+	t.Cleanup(ts.Close)
+	c, err := memserver.DialBinary(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return r, c, strings.TrimPrefix(ts.URL, "http://")
+}
+
+// serveRouter boots a router and its binary listener and returns it and
+// the listener's address; cleanup shuts it down.
+func serveRouter(t *testing.T, cfg Config) (*Router, string) {
+	t.Helper()
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -85,14 +100,7 @@ func startRouter(t *testing.T, cfg Config) (*Router, *memserver.BinaryClient, st
 			t.Errorf("router serve: %v", err)
 		}
 	})
-	ts := httptest.NewServer(r.Handler())
-	t.Cleanup(ts.Close)
-	c, err := memserver.DialBinary(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return r, c, strings.TrimPrefix(ts.URL, "http://")
+	return r, ln.Addr().String()
 }
 
 // threeShardRouter is the standard test topology: 3 single-bank shards
@@ -208,43 +216,6 @@ func TestRouterSplitBatchRoundTrip(t *testing.T) {
 	// the whole 768-line deployment.
 	if m["memctld_lines"] != 768 {
 		t.Fatalf("aggregated memctld_lines = %v, want 768", m["memctld_lines"])
-	}
-}
-
-// TestRouterReadModeMatchesFullBatch: the streaming read-batch frame
-// through the router returns the same data as full-batch reads.
-func TestRouterReadModeMatchesFullBatch(t *testing.T) {
-	_, c, _ := threeShardRouter(t, 2, 8)
-
-	writes := make([]memserver.BatchOp, 0, 60)
-	lines := make([]uint64, 0, 60)
-	for i := 0; i < 60; i++ {
-		line := uint64(i) * 12 % 768
-		writes = append(writes, memserver.BatchOp{Line: line, Data: uint8((i + 1) % 3)})
-		lines = append(lines, line)
-	}
-	if _, err := c.Batch(writes); err != nil {
-		t.Fatal(err)
-	}
-	rr, err := c.ReadBatch(lines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := make([]memserver.BatchOp, len(lines))
-	for i, l := range lines {
-		full[i] = memserver.BatchOp{Line: l, Read: true}
-	}
-	fr, err := c.Batch(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rr.Applied != fr.Applied {
-		t.Fatalf("read-mode applied %d, full %d", rr.Applied, fr.Applied)
-	}
-	for i := range lines {
-		if rr.Data[i] != fr.Data[i] {
-			t.Fatalf("line %d: read-mode %d != full %d", lines[i], rr.Data[i], fr.Data[i])
-		}
 	}
 }
 

@@ -12,8 +12,7 @@ import "securityrbsg/internal/memserver"
 // to shard-local lines, and the original op positions they came from.
 type shardBatch struct {
 	shard int
-	ops   []memserver.BatchOp // local-line ops (write path and fallback)
-	lines []uint64            // local lines only (read-mode path)
+	ops   []memserver.BatchOp // local-line ops
 	idx   []int               // original positions in the client batch
 }
 
@@ -37,7 +36,6 @@ func (p *splitPlan) reset(nShards int) {
 		b := &p.batches[i]
 		b.shard = i
 		b.ops = b.ops[:0]
-		b.lines = b.lines[:0]
 		b.idx = b.idx[:0]
 	}
 	p.touched = p.touched[:0]
@@ -51,7 +49,7 @@ func (p *splitPlan) reset(nShards int) {
 // split assumes every op is in range.
 //
 //rbsglint:hotpath
-func split(m *Map, ops []memserver.BatchOp, read bool, p *splitPlan) {
+func split(m *Map, ops []memserver.BatchOp, p *splitPlan) {
 	p.reset(m.shards)
 	for i, o := range ops {
 		s, local := m.Locate(o.Line)
@@ -59,12 +57,8 @@ func split(m *Map, ops []memserver.BatchOp, read bool, p *splitPlan) {
 		if len(b.idx) == 0 {
 			p.touched = append(p.touched, s)
 		}
-		if read {
-			b.lines = append(b.lines, local)
-		} else {
-			o.Line = local
-			b.ops = append(b.ops, o)
-		}
+		o.Line = local
+		b.ops = append(b.ops, o)
 		b.idx = append(b.idx, i)
 	}
 }
@@ -72,15 +66,14 @@ func split(m *Map, ops []memserver.BatchOp, read bool, p *splitPlan) {
 // shardOutcome is what one shard's sub-batch came back as. Exactly one
 // of the three states holds per outcome:
 //
-//   - ok: resp/rresp carries the sub-batch results
-//   - nacked: the shard answered backpressure; resp/rresp carries the
+//   - ok: resp carries the sub-batch results
+//   - nacked: the shard answered backpressure; resp carries the
 //     partial accounting it returned, retryAfterSecs its ask
 //   - failed: transport-level loss (dead shard, bad frame) — no
 //     results exist; every op in the sub-batch counts rejected
 type shardOutcome struct {
 	batch          *shardBatch
-	resp           *memserver.BatchResponse     // write path (and read fallback)
-	rresp          *memserver.ReadBatchResponse // read-mode path
+	resp           *memserver.BatchResponse
 	nacked         bool
 	retryAfterSecs uint32
 	failed         bool
@@ -101,10 +94,7 @@ type shardOutcome struct {
 //
 //rbsglint:hotpath
 func merge(outcomes []shardOutcome, total int, out *memserver.BatchResponse) (nack bool, retryAfterSecs uint32) {
-	out.Applied, out.Rejected = 0, 0
-	out.NsSum, out.NsMax = 0, 0
-	out.Ns = resizeZeroed(out.Ns, total)
-	out.Data = resizeZeroed(out.Data, total)
+	out.Reset(total)
 	for i := range outcomes {
 		oc := &outcomes[i]
 		b := oc.batch
@@ -122,28 +112,10 @@ func merge(outcomes []shardOutcome, total int, out *memserver.BatchResponse) (na
 				retryAfterSecs = oc.retryAfterSecs
 			}
 		}
-		if oc.rresp != nil {
-			r := oc.rresp
-			if len(r.Data) != len(b.idx) {
-				// A shard answering the wrong shape is a failed shard,
-				// not a partially-trusted one.
-				out.Rejected += len(b.idx)
-				nack = true
-				continue
-			}
-			out.Applied += r.Applied
-			out.Rejected += r.Rejected
-			out.NsSum += r.NsSum
-			if r.NsMax > out.NsMax {
-				out.NsMax = r.NsMax
-			}
-			for k, orig := range b.idx {
-				out.Data[orig] = r.Data[k]
-			}
-			continue
-		}
 		r := oc.resp
 		if r == nil || len(r.Ns) != len(b.idx) || len(r.Data) != len(b.idx) {
+			// A shard answering the wrong shape is a failed shard, not a
+			// partially-trusted one.
 			out.Rejected += len(b.idx)
 			nack = true
 			continue
@@ -160,22 +132,7 @@ func merge(outcomes []shardOutcome, total int, out *memserver.BatchResponse) (na
 		}
 	}
 	if nack && retryAfterSecs == 0 {
-		retryAfterSecs = memserver.WireNackRetryAfterSecs
+		retryAfterSecs = memserver.NackRetryAfterSecs
 	}
 	return nack, retryAfterSecs
-}
-
-// resizeZeroed returns s with exactly n zeroed elements, reusing
-// capacity.
-//
-//rbsglint:hotpath
-func resizeZeroed[T uint64 | uint8](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
 }

@@ -37,42 +37,32 @@ func FuzzRouterSplitMerge(f *testing.F) {
 			t.Fatalf("map: %v", err)
 		}
 
-		// Ops derived from the fuzz bytes; alternate read flags off seed.
+		// Ops derived from the fuzz bytes; odd seeds make them reads.
+		read := seed%2 == 1
 		ops := make([]memserver.BatchOp, 0, len(lineBytes))
 		for i, lb := range lineBytes {
 			line := (uint64(lb)*131 + seed + uint64(i)) % lines
-			ops = append(ops, memserver.BatchOp{Line: line, Data: uint8(line % 3)})
+			ops = append(ops, memserver.BatchOp{Line: line, Read: read, Data: uint8(line % 3)})
 		}
-		read := seed%2 == 1
 
 		var plan splitPlan
-		split(m, ops, read, &plan)
+		split(m, ops, &plan)
 
 		// Every op appears exactly once across the shard batches, on the
 		// shard the map names, with the local line the map computes.
 		seen := make([]int, len(ops))
 		for _, s := range plan.touched {
 			b := &plan.batches[s]
-			n := len(b.idx)
-			if read {
-				if len(b.lines) != n {
-					t.Fatalf("shard %d: %d lines for %d idx", s, len(b.lines), n)
-				}
-			} else if len(b.ops) != n {
-				t.Fatalf("shard %d: %d ops for %d idx", s, len(b.ops), n)
+			if len(b.ops) != len(b.idx) {
+				t.Fatalf("shard %d: %d ops for %d idx", s, len(b.ops), len(b.idx))
 			}
 			for k, orig := range b.idx {
 				seen[orig]++
-				wantShard, wantLocal := m.Locate(ops[orig].Line)
+				wantShard, local := m.Locate(ops[orig].Line)
 				if wantShard != s {
 					t.Fatalf("op %d routed to shard %d, map says %d", orig, s, wantShard)
 				}
-				local := wantLocal
-				if read {
-					if b.lines[k] != local {
-						t.Fatalf("op %d local line %d, want %d", orig, b.lines[k], local)
-					}
-				} else if b.ops[k].Line != local || b.ops[k].Data != ops[orig].Data || b.ops[k].Read != ops[orig].Read {
+				if b.ops[k].Line != local || b.ops[k].Data != ops[orig].Data || b.ops[k].Read != ops[orig].Read {
 					t.Fatalf("op %d rewrote wrong: %+v (orig %+v, local %d)", orig, b.ops[k], ops[orig], local)
 				}
 			}
@@ -99,37 +89,21 @@ func FuzzRouterSplitMerge(f *testing.F) {
 				applied--
 				wantNack = true
 			}
-			if read {
-				r := &memserver.ReadBatchResponse{Applied: applied, Rejected: len(b.idx) - applied}
-				for k, orig := range b.idx {
-					if k >= applied {
-						r.Data = append(r.Data, 0)
-						continue
-					}
-					r.Data = append(r.Data, synthData(ops[orig].Line))
-					r.NsSum += synthNs(ops[orig].Line)
-					if synthNs(ops[orig].Line) > r.NsMax {
-						r.NsMax = synthNs(ops[orig].Line)
-					}
+			r := &memserver.BatchResponse{Applied: applied, Rejected: len(b.idx) - applied}
+			for k, orig := range b.idx {
+				if k >= applied {
+					r.Ns = append(r.Ns, 0)
+					r.Data = append(r.Data, 0)
+					continue
 				}
-				oc.rresp = r
-			} else {
-				r := &memserver.BatchResponse{Applied: applied, Rejected: len(b.idx) - applied}
-				for k, orig := range b.idx {
-					if k >= applied {
-						r.Ns = append(r.Ns, 0)
-						r.Data = append(r.Data, 0)
-						continue
-					}
-					r.Ns = append(r.Ns, synthNs(ops[orig].Line))
-					r.Data = append(r.Data, synthData(ops[orig].Line))
-					r.NsSum += synthNs(ops[orig].Line)
-					if synthNs(ops[orig].Line) > r.NsMax {
-						r.NsMax = synthNs(ops[orig].Line)
-					}
+				r.Ns = append(r.Ns, synthNs(ops[orig].Line))
+				r.Data = append(r.Data, synthData(ops[orig].Line))
+				r.NsSum += synthNs(ops[orig].Line)
+				if synthNs(ops[orig].Line) > r.NsMax {
+					r.NsMax = synthNs(ops[orig].Line)
 				}
-				oc.resp = r
 			}
+			oc.resp = r
 			outcomes = append(outcomes, oc)
 		}
 
@@ -178,9 +152,6 @@ func FuzzRouterSplitMerge(f *testing.F) {
 			if rejected[i] {
 				wantNs, wantData = 0, 0
 			}
-			if read {
-				wantNs = 0 // read-mode responses carry no per-op ns
-			}
 			if out.Ns[i] != wantNs || out.Data[i] != wantData {
 				t.Fatalf("op %d merged ns=%d data=%d, want %d/%d (dropped or reordered)",
 					i, out.Ns[i], out.Data[i], wantNs, wantData)
@@ -199,7 +170,7 @@ func TestMergeFailedShard(t *testing.T) {
 	}
 	ops := []memserver.BatchOp{{Line: 0, Data: 1}, {Line: 256, Data: 2}, {Line: 1, Data: 1}}
 	var plan splitPlan
-	split(m, ops, false, &plan)
+	split(m, ops, &plan)
 
 	outcomes := []shardOutcome{
 		{batch: &plan.batches[0], resp: &memserver.BatchResponse{
@@ -209,8 +180,8 @@ func TestMergeFailedShard(t *testing.T) {
 	}
 	var out memserver.BatchResponse
 	nack, retry := merge(outcomes, len(ops), &out)
-	if !nack || retry != memserver.WireNackRetryAfterSecs {
-		t.Fatalf("nack=%v retry=%d, want true/%d", nack, retry, memserver.WireNackRetryAfterSecs)
+	if !nack || retry != memserver.NackRetryAfterSecs {
+		t.Fatalf("nack=%v retry=%d, want true/%d", nack, retry, memserver.NackRetryAfterSecs)
 	}
 	if out.Applied != 2 || out.Rejected != 1 {
 		t.Fatalf("applied=%d rejected=%d, want 2/1", out.Applied, out.Rejected)

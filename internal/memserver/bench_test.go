@@ -1,107 +1,18 @@
 package memserver
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"net/http/httptest"
 	"testing"
 
 	"securityrbsg/internal/stats"
 )
 
-// BenchmarkMemserverBatchWrite measures the service hot path — JSON
-// decode, per-bank coalescing, actor round trip, JSON encode — with no
-// sockets: requests go straight into the handler. This is the number
-// every future transport or queueing change gets compared against
-// (bench-smoke in CI executes it once on every push).
-func BenchmarkMemserverBatchWrite(b *testing.B) {
+// benchBinaryBatch drives 256-op write frames through a connection
+// handler's Begin: the whole binary hot path — decode, per-bank
+// coalescing, actor round trip, encode — minus socket I/O.
+func benchBinaryBatch(b *testing.B, cfg Config) {
 	const batch = 256
-	s := MustNew(Config{
-		Banks: 8, Lines: 8 << 14, Scheme: SchemeRBSGDetector,
-		Regions: 32, Interval: 100, Seed: 1, QueueDepth: 256,
-	})
-	s.Start()
-	handler := s.Handler()
-
-	rng := stats.NewRNG(3)
-	ops := make([]BatchOp, batch)
-	for i := range ops {
-		ops[i] = BatchOp{Line: rng.Uint64n(s.Config().Lines), Data: 2}
-	}
-	body, err := json.Marshal(BatchRequest{Ops: ops})
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest("POST", "/v1/batch", bytes.NewReader(body))
-		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, req)
-		if rec.Code != 200 {
-			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "lines/s")
-}
-
-// BenchmarkMemserverBatchWriteAdaptive is the same hot path with the
-// adaptive security level in the loop (perf-gate guard: the bench gate
-// fails if its allocs/op ever exceeds the static-scheme batch path's).
-// The controller must ride the writes the scheme already does — its
-// monitor feed and round-boundary checks live inside NoteWrite, and a
-// level decision only redraws keys the remap round was redrawing
-// anyway — so steady-state batches allocate nothing beyond what
-// BenchmarkMemserverBatchWrite pays.
-func BenchmarkMemserverBatchWriteAdaptive(b *testing.B) {
-	const batch = 256
-	s := MustNew(Config{
-		Banks: 8, Lines: 8 << 14, Scheme: SchemeAdaptive,
-		Regions: 32, Interval: 100, Stages: 4, Seed: 1, QueueDepth: 256,
-	})
-	s.Start()
-	handler := s.Handler()
-
-	rng := stats.NewRNG(3)
-	ops := make([]BatchOp, batch)
-	for i := range ops {
-		ops[i] = BatchOp{Line: rng.Uint64n(s.Config().Lines), Data: 2}
-	}
-	body, err := json.Marshal(BatchRequest{Ops: ops})
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest("POST", "/v1/batch", bytes.NewReader(body))
-		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, req)
-		if rec.Code != 200 {
-			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "lines/s")
-}
-
-// BenchmarkBinaryBatchWrite is the binary-protocol counterpart of
-// BenchmarkMemserverBatchWrite: the same banks, the same 256-op batch
-// shape, but frames through processFrame — the whole binary hot path
-// minus socket I/O, exactly as the JSON bench skips sockets by calling
-// the handler. The bench gate holds this to ≥3× the JSON path's
-// lines/s: if framing ever grows JSON-shaped overhead, the gate sees
-// it.
-func BenchmarkBinaryBatchWrite(b *testing.B) {
-	const batch = 256
-	s := MustNew(Config{
-		Banks: 8, Lines: 8 << 14, Scheme: SchemeRBSGDetector,
-		Regions: 32, Interval: 100, Seed: 1, QueueDepth: 256,
-	})
+	s := MustNew(cfg)
 	s.Start()
 
 	rng := stats.NewRNG(3)
@@ -109,13 +20,13 @@ func BenchmarkBinaryBatchWrite(b *testing.B) {
 	for i := range ops {
 		ops[i] = BatchOp{Line: rng.Uint64n(s.Config().Lines), Data: 2}
 	}
-	body := appendBatchReqBody(nil, wireVersion, ops)
-	sc := &connScratch{batch: getBatchScratch(s.cfg.Banks)}
+	body := appendBatchReqBody(nil, WireVersion, ops)
+	h := s.newBinConn()
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, fatal := s.processFrame(sc, body)
+		out, fatal := h.Begin(0, body)
 		if fatal || len(out) < 4+wireHdrSize || out[4+1] != frameBatchResp {
 			b.Fatalf("frame %d: fatal=%v out=% x", i, fatal, out[:min(len(out), 8)])
 		}
@@ -124,8 +35,32 @@ func BenchmarkBinaryBatchWrite(b *testing.B) {
 	b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "lines/s")
 }
 
+// BenchmarkBinaryBatchWrite is the service rung of the ladder: frames
+// through a memctld connection handler (benchBinaryBatch) on 8 banks
+// under the default scheme. The bench gate pins it at 0 allocs/op.
+func BenchmarkBinaryBatchWrite(b *testing.B) {
+	benchBinaryBatch(b, Config{
+		Banks: 8, Lines: 8 << 14, Scheme: SchemeRBSGDetector,
+		Regions: 32, Interval: 100, Seed: 1, QueueDepth: 256,
+	})
+}
+
+// BenchmarkBinaryBatchWriteAdaptive is the same hot path with the
+// adaptive security level in the loop (perf-gate guard: the bench gate
+// requires its allocs/op to match BenchmarkBinaryBatchWrite's 0). The
+// controller must ride the writes the scheme already does — its
+// monitor feed and round-boundary checks live inside NoteWrite, and a
+// level decision only redraws keys the remap round was redrawing
+// anyway — so steady-state frames allocate nothing.
+func BenchmarkBinaryBatchWriteAdaptive(b *testing.B) {
+	benchBinaryBatch(b, Config{
+		Banks: 8, Lines: 8 << 14, Scheme: SchemeAdaptive,
+		Regions: 32, Interval: 100, Stages: 4, Seed: 1, QueueDepth: 256,
+	})
+}
+
 // BenchmarkBinaryDecodeFrame isolates the wire decode: one 256-op
-// frame body into the pooled op scratch. The gate pins its allocs/op
+// frame body validated and decoded into a reused op scratch. The gate pins its allocs/op
 // at zero — the decode path must stay alloc-free or the protocol has
 // lost its reason to exist.
 func BenchmarkBinaryDecodeFrame(b *testing.B) {
@@ -139,13 +74,13 @@ func BenchmarkBinaryDecodeFrame(b *testing.B) {
 			ops[i].Data = 0
 		}
 	}
-	payload := appendBatchReqBody(nil, wireVersion, ops)[wireHdrSize:]
+	body := appendBatchReqBody(nil, WireVersion, ops)
 	dst := make([]BatchOp, 0, batch)
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		decoded, code := decodeBatchReq(payload, dst)
+		decoded, code, _ := DecodeRequest(body, 8<<14, dst)
 		if code != 0 || len(decoded) != batch {
 			b.Fatalf("decode: code %d, %d ops", code, len(decoded))
 		}
@@ -153,29 +88,6 @@ func BenchmarkBinaryDecodeFrame(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "lines/s")
-}
-
-// BenchmarkMemserverSingleWrite is the uncoalesced per-request cost:
-// one line per HTTP round trip through the handler.
-func BenchmarkMemserverSingleWrite(b *testing.B) {
-	s := MustNew(Config{
-		Banks: 8, Lines: 8 << 14, Scheme: SchemeRBSGDetector,
-		Regions: 32, Interval: 100, Seed: 1, QueueDepth: 256,
-	})
-	s.Start()
-	handler := s.Handler()
-	body, _ := json.Marshal(WriteRequest{Line: 12345, Data: 2})
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest("POST", "/v1/write", bytes.NewReader(body))
-		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, req)
-		if rec.Code != 200 {
-			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-		}
-	}
 }
 
 // BenchmarkActorPublish is the telemetry rung: one full publish — the

@@ -131,14 +131,14 @@ func TestBinaryMatchesJSON(t *testing.T) {
 // the connection survives to serve the current version.
 func TestBinaryVersionSkew(t *testing.T) {
 	_, c, _ := startBinaryServer(t, testConfig())
-	c.Version = wireVersion + 1
+	c.Version = WireVersion + 1
 	_, err := c.Batch([]BatchOp{{Line: 1}})
 	var we *WireError
 	if !errors.As(err, &we) {
 		t.Fatalf("skewed batch: got %v, want *WireError", err)
 	}
-	if we.Code != wireErrVersion {
-		t.Fatalf("skewed batch: code %d, want %d (unsupported-version)", we.Code, wireErrVersion)
+	if we.Code != WireErrVersion {
+		t.Fatalf("skewed batch: code %d, want %d (unsupported-version)", we.Code, WireErrVersion)
 	}
 	if !strings.Contains(we.Error(), "unsupported-version") ||
 		!strings.Contains(we.Error(), "known codes:") {
@@ -173,8 +173,8 @@ func TestBinaryNackBackpressure(t *testing.T) {
 	if !ok {
 		t.Fatalf("want BackpressureError, got resp=%+v err=%v", resp, err)
 	}
-	if be.RetryAfter != nackRetryAfterSecs*time.Second {
-		t.Fatalf("retry-after %v, want %ds", be.RetryAfter, nackRetryAfterSecs)
+	if be.RetryAfter != NackRetryAfterSecs*time.Second {
+		t.Fatalf("retry-after %v, want %ds", be.RetryAfter, NackRetryAfterSecs)
 	}
 	if be.Resp == nil || be.Resp.Rejected != 1 || be.Resp.Applied != 0 {
 		t.Fatalf("partial accounting wrong: %+v", be.Resp)
@@ -182,6 +182,12 @@ func TestBinaryNackBackpressure(t *testing.T) {
 	if got := s.actors[0].rejected.Load(); got != 1 {
 		t.Fatalf("bank 0 rejected counter = %d, want 1", got)
 	}
+}
+
+// appendFrame wraps a finished body with its length prefix.
+func appendFrame(b, body []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(body)))
+	return append(b, body...)
 }
 
 // rawDial opens a plain TCP connection to the binary listener for
@@ -214,7 +220,7 @@ func readRawFrame(t *testing.T, conn net.Conn) []byte {
 // wantErrFrame asserts body is an Err frame with the given code.
 func wantErrFrame(t *testing.T, body []byte, code uint16) {
 	t.Helper()
-	if len(body) < wireHdrSize || body[0] != wireVersion || body[1] != frameErr {
+	if len(body) < wireHdrSize || body[0] != WireVersion || body[1] != frameErr {
 		t.Fatalf("want Err frame, got body % x", body)
 	}
 	we, ok := decodeErrBody(body[wireHdrSize:])
@@ -226,18 +232,18 @@ func wantErrFrame(t *testing.T, body []byte, code uint16) {
 	}
 }
 
-// TestBinaryOversizedFrameClosesConn: a length prefix over wireMaxBody
+// TestBinaryOversizedFrameClosesConn: a length prefix over WireMaxBody
 // is answered with a typed Err frame and the connection closes — the
 // server will not stream-skip an attacker-sized body.
 func TestBinaryOversizedFrameClosesConn(t *testing.T) {
 	s, _, addr := startBinaryServer(t, testConfig())
 	conn := rawDial(t, addr)
 	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], wireMaxBody+1)
+	binary.LittleEndian.PutUint32(hdr[:], WireMaxBody+1)
 	if _, err := conn.Write(hdr[:]); err != nil {
 		t.Fatal(err)
 	}
-	wantErrFrame(t, readRawFrame(t, conn), wireErrTooLarge)
+	wantErrFrame(t, readRawFrame(t, conn), WireErrTooLarge)
 	if _, err := conn.Read(hdr[:1]); err != io.EOF {
 		t.Fatalf("connection not closed after oversized frame: %v", err)
 	}
@@ -261,33 +267,33 @@ func TestBinaryMalformedKeepsConn(t *testing.T) {
 	}
 
 	// Body below the version+type prelude.
-	send([]byte{wireVersion})
-	wantErrFrame(t, readRawFrame(t, conn), wireErrMalformed)
+	send([]byte{WireVersion})
+	wantErrFrame(t, readRawFrame(t, conn), WireErrMalformed)
 
 	// Unknown frame type.
-	send([]byte{wireVersion, 0x7f})
-	wantErrFrame(t, readRawFrame(t, conn), wireErrMalformed)
+	send([]byte{WireVersion, 0x7f})
+	wantErrFrame(t, readRawFrame(t, conn), WireErrMalformed)
 
 	// Count disagreeing with the payload length.
-	body := []byte{wireVersion, frameBatchReq}
+	body := []byte{WireVersion, frameBatchReq}
 	body = binary.LittleEndian.AppendUint32(body, 3) // claims 3 ops, carries none
 	send(body)
-	wantErrFrame(t, readRawFrame(t, conn), wireErrMalformed)
+	wantErrFrame(t, readRawFrame(t, conn), WireErrMalformed)
 
 	// Flags outside {0,1}.
-	body = appendBatchReqBody(nil, wireVersion, []BatchOp{{Line: 1}})
+	body = appendBatchReqBody(nil, WireVersion, []BatchOp{{Line: 1}})
 	body[len(body)-2] = 2
 	send(body)
-	wantErrFrame(t, readRawFrame(t, conn), wireErrMalformed)
+	wantErrFrame(t, readRawFrame(t, conn), WireErrMalformed)
 
 	// Zero ops.
-	send(appendBatchReqBody(nil, wireVersion, nil))
-	wantErrFrame(t, readRawFrame(t, conn), wireErrEmpty)
+	send(appendBatchReqBody(nil, WireVersion, nil))
+	wantErrFrame(t, readRawFrame(t, conn), WireErrEmpty)
 
 	// The same connection still serves a valid batch.
-	send(appendBatchReqBody(nil, wireVersion, []BatchOp{{Line: 1}}))
+	send(appendBatchReqBody(nil, WireVersion, []BatchOp{{Line: 1}}))
 	resp := readRawFrame(t, conn)
-	if len(resp) < wireHdrSize || resp[0] != wireVersion || resp[1] != frameBatchResp {
+	if len(resp) < wireHdrSize || resp[0] != WireVersion || resp[1] != frameBatchResp {
 		t.Fatalf("valid batch after rejects: got frame % x", resp)
 	}
 }
@@ -303,7 +309,7 @@ func TestBinaryBadOp(t *testing.T) {
 	} {
 		_, err := c.Batch(ops)
 		var we *WireError
-		if !errors.As(err, &we) || we.Code != wireErrBadOp {
+		if !errors.As(err, &we) || we.Code != WireErrBadOp {
 			t.Fatalf("ops %+v: got %v, want WireError bad-op", ops, err)
 		}
 	}
@@ -337,7 +343,7 @@ func TestBinaryDrainGoodbye(t *testing.T) {
 
 	conn := rawDial(t, ln.Addr().String())
 	// Prove the connection is live, then leave its reader parked.
-	if _, err := conn.Write(appendFrame(nil, appendBatchReqBody(nil, wireVersion, []BatchOp{{Line: 9}}))); err != nil {
+	if _, err := conn.Write(appendFrame(nil, appendBatchReqBody(nil, WireVersion, []BatchOp{{Line: 9}}))); err != nil {
 		t.Fatal(err)
 	}
 	readRawFrame(t, conn)
@@ -350,7 +356,7 @@ func TestBinaryDrainGoodbye(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("serve binary: %v", err)
 	}
-	wantErrFrame(t, readRawFrame(t, conn), wireErrDraining)
+	wantErrFrame(t, readRawFrame(t, conn), WireErrDraining)
 	var one [1]byte
 	if _, err := conn.Read(one[:]); err != io.EOF {
 		t.Fatalf("connection not closed after drain goodbye: %v", err)
@@ -387,29 +393,30 @@ func TestServeBinaryAfterShutdown(t *testing.T) {
 	}
 }
 
-// TestBinaryRejectPathZeroAlloc pins the satellite contract directly:
-// once warm, every pre-execution reject path through processFrame
+// TestBinaryRejectPathZeroAlloc pins the contract directly: once warm,
+// every pre-execution reject path through a connection handler
 // allocates nothing.
 func TestBinaryRejectPathZeroAlloc(t *testing.T) {
 	s := MustNew(testConfig()) // actors never started: rejects must not reach them
-	sc := &connScratch{batch: getBatchScratch(s.cfg.Banks)}
-	defer putBatchScratch(sc.batch)
+	h := s.newBinConn()
+	frame := func(body []byte) { h.Begin(0, body) }
 
-	badop := appendBatchReqBody(nil, wireVersion, []BatchOp{{Line: 1 << 40}})
-	flags := appendBatchReqBody(nil, wireVersion, []BatchOp{{Line: 1}})
+	badop := appendBatchReqBody(nil, WireVersion, []BatchOp{{Line: 1 << 40}})
+	flags := appendBatchReqBody(nil, WireVersion, []BatchOp{{Line: 1}})
 	flags[len(flags)-2] = 2
 	cases := map[string][]byte{
-		"short":    {wireVersion},
-		"skew":     {wireVersion + 1, frameBatchReq, 0, 0, 0, 0},
-		"badtype":  {wireVersion, 0x7f},
-		"truncate": {wireVersion, frameBatchReq, 9, 0, 0, 0},
-		"empty":    appendBatchReqBody(nil, wireVersion, nil),
+		"short":    {WireVersion},
+		"skew":     {WireVersion + 1, frameBatchReq, 0, 0, 0, 0},
+		"badtype":  {WireVersion, 0x7f},
+		"retired":  {WireVersion, 0x05, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		"truncate": {WireVersion, frameBatchReq, 9, 0, 0, 0},
+		"empty":    appendBatchReqBody(nil, WireVersion, nil),
 		"badop":    badop,
 		"flags":    flags,
 	}
 	for name, body := range cases {
-		s.processFrame(sc, body) // warm the scratch buffers
-		if n := testing.AllocsPerRun(200, func() { s.processFrame(sc, body) }); n != 0 {
+		frame(body) // warm the slot's buffer
+		if n := testing.AllocsPerRun(200, func() { frame(body) }); n != 0 {
 			t.Errorf("%s reject path allocates %.1f per frame, want 0", name, n)
 		}
 	}
@@ -424,7 +431,7 @@ func TestBinaryMetricsCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.Version = wireVersion + 1
+	c.Version = WireVersion + 1
 	if _, err := c.Batch([]BatchOp{{Line: 1}}); err == nil {
 		t.Fatal("skewed batch not rejected")
 	}
@@ -440,5 +447,145 @@ func TestBinaryMetricsCounters(t *testing.T) {
 		if m[name] != want {
 			t.Errorf("%s = %v, want %v", name, m[name], want)
 		}
+	}
+}
+
+// TestBinaryPipelinedInOrder drives the windowed client calls: a burst
+// of frames goes out before any response is read, then the responses
+// are received strictly in send order. Each batch writes a distinct
+// content sequence and reads back the line the *previous* batch wrote,
+// so any reorder or drop shows up as wrong data, and the final state
+// must match what the same ops produce in lockstep on a twin server.
+func TestBinaryPipelinedInOrder(t *testing.T) {
+	_, pc, _ := startBinaryServer(t, testConfig())
+	_, lc, _ := startBinaryServer(t, testConfig())
+
+	const window = 16
+	batch := func(i int) []BatchOp {
+		// Write line i with content i%3, read back line i-1 (written by
+		// the previous batch — only correct if the server saw them in
+		// order).
+		ops := []BatchOp{{Line: uint64(i), Data: uint8(i % 3)}}
+		if i > 0 {
+			ops = append(ops, BatchOp{Line: uint64(i - 1), Read: true})
+		}
+		return ops
+	}
+
+	var lockstep []BatchResponse
+	for i := 0; i < window; i++ {
+		r, err := lc.Batch(batch(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp := *r
+		cp.Ns = append([]uint64(nil), r.Ns...)
+		cp.Data = append([]uint8(nil), r.Data...)
+		lockstep = append(lockstep, cp)
+	}
+
+	for i := 0; i < window; i++ {
+		if err := pc.SendBatch(batch(i)); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	var resp BatchResponse
+	for i := 0; i < window; i++ {
+		if err := pc.RecvBatch(&resp); err != nil {
+			t.Fatalf("recv %d: %v", i, err)
+		}
+		want := &lockstep[i]
+		if resp.Applied != want.Applied || resp.NsSum != want.NsSum || resp.NsMax != want.NsMax {
+			t.Fatalf("batch %d accounting: pipelined %+v != lockstep %+v", i, resp, want)
+		}
+		for j := range resp.Data {
+			if resp.Data[j] != want.Data[j] || resp.Ns[j] != want.Ns[j] {
+				t.Fatalf("batch %d op %d: pipelined ns=%d d=%d != lockstep ns=%d d=%d",
+					i, j, resp.Ns[j], resp.Data[j], want.Ns[j], want.Data[j])
+			}
+		}
+		if i > 0 {
+			if got, want := resp.Data[1], uint8((i-1)%3); got != want {
+				t.Fatalf("batch %d read back %d, want %d (reordered?)", i, got, want)
+			}
+		}
+	}
+}
+
+// TestBinaryPipelinedReadBatches: pipelined batches of reads complete in
+// send order while a sender goroutine runs concurrently with a receiver
+// goroutine on one client (disjoint buffer halves).
+func TestBinaryPipelinedReadBatches(t *testing.T) {
+	_, c, _ := startBinaryServer(t, testConfig())
+	const rounds = 64
+	writes := make([]BatchOp, rounds+1)
+	for i := range writes {
+		writes[i] = BatchOp{Line: uint64(i), Data: uint8(i % 3)}
+	}
+	if _, err := c.Batch(writes); err != nil {
+		t.Fatal(err)
+	}
+
+	errs := make(chan error, 1)
+	go func() {
+		for i := 0; i < rounds; i++ {
+			if err := c.SendBatch([]BatchOp{{Line: uint64(i), Read: true}, {Line: uint64(i + 1), Read: true}}); err != nil {
+				errs <- err
+				return
+			}
+		}
+		errs <- nil
+	}()
+	var r BatchResponse
+	for i := 0; i < rounds; i++ {
+		if err := c.RecvBatch(&r); err != nil {
+			t.Fatalf("recv %d: %v", i, err)
+		}
+		if r.Applied != 2 || len(r.Data) != 2 || r.Data[0] != uint8(i%3) || r.Data[1] != uint8((i+1)%3) {
+			t.Fatalf("recv %d: applied %d data %v, want lines %d and %d (reordered?)", i, r.Applied, r.Data, i, i+1)
+		}
+	}
+	if err := <-errs; err != nil {
+		t.Fatalf("sender: %v", err)
+	}
+}
+
+// TestBinaryReadNackBackpressure: a batch of reads that one full bank
+// partly refuses is Nacked, and the partial accounting carries the
+// applied reads' data and latencies at their original positions.
+func TestBinaryReadNackBackpressure(t *testing.T) {
+	cfg := testConfig()
+	cfg.QueueDepth = 1
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Bank 0 full; start only bank 1's actor so its share completes.
+	s.actors[0].ch <- bankReq{}
+	go s.actors[1].run()
+	defer close(s.actors[1].ch)
+	c := dialBinary(t, startBinaryListener(t, s))
+
+	// LA 1 → bank 1 (applied), LA 0 → bank 0 (rejected).
+	if _, err := c.Batch([]BatchOp{{Line: 1, Data: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Batch([]BatchOp{{Line: 0, Read: true}, {Line: 1, Read: true}})
+	be, ok := err.(*BackpressureError)
+	if !ok {
+		t.Fatalf("want BackpressureError, got %v", err)
+	}
+	if be.RetryAfter != NackRetryAfterSecs*time.Second {
+		t.Fatalf("retry-after %v, want %ds", be.RetryAfter, NackRetryAfterSecs)
+	}
+	r := be.Resp
+	if r == nil || r.Applied != 1 || r.Rejected != 1 {
+		t.Fatalf("partial read accounting wrong: %+v", r)
+	}
+	if r.Ns[0] != 0 || r.Data[0] != 0 {
+		t.Fatalf("rejected read reported ns=%d data=%d, want zeros", r.Ns[0], r.Data[0])
+	}
+	if r.Ns[1] < pcm.DefaultTiming.ReadNs || r.Data[1] != 2 {
+		t.Fatalf("applied read lost in the Nack: ns=%d data=%d, want a read latency and data 2", r.Ns[1], r.Data[1])
 	}
 }

@@ -17,18 +17,17 @@ import (
 //
 // The client supports two calling styles over the same connection:
 //
-//   - Lockstep: Batch / ReadBatch send one frame and block for its
-//     response — the PR 9 behavior, one request in flight.
-//   - Pipelined: SendBatch / SendReadBatch enqueue frames without
-//     waiting, RecvBatch / RecvReadBatch complete them strictly in
-//     send order (the server processes a connection's frames
-//     sequentially and answers in order, so in-order completion is a
+//   - Lockstep: Batch sends one frame and blocks for its response, one
+//     request in flight.
+//   - Pipelined: SendBatch enqueues frames without waiting, RecvBatch
+//     completes them strictly in send order (the server answers a
+//     connection's frames in arrival order, so in-order completion is a
 //     protocol property, not a client guess). The caller owns the
 //     window: keep at most a bounded number of sends un-received so a
 //     stalled server backs pressure up instead of ballooning socket
 //     buffers. Pipelining changes nothing on the wire — every frame is
-//     a v1 frame an unpipelined server answers identically — so there
-//     is no negotiation and no fallback to manage.
+//     a v1 frame a lockstep server answers identically — so there is
+//     no negotiation and no fallback to manage.
 //
 // Concurrency: send-side state (the encode buffer) and recv-side state
 // (the header and decode buffers) are disjoint, so ONE goroutine may
@@ -36,8 +35,7 @@ import (
 // per-connection sender/receiver pairs use. The client is not safe for
 // two concurrent senders or two concurrent receivers, and the lockstep
 // calls (which both send and receive) must not overlap pipelined use.
-// loadgen gives each worker its own client, mirroring how each worker
-// owns an HTTP connection in the JSON path.
+// loadgen gives each worker its own client.
 type BinaryClient struct {
 	conn net.Conn
 	// Version overrides the wire version byte on outgoing frames; zero
@@ -52,12 +50,8 @@ type BinaryClient struct {
 	hdr  [4]byte
 	rbuf []byte
 
-	// Lockstep-call state (Batch/ReadBatch/Write/Read only).
-	op           [1]BatchOp
-	resp         BatchResponse
-	rresp        ReadBatchResponse
-	fallbackOps  []BatchOp
-	readFallback bool // server rejected read-req frames; use full batches
+	// Lockstep-call state (Batch/Write/Read only).
+	resp BatchResponse
 }
 
 // DialBinary connects to a memctld binary listener (host:port).
@@ -65,9 +59,6 @@ func DialBinary(addr string) (*BinaryClient, error) {
 	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
 	if err != nil {
 		return nil, fmt.Errorf("binary dial %s: %w", addr, err)
-	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetNoDelay(true) // closed-loop batches must not wait out Nagle
 	}
 	return &BinaryClient{conn: conn}, nil
 }
@@ -80,7 +71,7 @@ func (c *BinaryClient) version() uint8 {
 	if c.Version != 0 {
 		return c.Version
 	}
-	return wireVersion
+	return WireVersion
 }
 
 // SendBatch writes one batch frame without waiting for its response.
@@ -92,29 +83,8 @@ func (c *BinaryClient) version() uint8 {
 func (c *BinaryClient) SendBatch(ops []BatchOp) error {
 	// Compose the body after a 4-byte hole, then fill the length prefix:
 	// one buffer, one conn.Write, no staging copy.
-	if cap(c.wbuf) < 4 {
-		c.wbuf = make([]byte, 4)
-	}
-	c.wbuf = appendBatchReqBody(c.wbuf[:4], c.version(), ops)
-	binary.LittleEndian.PutUint32(c.wbuf[:4], uint32(len(c.wbuf)-4))
-	if _, err := c.conn.Write(c.wbuf); err != nil {
-		return fmt.Errorf("binary write: %w", err)
-	}
-	return nil
-}
-
-// SendReadBatch writes one streaming read-batch frame (no per-op ns in
-// the response) without waiting. Complete it with RecvReadBatch.
-// Pipelined reads do not auto-fall back on old servers — use the
-// lockstep ReadBatch when the server version is unknown.
-//
-//rbsglint:hotpath
-func (c *BinaryClient) SendReadBatch(lines []uint64) error {
-	if cap(c.wbuf) < 4 {
-		c.wbuf = make([]byte, 4)
-	}
-	c.wbuf = appendReadReqBody(c.wbuf[:4], c.version(), lines)
-	binary.LittleEndian.PutUint32(c.wbuf[:4], uint32(len(c.wbuf)-4))
+	c.wbuf = appendBatchReqBody(append(c.wbuf[:0], 0, 0, 0, 0), c.version(), ops)
+	binary.LittleEndian.PutUint32(c.wbuf, uint32(len(c.wbuf)-4))
 	if _, err := c.conn.Write(c.wbuf); err != nil {
 		return fmt.Errorf("binary write: %w", err)
 	}
@@ -136,8 +106,8 @@ func (c *BinaryClient) RecvBatch(resp *BatchResponse) error {
 	if len(body) < wireHdrSize {
 		return fmt.Errorf("binary response body %d bytes, below header size", len(body))
 	}
-	if body[0] != wireVersion {
-		return fmt.Errorf("binary response version %d, client speaks %d", body[0], wireVersion)
+	if body[0] != WireVersion {
+		return fmt.Errorf("binary response version %d, client speaks %d", body[0], WireVersion)
 	}
 	switch body[1] {
 	case frameBatchResp:
@@ -171,54 +141,6 @@ func (c *BinaryClient) RecvBatch(resp *BatchResponse) error {
 	}
 }
 
-// RecvReadBatch reads the oldest outstanding read-batch response into
-// r. Nacks decode the partial read accounting into r and return a
-// *BackpressureError; Err frames return the typed *WireError.
-//
-//rbsglint:hotpath
-func (c *BinaryClient) RecvReadBatch(r *ReadBatchResponse) error {
-	body, err := c.readFrame()
-	if err != nil {
-		return err
-	}
-	if len(body) < wireHdrSize {
-		return fmt.Errorf("binary response body %d bytes, below header size", len(body))
-	}
-	if body[0] != wireVersion {
-		return fmt.Errorf("binary response version %d, client speaks %d", body[0], wireVersion)
-	}
-	switch body[1] {
-	case frameReadResp:
-		if code := decodeReadRespPayload(body[wireHdrSize:], r); code != 0 {
-			return fmt.Errorf("binary read response payload failed decode (code %d)", code)
-		}
-		return nil
-	case frameNack:
-		payload := body[wireHdrSize:]
-		if len(payload) < 4 {
-			return fmt.Errorf("binary nack payload %d bytes, below retry-after field", len(payload))
-		}
-		//rbsglint:allow hotpathalloc -- backpressure branch only; one error value per Nacked frame
-		be := &BackpressureError{
-			RetryAfter: time.Duration(binary.LittleEndian.Uint32(payload)) * time.Second,
-		}
-		if decodeReadRespPayload(payload[4:], r) == 0 {
-			be.ReadResp = r
-		}
-		return be
-	case frameErr:
-		//rbsglint:allow hotpathalloc -- protocol-reject branch only; never on the steady-state path
-		we, ok := decodeErrBody(body[wireHdrSize:])
-		if !ok {
-			return fmt.Errorf("binary err frame payload failed decode")
-		}
-		return we
-	default:
-		//rbsglint:allow hotpathalloc -- unknown-frame error path
-		return fmt.Errorf("binary read response frame type %d unknown", body[1])
-	}
-}
-
 // Batch sends one batch frame and blocks for its answer (lockstep).
 // The returned response is the client's own buffer, valid until the
 // next lockstep call.
@@ -232,59 +154,6 @@ func (c *BinaryClient) Batch(ops []BatchOp) (*BatchResponse, error) {
 	return &c.resp, nil
 }
 
-// ReadBatch reads lines through the streaming read-batch frame
-// (lockstep): the response carries data and batch accounting but no
-// per-op latencies. Against a server that predates read frames it
-// falls back — transparently and stickily for this connection — to a
-// full BatchReq of reads, so callers get identical data either way
-// (the fallback just pays the fatter response body). The returned
-// response is the client's own buffer, valid until the next lockstep
-// call.
-func (c *BinaryClient) ReadBatch(lines []uint64) (*ReadBatchResponse, error) {
-	if !c.readFallback {
-		if err := c.SendReadBatch(lines); err != nil {
-			return nil, err
-		}
-		err := c.RecvReadBatch(&c.rresp)
-		if we, ok := err.(*WireError); ok && we.Code == wireErrMalformed {
-			// An old server answers an unknown frame type with a typed
-			// malformed-frame Err and keeps the connection: the designed
-			// signal to fall back to the frames it does speak.
-			c.readFallback = true
-		} else {
-			return &c.rresp, err
-		}
-	}
-	if cap(c.fallbackOps) < len(lines) {
-		c.fallbackOps = make([]BatchOp, 0, len(lines))
-	}
-	c.fallbackOps = c.fallbackOps[:0]
-	for _, l := range lines {
-		c.fallbackOps = append(c.fallbackOps, BatchOp{Line: l, Read: true})
-	}
-	resp, err := c.Batch(c.fallbackOps)
-	if be, ok := err.(*BackpressureError); ok && be.Resp != nil {
-		c.rresp = readRespFromBatch(resp)
-		be.Resp, be.ReadResp = nil, &c.rresp
-		return nil, be
-	}
-	if err != nil {
-		return nil, err
-	}
-	c.rresp = readRespFromBatch(resp)
-	return &c.rresp, nil
-}
-
-// readRespFromBatch projects a full batch response onto the thin read
-// response shape (the fallback path's translation).
-func readRespFromBatch(r *BatchResponse) ReadBatchResponse {
-	return ReadBatchResponse{
-		Applied: r.Applied, Rejected: r.Rejected,
-		NsSum: r.NsSum, NsMax: r.NsMax,
-		Data: r.Data,
-	}
-}
-
 // readFrame reads one length-prefixed frame body into the client's
 // receive buffer.
 //
@@ -294,8 +163,8 @@ func (c *BinaryClient) readFrame() ([]byte, error) {
 		return nil, fmt.Errorf("binary read header: %w", err)
 	}
 	n := binary.LittleEndian.Uint32(c.hdr[:])
-	if n > wireMaxBody {
-		return nil, fmt.Errorf("binary response body %d bytes over limit %d", n, wireMaxBody)
+	if n > WireMaxBody {
+		return nil, fmt.Errorf("binary response body %d bytes over limit %d", n, WireMaxBody)
 	}
 	if cap(c.rbuf) < int(n) {
 		c.rbuf = make([]byte, n)
@@ -307,35 +176,14 @@ func (c *BinaryClient) readFrame() ([]byte, error) {
 	return c.rbuf, nil
 }
 
-// retryBatch is Batch with bounded backpressure retries — demand ops
-// must not be silently dropped (an attacker's write stream, like a
-// CPU's, just stalls until the controller accepts it).
-func (c *BinaryClient) retryBatch(ops []BatchOp) *BatchResponse {
-	for {
-		resp, err := c.Batch(ops)
-		if err == nil {
-			return resp
-		}
-		be, ok := err.(*BackpressureError)
-		if !ok {
-			panic(fmt.Errorf("memserver binary client: batch: %w", err)) //rbsglint:allow panicpolicy -- documented attack.Target contract: a broken server is fatal in the tests/demos this client exists for
-		}
-		time.Sleep(be.RetryAfter)
-	}
-}
-
 // Write issues one demand write and returns the simulated latency in
-// nanoseconds. It panics on transport errors: it exists to satisfy
-// attack.Target for tests and demos, where a broken server is fatal.
+// nanoseconds; it panics on transport errors (mustBatch).
 func (c *BinaryClient) Write(la uint64, content pcm.Content) uint64 {
-	c.op[0] = BatchOp{Line: la, Data: uint8(content)}
-	resp := c.retryBatch(c.op[:1])
-	return resp.Ns[0]
+	return mustBatch(c.Batch, []BatchOp{{Line: la, Data: uint8(content)}}).Ns[0]
 }
 
 // Read issues one demand read; same contract as Write.
 func (c *BinaryClient) Read(la uint64) (pcm.Content, uint64) {
-	c.op[0] = BatchOp{Line: la, Read: true}
-	resp := c.retryBatch(c.op[:1])
+	resp := mustBatch(c.Batch, []BatchOp{{Line: la, Read: true}})
 	return pcm.Content(resp.Data[0]), resp.Ns[0]
 }

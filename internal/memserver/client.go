@@ -12,7 +12,7 @@ import (
 	"securityrbsg/internal/pcm"
 )
 
-// Client speaks the memctld wire API. Its Write and Read methods match
+// Client speaks the memctld JSON API. Its Write and Read methods match
 // attack.Target — logical address in, simulated latency out — so every
 // attacker in internal/attack can run unmodified against a live server,
 // which is exactly what the wire-level regression test does.
@@ -35,95 +35,86 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// BackpressureError reports a 429 and how long the server asked us to
-// back off.
+// BackpressureError reports a 429 or a Nack frame, and how long the
+// server asked us to back off.
 type BackpressureError struct {
 	RetryAfter time.Duration
-	// Resp holds the partial batch accounting when the 429 answered a
-	// batch (nil for single ops).
+	// Resp holds the partial batch accounting when the answer carried
+	// it (nil otherwise).
 	Resp *BatchResponse
-	// ReadResp holds the partial accounting when a binary read-batch
-	// frame was Nacked (nil otherwise).
-	ReadResp *ReadBatchResponse
 }
 
 func (e *BackpressureError) Error() string {
 	return fmt.Sprintf("server backpressure, retry after %v", e.RetryAfter)
 }
 
-// post sends a JSON body and decodes a JSON reply into out.
-func (c *Client) post(path string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	resp, err := c.httpClient().Post(c.BaseURL+path, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusTooManyRequests {
-		be := &BackpressureError{RetryAfter: time.Second}
-		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil {
-			be.RetryAfter = time.Duration(secs) * time.Second
-		}
-		if br, ok := out.(*BatchResponse); ok && json.NewDecoder(resp.Body).Decode(br) == nil {
-			be.Resp = br
-		}
-		return be
-	}
-	if resp.StatusCode != http.StatusOK {
-		var e errorResponse
-		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
-			return fmt.Errorf("%s: %s", resp.Status, e.Error)
-		}
-		return fmt.Errorf("%s: %s", path, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// retryPost is post with bounded backpressure retries — single demand
-// ops must not be silently dropped (an attacker's write stream, like a
-// CPU's, just stalls until the controller accepts it).
-func (c *Client) retryPost(path string, in, out any) error {
+// mustBatch runs one batch through batch, sleeping out backpressure
+// until it applies: demand ops must not be silently dropped (an
+// attacker's write stream, like a CPU's, just stalls until the
+// controller accepts it). It panics on any other error: both clients'
+// Write and Read exist to satisfy attack.Target for tests and demos,
+// where a broken server is fatal.
+func mustBatch(batch func([]BatchOp) (*BatchResponse, error), ops []BatchOp) *BatchResponse {
 	for {
-		err := c.post(path, in, out)
+		resp, err := batch(ops)
+		if err == nil {
+			return resp
+		}
 		be, ok := err.(*BackpressureError)
 		if !ok {
-			return err
+			panic(fmt.Errorf("memserver client: batch: %w", err)) //rbsglint:allow panicpolicy -- documented attack.Target contract: a broken server is fatal in the tests/demos this client exists for
 		}
 		time.Sleep(be.RetryAfter)
 	}
 }
 
-// Write issues one demand write and returns the simulated latency in
-// nanoseconds. It panics on transport errors: it exists to satisfy
-// attack.Target for tests and demos, where a broken server is fatal.
+// Write issues one demand write as a 1-op batch and returns the
+// simulated latency in nanoseconds; it panics on transport errors
+// (mustBatch).
 func (c *Client) Write(la uint64, content pcm.Content) uint64 {
-	var resp WriteResponse
-	if err := c.retryPost("/v1/write", WriteRequest{Line: la, Data: uint8(content)}, &resp); err != nil {
-		panic(fmt.Errorf("memserver client: write LA %d: %w", la, err)) //rbsglint:allow panicpolicy -- documented attack.Target contract: a broken server is fatal in the tests/demos this client exists for
-	}
-	return resp.Ns
+	return mustBatch(c.Batch, []BatchOp{{Line: la, Data: uint8(content)}}).Ns[0]
 }
 
 // Read issues one demand read; same contract as Write.
 func (c *Client) Read(la uint64) (pcm.Content, uint64) {
-	var resp ReadResponse
-	if err := c.retryPost("/v1/read", ReadRequest{Line: la}, &resp); err != nil {
-		panic(fmt.Errorf("memserver client: read LA %d: %w", la, err)) //rbsglint:allow panicpolicy -- documented attack.Target contract: a broken server is fatal in the tests/demos this client exists for
-	}
-	return pcm.Content(resp.Data), resp.Ns
+	resp := mustBatch(c.Batch, []BatchOp{{Line: la, Read: true}})
+	return pcm.Content(resp.Data[0]), resp.Ns[0]
 }
 
 // Batch submits ops to /v1/batch. On backpressure it returns a
 // *BackpressureError carrying the partial accounting.
 func (c *Client) Batch(ops []BatchOp) (*BatchResponse, error) {
-	var resp BatchResponse
-	if err := c.post("/v1/batch", BatchRequest{Ops: ops}, &resp); err != nil {
+	body, err := json.Marshal(BatchRequest{Ops: ops})
+	if err != nil {
 		return nil, err
 	}
-	return &resp, nil
+	resp, err := c.httpClient().Post(c.BaseURL+"/v1/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	var out BatchResponse
+	switch resp.StatusCode {
+	case http.StatusOK:
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			return nil, err
+		}
+		return &out, nil
+	case http.StatusTooManyRequests:
+		be := &BackpressureError{RetryAfter: time.Second}
+		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil {
+			be.RetryAfter = time.Duration(secs) * time.Second
+		}
+		if json.NewDecoder(resp.Body).Decode(&out) == nil {
+			be.Resp = &out
+		}
+		return nil, be
+	}
+	var e errorResponse
+	if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
+		return nil, fmt.Errorf("%s: %s", resp.Status, e.Error)
+	}
+	return nil, fmt.Errorf("/v1/batch: %s", resp.Status)
 }
 
 // Healthz returns nil while the server accepts traffic.

@@ -1,6 +1,9 @@
 // Package memserver turns the batch simulator into a long-running
 // memory-controller service: a membank.Memory sharded across per-bank
-// single-writer actors behind a stdlib net/http API.
+// single-writer actors behind the binary wire protocol and a stdlib
+// net/http API. It is also the one implementation of that wire — codec
+// (wire.go), connection server (conn.go) and client (binaryclient.go) —
+// which internal/memrouter serves and dials through.
 //
 // The paper deploys Security RBSG "in the memory controller, managing
 // each bank separately" (Section IV-A); memserver is that controller as
@@ -12,10 +15,10 @@
 // bank other than the one it addresses.
 //
 // Requests enter through bounded per-bank queues. A full queue is
-// explicit backpressure (HTTP 429 + Retry-After), never an unbounded
-// goroutine pileup. Batches are coalesced per bank: one queue entry per
-// touched bank, preserving per-bank op order, with banks executing in
-// parallel.
+// explicit backpressure (a Nack frame, or HTTP 429 + Retry-After),
+// never an unbounded goroutine pileup. Batches are coalesced per bank:
+// one queue entry per touched bank, preserving per-bank op order, with
+// banks executing in parallel.
 //
 // Telemetry the batch tools compute only post-hoc is published live:
 // each actor periodically (and at drain) publishes an immutable
@@ -141,13 +144,12 @@ type Server struct {
 	draining  atomic.Bool
 	started   atomic.Bool
 
-	// Binary-protocol state (binary.go) and the per-protocol serving
+	// The binary listener (binary.go) and the per-protocol serving
 	// counters /metrics splits by transport.
-	bin         binaryState
+	bin         *ConnServer
 	binFrames   atomic.Uint64 // frames processed on the binary listener
 	binRejects  atomic.Uint64 // frames rejected before execution (malformed, skewed, oversized, bad op)
 	binLineOps  atomic.Uint64 // line ops applied via the binary protocol
-	binReadOps  atomic.Uint64 // of those, reads served through streaming read-batch frames
 	jsonLineOps atomic.Uint64 // line ops applied via the JSON HTTP API
 }
 
@@ -161,6 +163,7 @@ func New(cfg Config) (*Server, error) {
 		detectors: make([]*detector.AdaptiveRBSG, cfg.Banks),
 		adaptives: make([]*seclevel.Adaptive, cfg.Banks),
 	}
+	s.bin = NewConnServer(s.newBinConn, &s.binRejects, "server draining")
 	factory := func(bank int, lines uint64) (wear.Scheme, error) {
 		seed := cfg.Seed + uint64(bank)
 		switch cfg.Scheme {
@@ -259,8 +262,8 @@ func (s *Server) Start() {
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Drain stops accepting requests, lets every queued request finish, and
-// waits for all actors to exit (or ctx to expire). The HTTP listener
-// must already be shut down: Drain closes the bank queues, and a
+// waits for all actors to exit (or ctx to expire). The HTTP and binary
+// listeners must already be shut down: Drain closes the bank queues, and a
 // concurrent submit on a closed queue would be rejected only by the
 // draining flag, which an in-flight handler may have checked earlier.
 func (s *Server) Drain(ctx context.Context) error {
@@ -286,24 +289,11 @@ func (s *Server) Drain(ctx context.Context) error {
 // errBusy marks a rejected (queue-full) submission.
 var errBusy = fmt.Errorf("memserver: bank queue full")
 
-// submit enqueues ops for one bank and waits for the result. It never
-// blocks on a full queue: the caller gets errBusy to surface as 429.
-// The returned buffer is owed back to the pool: callers putResBuf it
-// once they have copied out what they need.
-func (s *Server) submit(bank int, ops []op) (*resBuf, error) {
-	p, err := s.enqueue(bank, ops)
-	if err != nil {
-		return nil, err
-	}
-	rb := <-p
-	putReply(p)
-	return rb, nil
-}
-
-// enqueue is the non-blocking half of submit, used by the batch path to
-// keep all touched banks in flight at once. The reply channel comes
-// from the pool; the receiver returns it (putReply) after the single
-// answer arrives.
+// enqueue submits ops for one bank without blocking, so the batch path
+// keeps all touched banks in flight at once; a full queue answers
+// errBusy, surfaced as 429 or Nack. The reply channel comes from the
+// pool; the receiver returns it (putReply) after the single answer
+// arrives, and owes the answer's buffer back too (putResBuf).
 func (s *Server) enqueue(bank int, ops []op) (chan *resBuf, error) {
 	if s.draining.Load() {
 		return nil, errDraining

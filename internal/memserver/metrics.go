@@ -48,7 +48,6 @@ func (s *Server) renderMetrics(b *strings.Builder) {
 	counter("binary_frames_total", "Frames processed on the binary listener.", s.binFrames.Load())
 	counter("binary_reject_total", "Binary frames rejected before execution (malformed, version-skewed, oversized, or bad op).", s.binRejects.Load())
 	counter("binary_line_ops_total", "Line ops applied via the binary protocol.", s.binLineOps.Load())
-	counter("binary_read_batch_ops_total", "Reads served through streaming read-batch frames (no per-op ns echo).", s.binReadOps.Load())
 	counter("json_line_ops_total", "Line ops applied via the JSON HTTP API.", s.jsonLineOps.Load())
 
 	type metric struct {

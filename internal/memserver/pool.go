@@ -1,19 +1,12 @@
 package memserver
 
-import (
-	"bytes"
-	"sync"
-)
+import "sync"
 
-// Serving-path buffer reuse. The batch hot path used to allocate per
-// request: op slices and result slices crossing the actor queues, a
-// reply channel per touched bank, a coalescing map, response arrays and
-// JSON encoder state. Under a sustained loadgen stream those churned
-// hundreds of megabytes per second of garbage; everything below is now
-// pooled and recycled under a strict ownership rule:
+// Serving-path buffer reuse. Everything that crosses the actor queues
+// is pooled and recycled under a strict ownership rule:
 //
-//   - op slices are owned by the PRODUCER (the HTTP handler's scratch):
-//     actors read them but never free them, and the handler returns its
+//   - op slices are owned by the PRODUCER (the request's batch scratch):
+//     actors read them but never free them, and the producer reuses its
 //     scratch only after every submitted run has replied, so an actor
 //     can never observe a recycled op slice.
 //   - result buffers (resBuf) are allocated by the ACTOR from the pool
@@ -51,45 +44,24 @@ var replyPool = sync.Pool{New: func() any { return make(chan *resBuf, 1) }}
 func getReply() chan *resBuf  { return replyPool.Get().(chan *resBuf) }
 func putReply(c chan *resBuf) { replyPool.Put(c) }
 
-// opScratch is the per-request state of the single-op handlers: the op
-// array submitted to the bank queue and the decode buffer.
-type opScratch struct {
-	body bytes.Buffer
-	ops  [1]op
-	out  []byte
-}
-
-var opScratchPool = sync.Pool{New: func() any { return new(opScratch) }}
-
-// batchScratch is the per-request state of /v1/batch: decode buffer and
-// request (Ops capacity reused by json.Unmarshal), the per-bank
-// coalescing runs (indexed by bank, `order` listing the banks touched
-// this request in first-touch order), the response with its aligned
-// arrays, and the encode buffer.
+// batchScratch is one batch's execution state: the validated ops, the
+// per-bank coalescing runs (indexed by bank, `order` listing the banks
+// touched this batch in first-touch order) and the response with its
+// aligned arrays. A binary connection keeps one for its lifetime; a
+// JSON request makes its own.
 type batchScratch struct {
-	body  bytes.Buffer
-	req   BatchRequest
+	ops   []BatchOp
 	runs  []bankRun
 	order []int
 	resp  BatchResponse
-	out   []byte
 }
 
-var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-
-// getBatchScratch returns a clean scratch sized for `banks` banks.
-func getBatchScratch(banks int) *batchScratch {
-	sc := batchScratchPool.Get().(*batchScratch)
-	if len(sc.runs) < banks {
-		sc.runs = make([]bankRun, banks)
-	}
-	return sc
+func newBatchScratch(banks int) *batchScratch {
+	return &batchScratch{runs: make([]bankRun, banks)}
 }
 
 // resetRuns clears the per-bank runs touched by the last batch so the
-// scratch can host another one. The JSON path does this once per
-// request on the way back to the pool; the binary connection loop does
-// it per frame, since one scratch lives as long as its connection.
+// scratch can host another one.
 //
 //rbsglint:hotpath
 func resetRuns(sc *batchScratch) {
@@ -100,15 +72,4 @@ func resetRuns(sc *batchScratch) {
 		run.reply = nil
 	}
 	sc.order = sc.order[:0]
-}
-
-// putBatchScratch resets the runs touched by this request and recycles
-// the scratch. Oversized one-off requests are dropped instead of pinning
-// megabytes in the pool.
-func putBatchScratch(sc *batchScratch) {
-	resetRuns(sc)
-	if sc.body.Cap() > 1<<20 || cap(sc.resp.Ns) > 1<<16 {
-		return
-	}
-	batchScratchPool.Put(sc)
 }

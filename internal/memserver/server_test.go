@@ -43,6 +43,25 @@ func startServer(t *testing.T, cfg Config) (*Server, *Client) {
 	return s, NewClient(ts.URL)
 }
 
+// settledMetrics scrapes c until the published snapshots count ops
+// demand ops: an actor answers a request before it publishes the
+// snapshot that counts it, so a scrape right after the last answer can
+// miss that request's counters.
+func settledMetrics(t *testing.T, c *Client, ops float64) map[string]float64 {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		m, err := c.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m["memctld_demand_writes_total"]+m["memctld_demand_reads_total"] >= ops || time.Now().After(deadline) {
+			return m
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	_, c := startServer(t, testConfig())
 	for _, la := range []uint64{0, 1, 2, 3, 4095, 1234} {
@@ -102,8 +121,8 @@ func TestBatchMatchesSequential(t *testing.T) {
 		}
 	}
 
-	seqM, _ := seqClient.Metrics()
-	batM, _ := batchClient.Metrics()
+	seqM := settledMetrics(t, seqClient, float64(n))
+	batM := settledMetrics(t, batchClient, float64(n))
 	for _, name := range []string{
 		"memctld_demand_writes_total", "memctld_demand_reads_total",
 		"memctld_set_writes_total", "memctld_reset_writes_total",
@@ -246,10 +265,7 @@ func TestMetricsCounters(t *testing.T) {
 	for i := uint64(0); i < 10; i++ {
 		c.Read(i)
 	}
-	m, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := settledMetrics(t, c, 74)
 	checks := map[string]float64{
 		"memctld_demand_writes_total": 64,
 		"memctld_demand_reads_total":  10,
@@ -276,11 +292,11 @@ func TestBadRequests(t *testing.T) {
 	cases := []struct {
 		path, body string
 	}{
-		{"/v1/write", `{"l": 999999, "d": 0}`}, // out of range
-		{"/v1/write", `{"l": 1, "d": 9}`},      // bad content class
-		{"/v1/write", `not json`},
+		{"/v1/batch", `{"ops": [{"l": 999999, "d": 0}]}`}, // out of range
+		{"/v1/batch", `{"ops": [{"l": 1, "d": 9}]}`},      // bad content class
+		{"/v1/batch", `not json`},
 		{"/v1/batch", `{"ops": []}`},
-		{"/v1/batch", `{"ops": [{"l": 999999}]}`},
+		{"/v1/batch", `{"ops": [{"l": 1}, {"l": 999999}]}`}, // one bad op fails the batch
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(c.BaseURL+tc.path, "application/json",
@@ -291,6 +307,17 @@ func TestBadRequests(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST %s %q: status %d, want 400", tc.path, tc.body, resp.StatusCode)
+		}
+	}
+	// The single-op endpoints are gone: Write and Read ride /v1/batch.
+	for _, path := range []string{"/v1/write", "/v1/read"} {
+		resp, err := http.Post(c.BaseURL+path, "application/json", strings.NewReader(`{"l": 1}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s: status %d, want 404", path, resp.StatusCode)
 		}
 	}
 }

@@ -192,11 +192,12 @@ func TestActorWearRefreshCadence(t *testing.T) {
 		if rng.Uint64n(2) == 0 {
 			la = 5 // the hammered line
 		}
-		rb, err := s.submit(0, []op{{local: la, content: pcm.Ones}})
+		reply, err := s.enqueue(0, []op{{local: la, content: pcm.Ones}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		putResBuf(rb)
+		putResBuf(<-reply)
+		putReply(reply)
 		if n%snapEvery != 0 {
 			continue
 		}

@@ -6,6 +6,8 @@ import (
 )
 
 // The binary wire protocol: the hot serving path without JSON framing.
+// This file is its one codec; memctld's listener, memrouterd's client
+// listener and BinaryClient all encode and decode through it.
 //
 // Every frame is length-prefixed and little-endian:
 //
@@ -17,23 +19,14 @@ import (
 //	BatchReq  := u32 count | count × (u64 line | u8 flags | u8 content)
 //	BatchResp := u32 applied | u32 rejected | u64 nsSum | u64 nsMax |
 //	             u32 count | count × (u64 ns | u8 data)
-//	ReadReq   := u32 count | count × u64 line
-//	ReadResp  := u32 applied | u32 rejected | u64 nsSum | u64 nsMax |
-//	             u32 count | count × u8 data
-//	Nack      := u32 retryAfterSecs | <payload of the response the
-//	             request would have gotten: BatchResp for a BatchReq,
-//	             ReadResp for a ReadReq>
+//	Nack      := u32 retryAfterSecs | <BatchResp payload: the partial
+//	             accounting of the refused batch>
 //	Err       := u16 code | u16 msgLen | msg bytes
 //
-// ReadReq is the streaming read-mostly mode: a batch of reads whose
-// response carries the data bytes and the batch-level accounting
-// (applied/rejected/nsSum/nsMax) but skips the 8-byte per-op ns echo —
-// 1 byte per op instead of 9 on the response body, for read-dominated
-// streams that only need the data. The ops execute through the same
-// per-bank engine as a full batch, so what the banks do (and the
-// aggregate timing they emit) is identical; only the response encoding
-// is thinner (the differential test pins data equality against the
-// full-fat path).
+// BatchReq is the only request shape: reads travel as ops with flag
+// bit 0 set. Type bytes 0x05 and 0x06 belonged to a retired streaming
+// read-batch frame and are never reused; like any unknown type they
+// get a malformed-frame Err.
 //
 // Versioning rules: the u32 length prefix and the leading version byte
 // never change meaning — they are the layer a server of any version can
@@ -44,10 +37,7 @@ import (
 // kinds or fields mean a new version value, never a silent re-reading
 // of v1 bytes. New frame *type* values are the one additive escape
 // hatch: a server that predates a type cannot misread it — it answers
-// a typed malformed-frame Err and keeps the connection — so a client
-// probing a new type gets an explicit signal to fall back to the
-// frames the server does speak (BinaryClient.ReadBatch falls back to a
-// full BatchReq of reads this way).
+// a typed malformed-frame Err and keeps the connection.
 //
 // Op records are fixed width (wireOpSize bytes), so the decoder indexes
 // the request payload directly — no reflection, no per-op allocation —
@@ -62,18 +52,18 @@ import (
 // regression test pins this).
 
 const (
-	// wireVersion is the protocol version this build speaks.
-	wireVersion = 1
+	// WireVersion is the protocol version this build speaks.
+	WireVersion = 1
 
-	// wireMaxBody bounds one frame body. A length prefix above this is
+	// WireMaxBody bounds one frame body. A length prefix above this is
 	// a hard reject: the server answers with an Err frame and closes
 	// the connection, since it will not stream-skip an attacker-sized
 	// body to stay in sync.
-	wireMaxBody = 1 << 20
+	WireMaxBody = 1 << 20
 
 	// wireMaxOps bounds the ops in one batch frame (it is what
-	// wireMaxBody admits, stated in ops).
-	wireMaxOps = (wireMaxBody - wireHdrSize - 4) / wireOpSize
+	// WireMaxBody admits, stated in ops).
+	wireMaxOps = (WireMaxBody - wireHdrSize - 4) / wireOpSize
 
 	// wireHdrSize is the body prelude: version byte + type byte.
 	wireHdrSize = 2
@@ -84,43 +74,40 @@ const (
 
 	// wireResSize is one fixed-width result record: u64 ns, u8 data.
 	wireResSize = 9
-
-	// wireReadOpSize is one read-batch op record: just the u64 line.
-	wireReadOpSize = 8
-
-	// wireMaxReadOps bounds the ops in one read-batch frame.
-	wireMaxReadOps = (wireMaxBody - wireHdrSize - 4) / wireReadOpSize
 )
 
-// Frame types.
+// Frame types. 0x05 and 0x06 are retired and stay unassigned.
 const (
 	frameBatchReq  = 0x01 // client → server: a batch of ops
 	frameBatchResp = 0x02 // server → client: per-op latencies + accounting
 	frameNack      = 0x03 // server → client: backpressure (429 + Retry-After equivalent)
 	frameErr       = 0x04 // server → client: typed error
-	frameReadReq   = 0x05 // client → server: a batch of reads (streaming read-mostly mode)
-	frameReadResp  = 0x06 // server → client: data bytes + accounting, no per-op ns echo
 )
 
-// Err frame codes. The name table keeps client-surfaced errors
-// listable: an unknown code still renders, a known one names itself.
+// Err frame codes (WireError.Code). The name table keeps client-surfaced
+// errors listable: an unknown code still renders, a known one names
+// itself.
 const (
-	wireErrVersion   = 0x01 // frame version not spoken by this server
-	wireErrMalformed = 0x02 // frame failed structural decode
-	wireErrTooLarge  = 0x03 // length prefix above wireMaxBody (connection closes)
-	wireErrBadOp     = 0x04 // op failed semantic validation (line range / content class)
-	wireErrDraining  = 0x05 // server is draining; no more work accepted
-	wireErrEmpty     = 0x06 // batch carried zero ops
+	WireErrVersion   = 0x01 // frame version not spoken by this server
+	WireErrMalformed = 0x02 // frame failed structural decode, or its type is not BatchReq
+	WireErrTooLarge  = 0x03 // length prefix above WireMaxBody (connection closes)
+	WireErrBadOp     = 0x04 // op failed semantic validation (line range / content class)
+	WireErrDraining  = 0x05 // server is draining; no more work accepted
+	WireErrEmpty     = 0x06 // batch carried zero ops
 )
+
+// NackRetryAfterSecs is the Retry-After a memctld Nack carries, the
+// JSON API's Retry-After header value.
+const NackRetryAfterSecs = 1
 
 // wireErrName maps Err codes to stable names (client error listings).
 var wireErrName = map[uint16]string{
-	wireErrVersion:   "unsupported-version",
-	wireErrMalformed: "malformed-frame",
-	wireErrTooLarge:  "frame-too-large",
-	wireErrBadOp:     "bad-op",
-	wireErrDraining:  "draining",
-	wireErrEmpty:     "empty-batch",
+	WireErrVersion:   "unsupported-version",
+	WireErrMalformed: "malformed-frame",
+	WireErrTooLarge:  "frame-too-large",
+	WireErrBadOp:     "bad-op",
+	WireErrDraining:  "draining",
+	WireErrEmpty:     "empty-batch",
 }
 
 // WireError is an Err frame surfaced by the binary client. It is a
@@ -137,7 +124,7 @@ func (e *WireError) Error() string {
 		name = fmt.Sprintf("code-%d", e.Code)
 	}
 	known := "known codes:"
-	for c := uint16(1); c <= wireErrEmpty; c++ {
+	for c := uint16(1); c <= WireErrEmpty; c++ {
 		if n, ok := wireErrName[c]; ok {
 			known += " " + n
 		}
@@ -145,16 +132,8 @@ func (e *WireError) Error() string {
 	return fmt.Sprintf("binary wire error %s: %s (%s)", name, e.Msg, known)
 }
 
-// appendFrame wraps a finished body with its length prefix. The body
-// must already start with the version and type bytes.
-func appendFrame(b, body []byte) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(body)))
-	return append(b, body...)
-}
-
 // appendBatchReqBody appends the body (version|type|payload) of a batch
-// request for ops. The caller frames it with appendFrame or by
-// reserving the prefix itself.
+// request for ops; the caller adds the length prefix.
 func appendBatchReqBody(b []byte, version uint8, ops []BatchOp) []byte {
 	b = append(b, version, frameBatchReq)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(ops)))
@@ -169,49 +148,66 @@ func appendBatchReqBody(b []byte, version uint8, ops []BatchOp) []byte {
 	return b
 }
 
-// decodeBatchReq parses a BatchReq payload into ops (appended to
-// ops[:0], capacity reused). It is the zero-copy hot decode: fixed
-// offsets into payload, no reads past len(payload), and nothing
-// allocated on any reject path (the returned code is the entire error).
+// DecodeRequest validates one request frame body against a space of
+// lines logical lines and decodes its ops into ops[:0], reusing the
+// capacity. A nonzero code is the Err frame to answer with, msg its
+// static detail line. Both listeners run every frame through it, so
+// they accept and refuse exactly the same frames. The decode is
+// zero-copy: fixed offsets into body, no reads past len(body), and
+// nothing allocated on any reject path.
 //
 //rbsglint:hotpath
-func decodeBatchReq(payload []byte, ops []BatchOp) ([]BatchOp, uint16) {
+func DecodeRequest(body []byte, lines uint64, ops []BatchOp) (_ []BatchOp, code uint16, msg string) {
 	ops = ops[:0]
+	switch {
+	case len(body) < wireHdrSize:
+		return ops, WireErrMalformed, "frame body under header size"
+	case body[0] != WireVersion:
+		// The frame was length-delimited, so framing is intact: the
+		// connection survives a version skew.
+		return ops, WireErrVersion, "server speaks version 1"
+	case body[1] != frameBatchReq:
+		return ops, WireErrMalformed, "frame type not batch-req"
+	}
+	payload := body[wireHdrSize:]
 	if len(payload) < 4 {
-		return ops, wireErrMalformed
+		return ops, WireErrMalformed, "batch payload failed decode"
 	}
 	count := binary.LittleEndian.Uint32(payload)
 	if count == 0 {
-		return ops, wireErrEmpty
-	}
-	if uint64(count) > wireMaxOps {
-		return ops, wireErrMalformed
+		return ops, WireErrEmpty, "batch carried no ops"
 	}
 	rest := payload[4:]
-	if uint64(len(rest)) != uint64(count)*wireOpSize {
-		return ops, wireErrMalformed
+	if uint64(count) > wireMaxOps || uint64(len(rest)) != uint64(count)*wireOpSize {
+		return ops, WireErrMalformed, "batch payload failed decode"
 	}
 	for off := 0; off < len(rest); off += wireOpSize {
 		rec := rest[off : off+wireOpSize]
-		flags := rec[8]
-		if flags > 1 {
-			return ops[:0], wireErrMalformed
+		if rec[8] > 1 {
+			return ops[:0], WireErrMalformed, "batch payload failed decode"
 		}
-		ops = append(ops, BatchOp{
-			Line: binary.LittleEndian.Uint64(rec),
-			Read: flags == 1,
-			Data: rec[9],
-		})
+		ops = append(ops, BatchOp{Line: binary.LittleEndian.Uint64(rec), Read: rec[8] == 1, Data: rec[9]})
 	}
-	return ops, 0
+	for _, o := range ops {
+		if o.Line >= lines || o.Data > 2 {
+			return ops, WireErrBadOp, "op line out of space or content class not in {0,1,2}"
+		}
+	}
+	return ops, 0, ""
 }
 
-// appendBatchRespPayload appends the BatchResp payload for r. Per-op
-// latencies travel verbatim: this is the serialization the timing side
-// channel crosses.
+// RespFrame encodes r as one complete response frame into buf's
+// storage: a BatchResp, or with nack set a Nack asking the client to
+// retry after retryAfterSecs. Per-op latencies travel verbatim: this is
+// the serialization the timing side channel crosses.
 //
 //rbsglint:hotpath
-func appendBatchRespPayload(b []byte, r *BatchResponse) []byte {
+func RespFrame(buf []byte, r *BatchResponse, nack bool, retryAfterSecs uint32) []byte {
+	b := append(buf[:0], 0, 0, 0, 0, WireVersion, frameBatchResp)
+	if nack {
+		b[5] = frameNack
+		b = binary.LittleEndian.AppendUint32(b, retryAfterSecs)
+	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(r.Applied))
 	b = binary.LittleEndian.AppendUint32(b, uint32(r.Rejected))
 	b = binary.LittleEndian.AppendUint64(b, r.NsSum)
@@ -221,6 +217,20 @@ func appendBatchRespPayload(b []byte, r *BatchResponse) []byte {
 		b = binary.LittleEndian.AppendUint64(b, ns)
 		b = append(b, r.Data[i])
 	}
+	binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
+	return b
+}
+
+// ErrFrame encodes one complete Err frame into buf's storage. Use
+// static message strings so reject paths compose nothing.
+//
+//rbsglint:hotpath
+func ErrFrame(buf []byte, code uint16, msg string) []byte {
+	b := append(buf[:0], 0, 0, 0, 0, WireVersion, frameErr)
+	b = binary.LittleEndian.AppendUint16(b, code)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(msg)))
+	b = append(b, msg...)
+	binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
 	return b
 }
 
@@ -228,7 +238,7 @@ func appendBatchRespPayload(b []byte, r *BatchResponse) []byte {
 // payload into r, reusing r's slice capacity.
 func decodeBatchRespPayload(payload []byte, r *BatchResponse) uint16 {
 	if len(payload) < 28 {
-		return wireErrMalformed
+		return WireErrMalformed
 	}
 	r.Applied = int(binary.LittleEndian.Uint32(payload))
 	r.Rejected = int(binary.LittleEndian.Uint32(payload[4:]))
@@ -237,113 +247,15 @@ func decodeBatchRespPayload(payload []byte, r *BatchResponse) uint16 {
 	count := binary.LittleEndian.Uint32(payload[24:])
 	rest := payload[28:]
 	if uint64(len(rest)) != uint64(count)*wireResSize {
-		return wireErrMalformed
+		return WireErrMalformed
 	}
 	r.Ns = resizeZeroed(r.Ns, int(count))
 	r.Data = resizeZeroed(r.Data, int(count))
-	for i := 0; i < int(count); i++ {
+	for i := range int(count) {
 		rec := rest[i*wireResSize:]
 		r.Ns[i] = binary.LittleEndian.Uint64(rec)
 		r.Data[i] = rec[8]
 	}
-	return 0
-}
-
-// appendErrBody appends a complete Err frame body. Messages are static
-// strings chosen by code so the reject path composes nothing.
-//
-//rbsglint:hotpath
-func appendErrBody(b []byte, code uint16, msg string) []byte {
-	b = append(b, wireVersion, frameErr)
-	b = binary.LittleEndian.AppendUint16(b, code)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(msg)))
-	return append(b, msg...)
-}
-
-// ReadBatchResponse answers a streaming read batch (ReadReq frame):
-// the batch-level accounting a BatchResponse carries, and the data
-// bytes aligned with the requested lines — but no per-op latency echo,
-// which is the mode's reason to exist (1 response byte per op instead
-// of 9). Rejected ops report zero data.
-type ReadBatchResponse struct {
-	Applied  int
-	Rejected int
-	NsSum    uint64
-	NsMax    uint64
-	Data     []uint8
-}
-
-// appendReadReqBody appends the body (version|type|payload) of a
-// read-batch request for lines.
-func appendReadReqBody(b []byte, version uint8, lines []uint64) []byte {
-	b = append(b, version, frameReadReq)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(lines)))
-	for _, l := range lines {
-		b = binary.LittleEndian.AppendUint64(b, l)
-	}
-	return b
-}
-
-// decodeReadReqOps parses a ReadReq payload into read ops (appended to
-// ops[:0], capacity reused) so the batch engine runs them unchanged:
-// every decoded op has Read set and Data zero.
-//
-//rbsglint:hotpath
-func decodeReadReqOps(payload []byte, ops []BatchOp) ([]BatchOp, uint16) {
-	ops = ops[:0]
-	if len(payload) < 4 {
-		return ops, wireErrMalformed
-	}
-	count := binary.LittleEndian.Uint32(payload)
-	if count == 0 {
-		return ops, wireErrEmpty
-	}
-	if uint64(count) > wireMaxReadOps {
-		return ops, wireErrMalformed
-	}
-	rest := payload[4:]
-	if uint64(len(rest)) != uint64(count)*wireReadOpSize {
-		return ops, wireErrMalformed
-	}
-	for off := 0; off < len(rest); off += wireReadOpSize {
-		ops = append(ops, BatchOp{
-			Line: binary.LittleEndian.Uint64(rest[off : off+wireReadOpSize]),
-			Read: true,
-		})
-	}
-	return ops, 0
-}
-
-// appendReadRespPayload appends the ReadResp payload for r: the
-// accounting header and the data bytes, no per-op ns.
-//
-//rbsglint:hotpath
-func appendReadRespPayload(b []byte, r *BatchResponse) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(r.Applied))
-	b = binary.LittleEndian.AppendUint32(b, uint32(r.Rejected))
-	b = binary.LittleEndian.AppendUint64(b, r.NsSum)
-	b = binary.LittleEndian.AppendUint64(b, r.NsMax)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(r.Data)))
-	return append(b, r.Data...)
-}
-
-// decodeReadRespPayload parses a ReadResp (or the tail of a read Nack)
-// payload into r, reusing r's slice capacity.
-func decodeReadRespPayload(payload []byte, r *ReadBatchResponse) uint16 {
-	if len(payload) < 28 {
-		return wireErrMalformed
-	}
-	r.Applied = int(binary.LittleEndian.Uint32(payload))
-	r.Rejected = int(binary.LittleEndian.Uint32(payload[4:]))
-	r.NsSum = binary.LittleEndian.Uint64(payload[8:])
-	r.NsMax = binary.LittleEndian.Uint64(payload[16:])
-	count := binary.LittleEndian.Uint32(payload[24:])
-	rest := payload[28:]
-	if uint64(len(rest)) != uint64(count) {
-		return wireErrMalformed
-	}
-	r.Data = resizeZeroed(r.Data, int(count))
-	copy(r.Data, rest)
 	return 0
 }
 
@@ -358,4 +270,17 @@ func decodeErrBody(payload []byte) (*WireError, bool) {
 		return nil, false
 	}
 	return &WireError{Code: code, Msg: string(payload[4 : 4+n])}, true
+}
+
+// resizeZeroed returns s with length n and every element zeroed
+// (rejected batch ops must report zero, not a previous request's data).
+//
+//rbsglint:hotpath
+func resizeZeroed[T uint8 | uint64](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }

@@ -26,17 +26,20 @@ go build -o "$tmp/loadgen" ./cmd/loadgen
 # interval closes remap rounds (the only instants the level can move)
 # every few thousand writes, so a 2s stream crosses many boundaries.
 "$tmp/memctld" -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
+    -binary-addr 127.0.0.1:0 -binary-addr-file "$tmp/binaddr" \
     -scheme srbsg+adaptive -banks 1 -lines 4096 \
     -regions 16 -interval 8 -stages 4 2>"$tmp/server.log" &
 pid=$!
 
 for _ in $(seq 100); do
-    [ -s "$tmp/addr" ] && break
+    [ -s "$tmp/addr" ] && [ -s "$tmp/binaddr" ] && break
     sleep 0.1
 done
-[ -s "$tmp/addr" ] || { echo "FAIL: server never bound"; cat "$tmp/server.log"; exit 1; }
+[ -s "$tmp/addr" ] && [ -s "$tmp/binaddr" ] \
+    || { echo "FAIL: server never bound"; cat "$tmp/server.log"; exit 1; }
 addr="http://$(cat "$tmp/addr")"
-echo "== memctld (srbsg+adaptive) up at $addr"
+binaddr="$(cat "$tmp/binaddr")"
+echo "== memctld (srbsg+adaptive) up at $addr (binary $binaddr)"
 
 scrape() {
     if command -v curl >/dev/null 2>&1; then
@@ -50,7 +53,7 @@ metric() { # sum a counter/gauge over banks
 }
 
 echo "== benign uniform stream (level must never rise)"
-"$tmp/loadgen" -addr "$addr" -workers 4 -duration 2s -pattern uniform | tee "$tmp/uniform.out"
+"$tmp/loadgen" -addr "$addr" -binary-addr "$binaddr" -workers 4 -duration 2s -pattern uniform | tee "$tmp/uniform.out"
 raises=$(metric level_raises_total)
 [ "$raises" = "0" ] || { echo "FAIL: benign traffic escalated the level $raises times"; exit 1; }
 level=$(metric security_level)
@@ -58,7 +61,7 @@ level=$(metric security_level)
 [ "$level" -le 4 ] || { echo "FAIL: level is $level after benign traffic, want at most the boot level 4"; exit 1; }
 
 echo "== escalating attack stream (level must escalate)"
-"$tmp/loadgen" -addr "$addr" -workers 4 -duration 2s -pattern escalate -ramp 20000 | tee "$tmp/escalate.out"
+"$tmp/loadgen" -addr "$addr" -binary-addr "$binaddr" -workers 4 -duration 2s -pattern escalate -ramp 20000 | tee "$tmp/escalate.out"
 grep -q "first escalation after" "$tmp/escalate.out" \
     || { echo "FAIL: loadgen reported no escalation under attack"; exit 1; }
 raises=$(metric level_raises_total)

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Capture a CPU profile of memctld under load (`make profile`).
 #
-# Boots memctld with its -pprof listener on a random loopback port,
-# drives it with loadgen, and fetches /debug/pprof/profile for the
-# duration of the stream. Inspect the result with:
+# Boots memctld with its binary listener and its -pprof listener on
+# random loopback ports, drives the binary listener with loadgen, and
+# fetches /debug/pprof/profile for the duration of the stream. Inspect the result with:
 #
 #	go tool pprof -top cpu.pprof
 #
@@ -28,15 +28,18 @@ go build -o "$tmp/memctld" ./cmd/memctld
 go build -o "$tmp/loadgen" ./cmd/loadgen
 
 "$tmp/memctld" -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
+    -binary-addr 127.0.0.1:0 -binary-addr-file "$tmp/binaddr" \
     -pprof 127.0.0.1:0 -banks 8 -lines $((1 << 20)) 2>"$tmp/server.log" &
 pid=$!
 
 for _ in $(seq 100); do
-    [ -s "$tmp/addr" ] && grep -q "pprof on" "$tmp/server.log" && break
+    [ -s "$tmp/addr" ] && [ -s "$tmp/binaddr" ] && grep -q "pprof on" "$tmp/server.log" && break
     sleep 0.1
 done
-[ -s "$tmp/addr" ] || { echo "FAIL: server never bound"; cat "$tmp/server.log"; exit 1; }
+[ -s "$tmp/addr" ] && [ -s "$tmp/binaddr" ] \
+    || { echo "FAIL: server never bound"; cat "$tmp/server.log"; exit 1; }
 addr="http://$(cat "$tmp/addr")"
+binaddr="$(cat "$tmp/binaddr")"
 ppurl=$(sed -n 's#.*pprof on \(http://[^/]*\)/.*#\1#p' "$tmp/server.log")
 [ -n "$ppurl" ] || { echo "FAIL: pprof listener not announced"; cat "$tmp/server.log"; exit 1; }
 echo "== memctld at $addr, pprof at $ppurl, profiling ${seconds}s of '$pattern' load"
@@ -48,7 +51,7 @@ fetch() {
 fetch "$ppurl/debug/pprof/profile?seconds=$seconds" "$out" &
 profpid=$!
 
-"$tmp/loadgen" -addr "$addr" -workers 8 -duration "${seconds}s" -pattern "$pattern" \
+"$tmp/loadgen" -addr "$addr" -binary-addr "$binaddr" -workers 8 -duration "${seconds}s" -pattern "$pattern" \
     | tee "$tmp/loadgen.out"
 
 wait "$profpid" || { echo "FAIL: profile fetch failed"; exit 1; }

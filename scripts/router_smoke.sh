@@ -67,7 +67,7 @@ echo "== binary probe through the router: round trip and version skew"
 "$tmp/binprobe" -addr "$binaddr" -skew
 
 echo "== uniform stream through the router (detector must stay quiet)"
-"$tmp/loadgen" -addr "$addr" -proto binary -binary-addr "$binaddr" \
+"$tmp/loadgen" -addr "$addr" -binary-addr "$binaddr" \
     -workers 4 -window 4 -duration 2s -pattern uniform | tee "$tmp/uniform.out"
 grep -q "detector alarms: 0 (run)" "$tmp/uniform.out" \
     || { echo "FAIL: uniform traffic through the router raised alarms"; exit 1; }
@@ -89,7 +89,7 @@ awk -v want=$((3 * shard_lines)) \
     || { echo "FAIL: aggregated memctld_lines != 3 shards' worth"; exit 1; }
 
 echo "== attack-shaped stream through the router (shard 0 must alarm)"
-"$tmp/loadgen" -addr "$addr" -proto binary -binary-addr "$binaddr" \
+"$tmp/loadgen" -addr "$addr" -binary-addr "$binaddr" \
     -workers 4 -window 4 -duration 2s -pattern attack | tee "$tmp/attack.out"
 grep -q "detector alarms: 0 (run)" "$tmp/attack.out" \
     && { echo "FAIL: attack stream through the router raised no alarm"; exit 1; }
