@@ -106,7 +106,8 @@ router-smoke:
 
 # Full registered scheme×attack matrix at smoke scale (2^10 lines)
 # through cmd/tournament: every playable registry cell must complete,
-# and a checkpointed rerun must emit a byte-identical CSV.
+# the CSV must match its pinned SHA-256, and a checkpointed rerun must
+# emit a byte-identical CSV.
 tournament-smoke:
 	./scripts/tournament_smoke.sh
 

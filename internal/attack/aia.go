@@ -18,29 +18,38 @@ import (
 // runs but stands in for an implausibly strong oracle; comparing the two
 // quantifies how much of a scheme's security is key secrecy versus
 // structure.
+//
+// The hammer goes out one frozen stretch at a time: WritesToNextRemap of
+// the hammered line when the scheme is a wear.FastForwarder, else one
+// write. Within a stretch only the last write can move anything, so the
+// attacker rescans the mapping only after it, and the run (writes,
+// observed time, wear state) is bit-identical to rescanning before every
+// write.
 func AIA(c *wear.Controller, victimPA uint64, content pcm.Content, maxWrites uint64) Result {
-	r := runState{target: c, failed: failOracle(c), max: maxWrites}
+	r := runState{c: c, max: maxWrites}
 	scheme := c.Scheme()
+	ff, _ := scheme.(wear.FastForwarder)
 	occupant, ok := occupantOf(scheme, victimPA)
 	for !r.done() {
 		if !ok || scheme.Translate(occupant) != victimPA {
 			occupant, ok = occupantOf(scheme, victimPA)
-			if !ok {
-				// The victim line is momentarily unmapped (a gap/spare
-				// slot). Burn a write on the line next to it — same
-				// region, so the scheme's rotation advances and the
-				// victim comes back into use.
-				if neighbor, nok := occupantOf(scheme, victimPA+1); nok {
-					r.write(neighbor, content)
-				} else if neighbor, nok := occupantOf(scheme, victimPA-1); nok {
-					r.write(neighbor, content)
-				} else {
-					r.write(0, content)
-				}
-				continue
+		}
+		la := occupant
+		if !ok {
+			// The victim line is momentarily unmapped (a gap/spare
+			// slot). Burn writes on the line next to it — same region,
+			// so the scheme's rotation advances and the victim comes
+			// back into use.
+			var mapped bool
+			if la, mapped = occupantOf(scheme, victimPA+1); !mapped {
+				la, _ = occupantOf(scheme, victimPA-1) // 0 if unmapped too
 			}
 		}
-		r.write(occupant, content)
+		stretch := uint64(1)
+		if ff != nil {
+			stretch = ff.WritesToNextRemap(la)
+		}
+		r.writeRun(la, content, stretch)
 	}
 	return r.res
 }

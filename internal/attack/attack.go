@@ -46,6 +46,43 @@ type BatchTarget interface {
 	WriteRun(la uint64, content pcm.Content, n uint64, stopOnFail bool, onEvent func(i, ns uint64) bool) (issued, totalNs uint64)
 }
 
+// lastEvent is the onEvent sink the RTA helpers hand to
+// BatchTarget.WriteRun. They need only the batch's final anomaly — the
+// naive loop reads the LAST write's extra latency, not a mid-run one
+// (against schemes whose real movements the attack's shadow mispredicts,
+// those differ) — so it keeps just the latest event. It lives on the
+// attacker and binds its callback once: a closure built per batch
+// escapes through the interface and costs heap allocations every epoch.
+type lastEvent struct {
+	i, ns uint64
+	seen  bool
+	fn    func(i, ns uint64) bool
+}
+
+// sink clears the record for a new batch and returns the bound callback.
+func (e *lastEvent) sink() func(i, ns uint64) bool {
+	e.seen = false
+	if e.fn == nil {
+		e.fn = e.note
+	}
+	return e.fn
+}
+
+func (e *lastEvent) note(i, ns uint64) bool {
+	e.i, e.ns, e.seen = i, ns, true
+	return true
+}
+
+// lastExtra returns the extra latency over base of a batch's final write
+// (got writes issued): the recorded anomaly's if it landed on that write,
+// else 0.
+func (e *lastEvent) lastExtra(got, base uint64) uint64 {
+	if e.seen && e.i == got-1 {
+		return e.ns - base
+	}
+	return 0
+}
+
 // SweepTarget is an optional Target capability: execute one full
 // SweepPattern (bit ≥ 0) or SweepZeros (bit < 0) pass over the logical
 // space at once, returning the demand writes issued and the attacker-
@@ -70,12 +107,12 @@ type Result struct {
 	FailedPA uint64
 }
 
-// runState tracks progress against a stop condition shared by all attacks.
+// runState tracks progress against the stop condition RAA, BPA and AIA
+// share: the bank's first line failure or the write budget.
 type runState struct {
-	target Target
-	failed func() (uint64, bool)
-	max    uint64
-	res    Result
+	c   *wear.Controller
+	max uint64
+	res Result
 }
 
 // failOracle builds the default device-failure oracle for a controller.
@@ -87,7 +124,7 @@ func failOracle(c *wear.Controller) func() (uint64, bool) {
 }
 
 func (r *runState) done() bool {
-	if pa, ok := r.failed(); ok {
+	if pa, _, ok := r.c.Bank().FirstFailure(); ok {
 		r.res.Failed = true
 		r.res.FailedPA = pa
 		return true
@@ -95,15 +132,21 @@ func (r *runState) done() bool {
 	return r.max > 0 && r.res.Writes >= r.max
 }
 
-func (r *runState) write(la uint64, c pcm.Content) uint64 {
-	ns := r.target.Write(la, c)
-	r.res.Writes++
+// writeRun issues up to n writes of content to la through
+// Controller.WriteRun, clamped to the budget and truncated right after
+// the bank's first failure — the write after which the per-write done()
+// check would have stopped — so it is exact against that loop.
+func (r *runState) writeRun(la uint64, content pcm.Content, n uint64) {
+	if r.max > 0 && r.max-r.res.Writes < n {
+		n = r.max - r.res.Writes
+	}
+	issued, ns := r.c.WriteRun(la, content, n, true, nil)
+	r.res.Writes += issued
 	r.res.AttackNs += ns
-	return ns
 }
 
-// raaChunk bounds one WriteRun call in the unbounded-budget case so the
-// stop condition is still re-evaluated periodically.
+// raaChunk bounds one WriteRun call so the stop condition is still
+// re-evaluated periodically under an unbounded budget.
 const raaChunk = 1 << 22
 
 // RAA runs the Repeated Address Attack: write content to la until a line
@@ -116,15 +159,9 @@ const raaChunk = 1 << 22
 // observed time, wear state) is bit-identical to the write-by-write loop
 // at a fraction of the cost when the scheme supports fast-forwarding.
 func RAA(c *wear.Controller, la uint64, content pcm.Content, maxWrites uint64) Result {
-	r := runState{target: c, failed: failOracle(c), max: maxWrites}
+	r := runState{c: c, max: maxWrites}
 	for !r.done() {
-		n := uint64(raaChunk)
-		if maxWrites > 0 {
-			n = maxWrites - r.res.Writes
-		}
-		issued, ns := c.WriteRun(la, content, n, true, nil)
-		r.res.Writes += issued
-		r.res.AttackNs += ns
+		r.writeRun(la, content, raaChunk)
 	}
 	return r.res
 }
@@ -140,19 +177,12 @@ func BPA(c *wear.Controller, hammerWrites uint64, content pcm.Content, seed, max
 	}
 	rng := stats.NewRNG(seed)
 	n := c.Scheme().LogicalLines()
-	r := runState{target: c, failed: failOracle(c), max: maxWrites}
+	r := runState{c: c, max: maxWrites}
 	for !r.done() {
-		la := rng.Uint64n(n)
 		// One hammer stint through WriteRun (exact: truncates at first
 		// failure and at the budget, like the per-write loop it replaces).
 		// The RNG draw sequence is unchanged: one draw per stint.
-		stint := hammerWrites
-		if maxWrites > 0 && maxWrites-r.res.Writes < stint {
-			stint = maxWrites - r.res.Writes
-		}
-		issued, ns := c.WriteRun(la, content, stint, true, nil)
-		r.res.Writes += issued
-		r.res.AttackNs += ns
+		r.writeRun(rng.Uint64n(n), content, hammerWrites)
 	}
 	return r.res
 }

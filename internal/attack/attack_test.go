@@ -340,3 +340,48 @@ func TestSecurityRBSGOutlivesRBSGUnderRAA(t *testing.T) {
 	t.Logf("RAA to failure: RBSG %d writes, Security RBSG %d writes (%.1fx)",
 		rbRes.Writes, sbRes.Writes, float64(sbRes.Writes)/float64(rbRes.Writes))
 }
+
+// TestRTAWriteNZeroAlloc pins the batched hammer helpers of the RBSG and
+// Security Refresh timing attacks at zero allocations per call on a
+// wear.Controller: each call is one inter-movement epoch, and an
+// exact-tier cell makes millions of them.
+func TestRTAWriteNZeroAlloc(t *testing.T) {
+	const lines, regions, interval = 1 << 10, 8, 16
+	t.Run("rbsg", func(t *testing.T) {
+		c := wear.MustNewController(bankCfg(1<<40),
+			rbsg.MustNew(rbsg.Config{Lines: lines, Regions: regions, Interval: interval, Seed: 3}))
+		a := &RTARBSG{
+			Target: c, Lines: lines, Regions: regions, Interval: interval,
+			Timing: pcm.DefaultTiming, Li: 17,
+			Oracle: func() bool { return c.Bank().Failed() },
+		}
+		// Boot-state shadow, as Run sets it up.
+		a.n = lines / regions
+		a.sGap = a.n
+		a.rel = make([]int64, a.n+1)
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, _, _, err := a.writeN(a.Li, pcm.Ones, a.Interval-a.cnt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("RTARBSG.writeN: %v allocs per batch, want 0", allocs)
+		}
+	})
+	t.Run("sr", func(t *testing.T) {
+		c := wear.MustNewController(bankCfg(1<<40), secref.MustNewOneLevel(lines, interval, 0, nil))
+		a := &RTASR{
+			Target: c, Lines: lines, Interval: interval,
+			Timing: pcm.DefaultTiming, Li: 17,
+			Oracle: func() bool { return c.Bank().Failed() },
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, _, _, _, err := a.writeN(0, pcm.Ones, a.Interval-a.cnt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("RTASR.writeN: %v allocs per batch, want 0", allocs)
+		}
+	})
+}

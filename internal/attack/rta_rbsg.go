@@ -70,6 +70,7 @@ type RTARBSG struct {
 	aligned  bool
 	seqBits  []uint64 // recovered LA bits per offset (index 0 unused)
 	seqKnown []uint64 // bitmask of recovered bit positions per offset
+	ev       lastEvent
 
 	res Result
 	// Diagnostics filled in by Run.
@@ -215,24 +216,11 @@ func (a *RTARBSG) writeN(la uint64, c pcm.Content, k uint64) (extra uint64, move
 	}
 	var issued uint64
 	for issued < want {
-		// The naive loop's extra is the LAST write's extra latency — not
-		// that of any anomalous write mid-run (against schemes whose real
-		// movements the attack's shadow mispredicts, those differ). Track
-		// events by index and keep one only if it landed on the run's
-		// final write.
-		var evIdx, evNs uint64
-		sawEvent := false
-		got, ns := bt.WriteRun(la, c, want-issued, a.Oracle != nil, func(i, ns uint64) bool {
-			evIdx, evNs, sawEvent = i, ns, true
-			return true
-		})
+		got, ns := bt.WriteRun(la, c, want-issued, a.Oracle != nil, a.ev.sink())
 		issued += got
 		a.res.Writes += got
 		a.res.AttackNs += ns
-		extra = 0
-		if sawEvent && evIdx == got-1 {
-			extra = evNs - a.Timing.WriteNs(c)
-		}
+		extra = a.ev.lastExtra(got, a.Timing.WriteNs(c))
 		if issued == want {
 			break
 		}

@@ -48,6 +48,7 @@ type RTASR struct {
 	cnt        uint64 // writes since last step
 	roundKnown bool   // D recovered for the current round
 	d          uint64 // keyc XOR keyp of the current round
+	ev         lastEvent
 
 	res Result
 	// Diagnostics
@@ -167,21 +168,11 @@ func (a *RTASR) writeN(la uint64, c pcm.Content, k uint64) (extra uint64, steppe
 	}
 	var issued uint64
 	for issued < want {
-		// Keep only an anomaly that landed on the run's final write: the
-		// naive loop reads the LAST write's extra, not a mid-run one.
-		var evIdx, evNs uint64
-		sawEvent := false
-		got, ns := bt.WriteRun(la, c, want-issued, a.Oracle != nil, func(i, ns uint64) bool {
-			evIdx, evNs, sawEvent = i, ns, true
-			return true
-		})
+		got, ns := bt.WriteRun(la, c, want-issued, a.Oracle != nil, a.ev.sink())
 		issued += got
 		a.res.Writes += got
 		a.res.AttackNs += ns
-		extra = 0
-		if sawEvent && evIdx == got-1 {
-			extra = evNs - a.Timing.WriteNs(c)
-		}
+		extra = a.ev.lastExtra(got, a.Timing.WriteNs(c))
 		if issued == want {
 			break
 		}

@@ -17,8 +17,11 @@ import (
 	"securityrbsg/internal/exactsim"
 	"securityrbsg/internal/pcm"
 	"securityrbsg/internal/rbsg"
+	"securityrbsg/internal/registry"
 	"securityrbsg/internal/secref"
 	"securityrbsg/internal/wear"
+
+	_ "securityrbsg/internal/plugins"
 )
 
 func bankCfg(endurance uint64) pcm.Config {
@@ -96,48 +99,66 @@ func compareResults(t *testing.T, name string, naive, fast attack.Result) {
 	}
 }
 
-// schemePairs returns constructors for the three schemes of the paper's
-// evaluation; each call yields a fresh, identically keyed instance so
-// naive and fast controllers are perfect twins.
-func schemePairs() []struct {
-	name string
-	mk   func() wear.Scheme
-} {
-	return []struct {
-		name string
-		mk   func() wear.Scheme
-	}{
-		{"rbsg", func() wear.Scheme {
-			return rbsg.MustNew(rbsg.Config{Lines: 1 << 10, Regions: 8, Interval: 16, Seed: 11})
-		}},
-		{"two-level-sr", func() wear.Scheme {
-			return secref.MustNewTwoLevel(secref.TwoLevelConfig{
-				Lines: 1 << 10, Regions: 16, InnerInterval: 8, OuterInterval: 16, Seed: 12,
-			})
-		}},
-		{"security-rbsg", func() wear.Scheme {
-			return core.MustNew(core.Config{
-				Lines: 1 << 10, Regions: 16, InnerInterval: 8, OuterInterval: 16,
-				Stages: 5, Seed: 13,
-			})
-		}},
+// exactSchemes returns every registry.Default scheme with Caps.Exact:
+// the exact tier's whole field, so a newly registered scheme joins the
+// differentials below without an edit here.
+func exactSchemes(tb testing.TB) []*registry.Scheme {
+	tb.Helper()
+	var out []*registry.Scheme
+	for _, name := range registry.Default.SchemeNames() {
+		s, err := registry.Default.Scheme(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if s.Caps.Exact {
+			out = append(out, s)
+		}
 	}
+	if len(out) == 0 {
+		tb.Fatal("registry lists no exact schemes")
+	}
+	return out
+}
+
+// twin builds s over cfg, resolved through its Defaults, as a perfect
+// pair: a naive controller over an instance stripped of the fast path
+// and a fast controller over an identically keyed instance. It first
+// requires wear.FastForwarder of the instance: without it
+// Controller.WriteRun falls back to its write-by-write loop, and every
+// tournament cell of the scheme pays for that silently.
+func twin(tb testing.TB, s *registry.Scheme, cfg registry.Config) (naive, fast *wear.Controller) {
+	tb.Helper()
+	if s.Defaults != nil {
+		cfg = s.Defaults(cfg)
+	}
+	mk := func() wear.Scheme {
+		inst, err := s.New(cfg)
+		if err != nil {
+			tb.Fatalf("scheme %s: %v", s.Name, err)
+		}
+		return inst
+	}
+	inst := mk()
+	if _, ok := inst.(wear.FastForwarder); !ok {
+		tb.Fatalf("scheme %s (%T) does not implement wear.FastForwarder; every exact scheme must", s.Name, inst)
+	}
+	pc := bankCfg(cfg.Endurance)
+	return wear.MustNewController(pc, noFF{mk()}), wear.MustNewController(pc, inst)
 }
 
 // TestDifferentialRAA drives the repeated-address attack through the
 // batched WriteRun fast path and through the naive loop on twin
-// controllers for all three schemes.
+// controllers for every exact scheme.
 func TestDifferentialRAA(t *testing.T) {
-	for _, sc := range schemePairs() {
-		t.Run(sc.name, func(t *testing.T) {
-			const endurance, budget = 2000, 3_000_000
-			cn := wear.MustNewController(bankCfg(endurance), noFF{sc.mk()})
-			cf := wear.MustNewController(bankCfg(endurance), sc.mk())
+	for _, s := range exactSchemes(t) {
+		t.Run(s.Name, func(t *testing.T) {
+			const endurance, budget = 20_000, 3_000_000
+			cn, cf := twin(t, s, registry.Config{Lines: 1 << 10, Endurance: endurance, Seed: 11})
 			rn := attack.RAA(cn, 5, pcm.Mixed, budget)
 			rf := attack.RAA(cf, 5, pcm.Mixed, budget)
-			compareResults(t, sc.name, rn, rf)
-			compareControllers(t, sc.name, cn, cf)
-			t.Logf("%s: %d writes, failed=%v", sc.name, rn.Writes, rn.Failed)
+			compareResults(t, s.Name, rn, rf)
+			compareControllers(t, s.Name, cn, cf)
+			t.Logf("%s: %d writes, failed=%v", s.Name, rn.Writes, rn.Failed)
 		})
 	}
 }
@@ -145,16 +166,45 @@ func TestDifferentialRAA(t *testing.T) {
 // TestDifferentialBPA does the same for the birthday-paradox attack,
 // whose hammer stints exercise WriteRun across many different addresses.
 func TestDifferentialBPA(t *testing.T) {
-	for _, sc := range schemePairs() {
-		t.Run(sc.name, func(t *testing.T) {
+	for _, s := range exactSchemes(t) {
+		t.Run(s.Name, func(t *testing.T) {
 			const endurance, hammer, budget = 2500, 2500, 1_200_000
-			cn := wear.MustNewController(bankCfg(endurance), noFF{sc.mk()})
-			cf := wear.MustNewController(bankCfg(endurance), sc.mk())
+			cn, cf := twin(t, s, registry.Config{Lines: 1 << 10, Endurance: endurance, Seed: 12})
 			rn := attack.BPA(cn, hammer, pcm.Ones, 99, budget)
 			rf := attack.BPA(cf, hammer, pcm.Ones, 99, budget)
-			compareResults(t, sc.name, rn, rf)
-			compareControllers(t, sc.name, cn, cf)
-			t.Logf("%s: %d writes, failed=%v", sc.name, rn.Writes, rn.Failed)
+			compareResults(t, s.Name, rn, rf)
+			compareControllers(t, s.Name, cn, cf)
+			t.Logf("%s: %d writes, failed=%v", s.Name, rn.Writes, rn.Failed)
+		})
+	}
+}
+
+// TestDifferentialAIA does the same for the address-inference attack,
+// which hammers one frozen stretch at a time and re-infers the victim's
+// occupant only after it. The victims are line 0 (the tournament's), a
+// middle line and the last physical line, which the Start-Gap family
+// boots as a gap or spare, so the attack starts on the unmapped-victim
+// path; the budgets run to failure and stop mid-stretch.
+func TestDifferentialAIA(t *testing.T) {
+	const endurance = 2000
+	cfg := registry.Config{Lines: 1 << 10, Endurance: endurance, Seed: 13}
+	for _, s := range exactSchemes(t) {
+		t.Run(s.Name, func(t *testing.T) {
+			probe, _ := twin(t, s, cfg)
+			last := probe.Scheme().PhysicalLines() - 1
+			for _, victim := range []uint64{0, 513, last} {
+				for _, budget := range []uint64{0, 1777} {
+					name := fmt.Sprintf("%s victim=%d budget=%d", s.Name, victim, budget)
+					cn, cf := twin(t, s, cfg)
+					rn := attack.AIA(cn, victim, pcm.Mixed, budget)
+					rf := attack.AIA(cf, victim, pcm.Mixed, budget)
+					compareResults(t, name, rn, rf)
+					compareControllers(t, name, cn, cf)
+					if budget == 0 && !rn.Failed {
+						t.Fatalf("%s: an unbounded run ended without a failure", name)
+					}
+				}
+			}
 		})
 	}
 }
@@ -511,23 +561,28 @@ func TestWriteRunEventEarlyStop(t *testing.T) {
 }
 
 // FuzzWriteRunEpochBoundaries fuzzes WriteRun against the naive loop on
-// twin controllers, with run lengths chosen to straddle remap boundaries
+// twin controllers of any exact scheme (one fuzzed byte picks it from
+// the registry), with run lengths chosen to straddle remap boundaries
 // (up to ~3 intervals per call) and enough total traffic to cross line
 // failures. Every call must agree on issued count, total latency, the
 // full anomalous-event sequence, and every device observable.
 func FuzzWriteRunEpochBoundaries(f *testing.F) {
-	f.Add(uint64(1), uint8(16), uint8(4), []byte{17, 15, 17, 16, 17, 17, 5, 200, 5, 33})
-	f.Add(uint64(2), uint8(3), uint8(1), []byte{0, 1, 1, 2, 2, 3, 3, 250})
-	f.Add(uint64(3), uint8(64), uint8(40), []byte{9, 255, 9, 255, 9, 255, 9, 255})
-	f.Add(uint64(4), uint8(1), uint8(0), []byte{255, 254, 7, 7, 7, 8})
-	f.Fuzz(func(t *testing.T, seed uint64, psiRaw, endRaw uint8, script []byte) {
+	f.Add(uint64(1), uint8(2), uint8(16), uint8(4), []byte{17, 15, 17, 16, 17, 17, 5, 200, 5, 33})
+	f.Add(uint64(2), uint8(4), uint8(3), uint8(1), []byte{0, 1, 1, 2, 2, 3, 3, 250})
+	f.Add(uint64(3), uint8(0), uint8(64), uint8(40), []byte{9, 255, 9, 255, 9, 255, 9, 255})
+	f.Add(uint64(4), uint8(8), uint8(1), uint8(0), []byte{255, 254, 7, 7, 7, 8})
+	schemes := exactSchemes(f)
+	for i := range schemes {
+		f.Add(uint64(5+i), uint8(i), uint8(5), uint8(2), []byte{17, 15, 17, 16, 3, 40, 200, 9, 17, 17})
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, schemeRaw, psiRaw, endRaw uint8, script []byte) {
+		s := schemes[int(schemeRaw)%len(schemes)]
 		psi := uint64(psiRaw)%64 + 1
 		endurance := 40 + uint64(endRaw)*16
-		mk := func() wear.Scheme {
-			return rbsg.MustNew(rbsg.Config{Lines: 256, Regions: 8, Interval: psi, Seed: seed})
-		}
-		cn := wear.MustNewController(bankCfg(endurance), noFF{mk()})
-		cf := wear.MustNewController(bankCfg(endurance), mk())
+		cn, cf := twin(t, s, registry.Config{
+			Lines: 256, Endurance: endurance,
+			InnerInterval: psi, OuterInterval: 2 * psi, Seed: seed,
+		})
 		if len(script) > 128 {
 			script = script[:128]
 		}

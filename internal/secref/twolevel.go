@@ -249,3 +249,16 @@ func (s *MultiWay) Translate(la uint64) uint64 {
 func (s *MultiWay) NoteWrite(la uint64, m wear.Mover) uint64 {
 	return s.inner[la/s.perRegion].NoteWrite(la%s.perRegion, m)
 }
+
+// WritesToNextRemap implements wear.FastForwarder: writes to la tick only
+// its own sub-region's domain, and the other domains never step without
+// writes of their own, so the bound is that domain's next refresh step.
+func (s *MultiWay) WritesToNextRemap(la uint64) uint64 {
+	return s.inner[la/s.perRegion].writesToNextStep()
+}
+
+// SkipWrites implements wear.FastForwarder: book k step-free writes
+// against la's sub-region domain (k < WritesToNextRemap(la)).
+func (s *MultiWay) SkipWrites(la, k uint64) {
+	s.inner[la/s.perRegion].skip(k)
+}

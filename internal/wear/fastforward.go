@@ -24,6 +24,10 @@ import "securityrbsg/internal/pcm"
 // anomaly, so they can be applied in bulk (pcm.Bank.WriteN) without
 // losing a bit of the timing side channel — every anomalous (movement-
 // carrying) write is still executed individually.
+//
+// Every exact-tier scheme implements it: internal/exactsim's
+// differentials require it of each registered exact scheme, because a
+// scheme without it runs WriteRun's write-by-write loop.
 type FastForwarder interface {
 	WritesToNextRemap(la uint64) uint64
 	SkipWrites(la, k uint64)

@@ -23,3 +23,10 @@ func (p Passthrough) Translate(la uint64) uint64 { return la }
 
 // NoteWrite never remaps.
 func (p Passthrough) NoteWrite(la uint64, m Mover) uint64 { return 0 }
+
+// WritesToNextRemap implements FastForwarder: the identity never remaps,
+// so every write is movement-free.
+func (p Passthrough) WritesToNextRemap(la uint64) uint64 { return ^uint64(0) }
+
+// SkipWrites implements FastForwarder: there are no counters to advance.
+func (p Passthrough) SkipWrites(la, k uint64) {}
