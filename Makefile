@@ -58,7 +58,7 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# Re-record the committed benchmark baseline (BENCH_13.json). Run on a
+# Re-record the committed benchmark baseline (BENCH_16.json). Run on a
 # quiet machine; commit the result with an explanation of what moved.
 bench-record:
 	./scripts/bench_record.sh

@@ -356,14 +356,27 @@ func BenchmarkFeistelMapDirect(b *testing.B) {
 }
 
 // BenchmarkFeistelMapTable evaluates the same permutation through the
-// materialized lookup table — the per-access cost after this PR.
+// materialized lookup table. One op is eight independent lookups into
+// separate sums: a single ~0.5 ns lookup per iteration timed mostly the
+// loop itself, so its ns/op moved with where the linker placed that loop
+// relative to a cache line, and a guard on it failed at random whenever
+// code linked before it changed size.
 func BenchmarkFeistelMapTable(b *testing.B) {
 	t := feistel.MustNewTable(feistel.MustRandom(16, 7, stats.NewRNG(1)))
-	var sink uint64
+	const mask = 1<<16 - 1
+	var s0, s1, s2, s3, s4, s5, s6, s7 uint64
 	for i := 0; i < b.N; i++ {
-		sink += t.Encrypt(uint64(i) & (1<<16 - 1))
+		x := uint64(i) * 8
+		s0 += t.Encrypt(x & mask)
+		s1 += t.Encrypt((x + 1) & mask)
+		s2 += t.Encrypt((x + 2) & mask)
+		s3 += t.Encrypt((x + 3) & mask)
+		s4 += t.Encrypt((x + 4) & mask)
+		s5 += t.Encrypt((x + 5) & mask)
+		s6 += t.Encrypt((x + 6) & mask)
+		s7 += t.Encrypt((x + 7) & mask)
 	}
-	_ = sink
+	_ = s0 + s1 + s2 + s3 + s4 + s5 + s6 + s7
 }
 
 // BenchmarkFeistelTableFill measures the per-remapping-round cost the

@@ -19,8 +19,8 @@ import (
 // quantifies how much of a scheme's security is key secrecy versus
 // structure.
 //
-// The hammer goes out one frozen stretch at a time: WritesToNextRemap of
-// the hammered line when the scheme is a wear.FastForwarder, else one
+// The hammer goes out one frozen stretch at a time: the Epoch of the
+// hammered line when the scheme is a wear.FastForwarder, else one
 // write. Within a stretch only the last write can move anything, so the
 // attacker rescans the mapping only after it, and the run (writes,
 // observed time, wear state) is bit-identical to rescanning before every
@@ -47,7 +47,7 @@ func AIA(c *wear.Controller, victimPA uint64, content pcm.Content, maxWrites uin
 		}
 		stretch := uint64(1)
 		if ff != nil {
-			stretch = ff.WritesToNextRemap(la)
+			_, stretch = ff.Epoch(la)
 		}
 		r.writeRun(la, content, stretch)
 	}

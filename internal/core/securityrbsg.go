@@ -414,53 +414,43 @@ func (s *Scheme) Translate(la uint64) uint64 {
 // NoteWrite books a demand write: the inner sub-region owning la's IA
 // counts it toward its Start-Gap interval, and the outer DFN counts it
 // toward its remapping interval.
-func (s *Scheme) NoteWrite(la uint64, m wear.Mover) uint64 {
+func (s *Scheme) NoteWrite(la uint64, m wear.Mover) uint64 { return s.Advance(la, 1, m) }
+
+// Epoch implements wear.FastForwarder: of the next k writes to la,
+// exactly the k-th is the first that can trigger movements — whichever
+// fires first of la's inner sub-region's Start-Gap interval and the
+// outer DFN interval (which every bank write ticks). Both mappings are
+// frozen until that write, so k is exact. A line parked in the outer
+// spare (IA == Lines, MigrationMove mid-cycle) ticks only the outer
+// counter, mirroring Advance.
+func (s *Scheme) Epoch(la uint64) (pa, k uint64) {
+	k = s.cfg.OuterInterval - s.writeCount
 	ia := s.Intermediate(la)
-	var ns uint64
-	if ia != s.cfg.Lines { // writes to the parked line don't tick a region
-		ns = s.regions[ia/s.perRegion].NoteWrite(m)
+	if ia == s.cfg.Lines {
+		return s.sparePA, k
 	}
-	s.writeCount++
-	if s.writeCount >= s.cfg.OuterInterval {
+	pa, inner := s.regions[ia/s.perRegion].Epoch(ia % s.perRegion)
+	return pa, min(k, inner)
+}
+
+// Advance implements wear.FastForwarder: book k writes to la against the
+// inner sub-region and the outer counter (k ≤ Epoch(la)'s k), running
+// the inner gap movement and then the outer DFN movement when the k-th
+// write completes their intervals.
+func (s *Scheme) Advance(la, k uint64, m wear.Mover) uint64 {
+	if left := s.cfg.OuterInterval - s.writeCount; k > left {
+		panic(fmt.Errorf("core: Advance(%d) would run past an outer movement (%d writes remain)", k, left))
+	}
+	var ns uint64
+	if ia := s.Intermediate(la); ia != s.cfg.Lines { // writes to the parked line don't tick a region
+		ns = s.regions[ia/s.perRegion].Advance(k, m)
+	}
+	s.writeCount += k
+	if s.writeCount == s.cfg.OuterInterval {
 		s.writeCount = 0
 		ns += s.outerMove(m)
 	}
 	return ns
-}
-
-// WritesToNextRemap implements wear.FastForwarder: of the next k writes
-// to la, exactly the k-th is the first that can trigger movements —
-// whichever fires first of la's inner sub-region's Start-Gap interval and
-// the outer DFN interval (which every bank write ticks). Both mappings
-// are frozen until that write, so k is exact. Writes parked in the outer
-// spare (IA == Lines, MigrationMove mid-cycle) tick only the outer
-// counter, mirroring NoteWrite.
-func (s *Scheme) WritesToNextRemap(la uint64) uint64 {
-	outer := s.cfg.OuterInterval - s.writeCount
-	ia := s.Intermediate(la)
-	if ia == s.cfg.Lines {
-		return outer
-	}
-	inner := s.regions[ia/s.perRegion].WritesToNextMove()
-	if outer < inner {
-		return outer
-	}
-	return inner
-}
-
-// SkipWrites implements wear.FastForwarder: book k movement-free writes
-// to la against the inner region and the outer counter
-// (k < WritesToNextRemap(la)).
-func (s *Scheme) SkipWrites(la, k uint64) {
-	if k >= s.cfg.OuterInterval-s.writeCount {
-		panic(fmt.Errorf("core: SkipWrites(%d) would cross an outer movement (%d writes remain)",
-			k, s.cfg.OuterInterval-s.writeCount))
-	}
-	ia := s.Intermediate(la)
-	if ia != s.cfg.Lines {
-		s.regions[ia/s.perRegion].SkipWrites(k)
-	}
-	s.writeCount += k
 }
 
 // startRound rotates the keys and clears the remap state, applying any

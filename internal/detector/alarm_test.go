@@ -57,8 +57,8 @@ func TestFirstAlarmWriteBenign(t *testing.T) {
 	}
 }
 
-// TestFirstAlarmWriteSurvivesFastForward: writes booked through the
-// SkipWrites fast path count toward the alarm date exactly like demand
+// TestFirstAlarmWriteSurvivesFastForward: writes booked a whole epoch at
+// a time through Advance count toward the alarm date exactly like demand
 // writes through NoteWrite.
 func TestFirstAlarmWriteSurvivesFastForward(t *testing.T) {
 	cfg := Config{Window: 256, AlarmShare: 0.5}
@@ -73,19 +73,12 @@ func TestFirstAlarmWriteSurvivesFastForward(t *testing.T) {
 	}
 	issued := uint64(0)
 	for issued < total {
-		k := fast.WritesToNextRemap(13)
-		if batch := k - 1; batch > 0 {
-			if rem := uint64(total) - issued; batch > rem {
-				batch = rem
-			}
-			fast.SkipWrites(13, batch)
-			issued += batch
-			if issued == total {
-				break
-			}
+		_, k := fast.Epoch(13)
+		if rem := uint64(total) - issued; k > rem {
+			k = rem
 		}
-		fast.NoteWrite(13, mf)
-		issued++
+		fast.Advance(13, k, mf)
+		issued += k
 	}
 
 	ws, oks := slow.FirstAlarmWrite()

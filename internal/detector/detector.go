@@ -66,24 +66,15 @@ func (c *Config) normalize(regions uint64) {
 	}
 }
 
-// AdaptiveRBSG wraps an RBSG scheme with the online detector. It
-// implements wear.Scheme; the wrapped scheme must not be driven directly
-// while wrapped.
+// AdaptiveRBSG wraps an RBSG scheme with the online detector: a Monitor
+// watching its region traffic, and the boost response. It implements
+// wear.Scheme and wear.FastForwarder; the wrapped scheme must not be
+// driven directly while wrapped.
 type AdaptiveRBSG struct {
 	*rbsg.Scheme
-	cfg Config
-
-	window     uint64   // writes in the current window
-	perRgn     []uint64 // per-region writes in the current window
-	alarmed    []int    // remaining cooldown windows per region (0 = clear)
-	alarms     uint64   // total alarms raised
-	boosted    uint64   // extra movements issued
-	regions    uint64
-	interval   uint64
-	seen       uint64 // demand writes since boot
-	firstAlarm uint64 // seen-count at the first alarm
-	alarmSeen  bool   // firstAlarm is valid
-	rate       *RateWindow
+	mon      *Monitor
+	boosted  uint64 // extra movements issued
+	interval uint64
 }
 
 // NewAdaptiveRBSG wraps scheme with a detector configured by cfg.
@@ -91,132 +82,90 @@ func NewAdaptiveRBSG(scheme *rbsg.Scheme, cfg Config) (*AdaptiveRBSG, error) {
 	if scheme == nil {
 		return nil, fmt.Errorf("detector: nil scheme")
 	}
-	regions := scheme.Config().Regions
-	cfg.normalize(regions)
-	rate, err := NewRateWindow(cfg.RateWindows)
+	mon, err := NewMonitor(scheme.Config().Regions, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &AdaptiveRBSG{
-		Scheme:   scheme,
-		cfg:      cfg,
-		perRgn:   make([]uint64, regions),
-		alarmed:  make([]int, regions),
-		regions:  regions,
-		interval: scheme.Config().Interval,
-		rate:     rate,
-	}, nil
+	return &AdaptiveRBSG{Scheme: scheme, mon: mon, interval: scheme.Config().Interval}, nil
 }
 
 // Name identifies the wrapped scheme.
 func (a *AdaptiveRBSG) Name() string { return "rbsg+detector" }
 
 // Alarms returns how many times a region crossed the alarm threshold.
-func (a *AdaptiveRBSG) Alarms() uint64 { return a.alarms }
+func (a *AdaptiveRBSG) Alarms() uint64 { return a.mon.Alarms() }
 
 // BoostedMovements returns the extra gap movements the detector issued.
 func (a *AdaptiveRBSG) BoostedMovements() uint64 { return a.boosted }
 
 // Alarmed reports whether region r is currently under alarm.
-func (a *AdaptiveRBSG) Alarmed(r uint64) bool { return a.alarmed[r] > 0 }
+func (a *AdaptiveRBSG) Alarmed(r uint64) bool { return a.mon.Alarmed(r) }
 
 // FirstAlarmWrite returns the index (in demand writes since boot) of the
 // write whose window close raised the detector's first alarm — the
 // defender-side detection latency. ok is false while no alarm has fired.
-func (a *AdaptiveRBSG) FirstAlarmWrite() (write uint64, ok bool) {
-	return a.firstAlarm, a.alarmSeen
-}
+func (a *AdaptiveRBSG) FirstAlarmWrite() (write uint64, ok bool) { return a.mon.FirstAlarmWrite() }
 
 // RateWindow returns the rolling per-window statistics ring — the
 // control loop's input signal. The returned ring is live; callers must
 // not mutate it.
-func (a *AdaptiveRBSG) RateWindow() *RateWindow { return a.rate }
+func (a *AdaptiveRBSG) RateWindow() *RateWindow { return a.mon.RateWindow() }
 
 // RecentAlarmRate aggregates the last n closed windows: threshold
 // crossings, writes observed, and crossings per window. See
 // RateWindow.Rate.
 func (a *AdaptiveRBSG) RecentAlarmRate(n int) (alarms, writes uint64, rate float64) {
-	return a.rate.Rate(n)
+	return a.mon.RecentAlarmRate(n)
 }
 
 // NoteWrite books the write, runs the base scheme's wear leveling, and —
 // for alarmed regions — issues Boost−1 additional gap movements per
 // interval, multiplying the region's remapping rate.
-func (a *AdaptiveRBSG) NoteWrite(la uint64, m wear.Mover) uint64 {
-	region := a.Intermediate(la) / a.LinesPerRegion()
-	a.perRgn[region]++
-	a.window++
-	a.seen++
+func (a *AdaptiveRBSG) NoteWrite(la uint64, m wear.Mover) uint64 { return a.Advance(la, 1, m) }
 
-	ns := a.Scheme.NoteWrite(la, m)
-	if a.alarmed[region] > 0 && a.perRgn[region]%a.interval == 0 {
-		for i := uint64(1); i < a.cfg.Boost; i++ {
+// Epoch overrides the embedded scheme's so batched write runs
+// (wear.Controller.WriteRun) stay bit-identical with the detector in the
+// loop: the RBSG epoch shrinks to the next write that could change
+// detector-visible state — a window close (which may flip alarms) or, in
+// an alarmed region, a boost fire.
+func (a *AdaptiveRBSG) Epoch(la uint64) (pa, k uint64) {
+	pa, k = a.Scheme.Epoch(la)
+	k = min(k, a.mon.WritesToWindowClose())
+	if b := a.writesToBoost(a.Intermediate(la) / a.LinesPerRegion()); b > 0 {
+		k = min(k, b)
+	}
+	return pa, k
+}
+
+// Advance books k writes to la (k ≤ Epoch(la)'s k) against the embedded
+// scheme and the monitor, boosting the region when the k-th write
+// completes an interval of an alarmed region. The boost reads the
+// region's alarm state from before the window can close and its
+// in-window count after these writes, so it is decided before the
+// monitor books them.
+func (a *AdaptiveRBSG) Advance(la, k uint64, m wear.Mover) uint64 {
+	region := a.Intermediate(la) / a.LinesPerRegion()
+	b := a.writesToBoost(region)
+	if b > 0 && k > b {
+		panic(fmt.Errorf("detector: Advance(%d) would run past a boost (%d writes remain)", k, b))
+	}
+	ns := a.Scheme.Advance(la, k, m)
+	if b > 0 && k == b {
+		for i := uint64(1); i < a.mon.cfg.Boost; i++ {
 			ns += a.Region(int(region)).MoveGap(m)
 			a.boosted++
 		}
 	}
-
-	if a.window >= a.cfg.Window {
-		a.closeWindow()
-	}
+	a.mon.Advance(region, k)
 	return ns
 }
 
-// WritesToNextRemap overrides the embedded scheme's fast-forward hook so
-// batched write runs (wear.Controller.WriteRun) stay bit-identical with
-// the detector in the loop. The embedded RBSG bound shrinks to the next
-// write that could change detector-visible state: a window close (which
-// may flip alarms) or, in an alarmed region, a boost fire.
-func (a *AdaptiveRBSG) WritesToNextRemap(la uint64) uint64 {
-	rem := a.Scheme.WritesToNextRemap(la)
-	if wrem := a.cfg.Window - a.window; wrem < rem {
-		rem = wrem
+// writesToBoost returns how many writes to region r remain until the
+// one that fires its boost (the one completing an interval of the
+// window's writes to r), or 0 while r is not under alarm.
+func (a *AdaptiveRBSG) writesToBoost(r uint64) uint64 {
+	if !a.mon.Alarmed(r) {
+		return 0
 	}
-	region := a.Intermediate(la) / a.LinesPerRegion()
-	if a.alarmed[region] > 0 {
-		if brem := a.interval - a.perRgn[region]%a.interval; brem < rem {
-			rem = brem
-		}
-	}
-	return rem
-}
-
-// SkipWrites books k movement-free writes against the detector's window
-// counters and the embedded scheme (k < WritesToNextRemap(la), so no
-// window closes, no boost fires and no gap moves within the run).
-func (a *AdaptiveRBSG) SkipWrites(la, k uint64) {
-	if k >= a.cfg.Window-a.window {
-		panic(fmt.Errorf("detector: SkipWrites(%d) would cross a window close (%d writes remain)",
-			k, a.cfg.Window-a.window))
-	}
-	region := a.Intermediate(la) / a.LinesPerRegion()
-	a.Scheme.SkipWrites(la, k)
-	a.perRgn[region] += k
-	a.window += k
-	a.seen += k
-}
-
-// closeWindow evaluates the alarm condition, records the window's
-// statistics into the rolling ring, and resets the counters.
-func (a *AdaptiveRBSG) closeWindow() {
-	limit := uint64(a.cfg.AlarmShare * float64(a.cfg.Window))
-	var over uint64
-	for r := range a.perRgn {
-		if a.perRgn[r] >= limit {
-			over++
-			if a.alarmed[r] == 0 {
-				a.alarms++
-				if !a.alarmSeen {
-					a.firstAlarm = a.seen
-					a.alarmSeen = true
-				}
-			}
-			a.alarmed[r] = a.cfg.Cooldown
-		} else if a.alarmed[r] > 0 {
-			a.alarmed[r]--
-		}
-		a.perRgn[r] = 0
-	}
-	a.rate.Record(WindowStat{Index: a.rate.Windows(), Writes: a.window, Alarms: over})
-	a.window = 0
+	return a.interval - a.mon.perRgn[r]%a.interval
 }

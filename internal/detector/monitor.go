@@ -2,22 +2,21 @@ package detector
 
 import "fmt"
 
-// Monitor is the detector's observation half factored out of
-// AdaptiveRBSG: a scheme-agnostic per-region write-share watcher with
-// the same window/threshold/cooldown semantics but no response of its
-// own. AdaptiveRBSG reacts by boosting the alarmed region's remapping
-// rate — the HPCA'11 response the paper shows *backfires* under RTA;
-// the adaptive security-level wrapper (internal/seclevel) instead feeds
-// a Monitor's rolling alarm rate to a controller that raises the DFN
-// stage count at the next remap-round boundary.
+// Monitor is the detector's observation half: a scheme-agnostic
+// per-region write-share watcher with the window/threshold/cooldown
+// semantics and no response of its own. AdaptiveRBSG holds one and
+// reacts to its alarms by boosting the alarmed region's remapping rate —
+// the HPCA'11 response the paper shows *backfires* under RTA; the
+// adaptive security-level wrapper (internal/seclevel) instead feeds a
+// Monitor's rolling alarm rate to a controller that raises the DFN stage
+// count at the next remap-round boundary.
 //
-// The caller routes each demand write's region in via Observe. Like the
+// The caller routes each demand write's region in via Advance. Like the
 // rest of the simulation stack a Monitor is single-writer and fully
 // deterministic: identical observation sequences produce identical
 // alarm sequences.
 type Monitor struct {
-	cfg     Config
-	regions uint64
+	cfg Config
 
 	window     uint64   // writes in the current window
 	perRgn     []uint64 // per-region writes in the current window
@@ -29,8 +28,9 @@ type Monitor struct {
 	rate       *RateWindow
 }
 
-// NewMonitor builds a monitor over `regions` traffic classes. cfg is
-// normalized exactly as for NewAdaptiveRBSG (Boost is unused).
+// NewMonitor builds a monitor over `regions` traffic classes, with zero
+// fields of cfg taking their defaults (Boost is AdaptiveRBSG's response
+// and unused here).
 func NewMonitor(regions uint64, cfg Config) (*Monitor, error) {
 	if regions == 0 {
 		return nil, fmt.Errorf("detector: monitor needs at least one region")
@@ -42,7 +42,6 @@ func NewMonitor(regions uint64, cfg Config) (*Monitor, error) {
 	}
 	return &Monitor{
 		cfg:     cfg,
-		regions: regions,
 		perRgn:  make([]uint64, regions),
 		alarmed: make([]int, regions),
 		rate:    rate,
@@ -52,37 +51,29 @@ func NewMonitor(regions uint64, cfg Config) (*Monitor, error) {
 // Config returns the normalized configuration.
 func (m *Monitor) Config() Config { return m.cfg }
 
-// Observe books one demand write routed to region r, closing the
-// observation window when it fills.
-func (m *Monitor) Observe(r uint64) {
-	m.perRgn[r]++
-	m.window++
-	m.seen++
-	if m.window >= m.cfg.Window {
-		m.closeWindow()
-	}
-}
-
-// WritesToWindowClose returns how many more observations the current
-// window accepts before it closes — the monitor's contribution to a
-// fast-forward bound (cf. wear.FastForwarder).
-func (m *Monitor) WritesToWindowClose() uint64 { return m.cfg.Window - m.window }
-
-// Skip books k observation-free writes to region r in bulk. k must stay
-// strictly below WritesToWindowClose so no window closes inside the run
-// (mirroring AdaptiveRBSG.SkipWrites).
-func (m *Monitor) Skip(r, k uint64) {
-	if k >= m.cfg.Window-m.window {
-		panic(fmt.Errorf("detector: Skip(%d) would cross a window close (%d writes remain)",
-			k, m.cfg.Window-m.window))
+// Advance books k demand writes routed to region r (1 ≤ k ≤
+// WritesToWindowClose), closing the observation window when the k-th
+// fills it. It panics when k would run past the window close, so a batch
+// never hides a close — and with it an alarm — inside itself.
+func (m *Monitor) Advance(r, k uint64) {
+	if left := m.WritesToWindowClose(); k > left {
+		panic(fmt.Errorf("detector: Advance(%d) would run past a window close (%d writes remain)", k, left))
 	}
 	m.perRgn[r] += k
 	m.window += k
 	m.seen += k
+	if m.window == m.cfg.Window {
+		m.closeWindow()
+	}
 }
 
+// WritesToWindowClose returns how many more writes the current window
+// accepts; the last of them closes it — the monitor's contribution to a
+// fast-forward epoch (cf. wear.FastForwarder).
+func (m *Monitor) WritesToWindowClose() uint64 { return m.cfg.Window - m.window }
+
 // Alarms returns how many times a quiet region crossed the alarm
-// threshold (fresh alarms, matching AdaptiveRBSG.Alarms).
+// threshold (fresh alarms).
 func (m *Monitor) Alarms() uint64 { return m.alarms }
 
 // Alarmed reports whether region r is currently under alarm.
@@ -116,8 +107,7 @@ func (m *Monitor) RecentAlarmRate(n int) (alarms, writes uint64, rate float64) {
 }
 
 // closeWindow evaluates the alarm condition, records the window into
-// the rolling ring, and resets the counters — identical semantics to
-// AdaptiveRBSG.closeWindow minus the boost response.
+// the rolling ring, and resets the counters.
 func (m *Monitor) closeWindow() {
 	limit := uint64(m.cfg.AlarmShare * float64(m.cfg.Window))
 	var over uint64

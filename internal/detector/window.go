@@ -90,15 +90,18 @@ func (w *RateWindow) Recent(n int) []WindowStat {
 // Rate aggregates the last n windows (all held windows when n exceeds
 // Len): total threshold crossings, total writes observed, and the alarm
 // rate in crossings per window. A rate of 0 means quiet; ≥ 1 means at
-// least one region was over threshold in every recent window.
+// least one region was over threshold in every recent window. It sums
+// the ring in place: the adaptive level controller calls it at every
+// remap round.
 func (w *RateWindow) Rate(n int) (alarms, writes uint64, rate float64) {
-	recent := w.Recent(n)
-	for _, st := range recent {
+	n = min(n, w.size)
+	if n <= 0 {
+		return 0, 0, 0
+	}
+	for i := w.head - n; i < w.head; i++ {
+		st := w.ring[(i+len(w.ring))%len(w.ring)]
 		alarms += st.Alarms
 		writes += st.Writes
 	}
-	if len(recent) == 0 {
-		return 0, 0, 0
-	}
-	return alarms, writes, float64(alarms) / float64(len(recent))
+	return alarms, writes, float64(alarms) / float64(n)
 }

@@ -98,8 +98,8 @@ func TestAdaptiveRollingRate(t *testing.T) {
 	// The ring retains full windows: every recorded window observed
 	// exactly Config.Window writes.
 	for _, st := range a.RateWindow().Recent(8) {
-		if st.Writes != a.cfg.Window {
-			t.Fatalf("window %d recorded %d writes, want %d", st.Index, st.Writes, a.cfg.Window)
+		if st.Writes != a.mon.cfg.Window {
+			t.Fatalf("window %d recorded %d writes, want %d", st.Index, st.Writes, a.mon.cfg.Window)
 		}
 	}
 }
@@ -137,7 +137,7 @@ func TestMonitorValidation(t *testing.T) {
 // drift from the original.
 func TestMonitorMirrorsAdaptiveAlarms(t *testing.T) {
 	a := adaptive(t, 11, Config{})
-	mon, err := NewMonitor(8, Config{Window: a.cfg.Window, AlarmShare: a.cfg.AlarmShare, Cooldown: a.cfg.Cooldown})
+	mon, err := NewMonitor(8, Config{Window: a.mon.cfg.Window, AlarmShare: a.mon.cfg.AlarmShare, Cooldown: a.mon.cfg.Cooldown})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestMonitorMirrorsAdaptiveAlarms(t *testing.T) {
 			la = 13 // hammer phase in the middle
 		}
 		region := a.Intermediate(la) / a.LinesPerRegion()
-		mon.Observe(region)
+		mon.Advance(region, 1)
 		a.NoteWrite(la, mv)
 		if mon.Alarms() != a.Alarms() {
 			t.Fatalf("write %d: monitor alarms %d vs adaptive %d", i, mon.Alarms(), a.Alarms())
@@ -182,8 +182,8 @@ func TestMonitorAlarmedRegions(t *testing.T) {
 	}
 	// Split the window between two regions: both cross the 50% threshold.
 	for i := 0; i < 50; i++ {
-		mon.Observe(0)
-		mon.Observe(1)
+		mon.Advance(0, 1)
+		mon.Advance(1, 1)
 	}
 	if got := mon.AlarmedRegions(); got != 2 {
 		t.Fatalf("AlarmedRegions() = %d, want 2", got)
@@ -193,37 +193,37 @@ func TestMonitorAlarmedRegions(t *testing.T) {
 	}
 	// Two quiet windows clear the cooldown.
 	for i := 0; i < 200; i++ {
-		mon.Observe(uint64(i) % 4)
+		mon.Advance(uint64(i)%4, 1)
 	}
 	if got := mon.AlarmedRegions(); got != 0 {
 		t.Fatalf("AlarmedRegions() = %d after quiet windows, want 0", got)
 	}
 }
 
-func TestMonitorSkip(t *testing.T) {
+func TestMonitorAdvance(t *testing.T) {
 	mon, err := NewMonitor(4, Config{Window: 100, AlarmShare: 0.5, Cooldown: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon.Observe(2)
+	mon.Advance(2, 1)
 	if got := mon.WritesToWindowClose(); got != 99 {
 		t.Fatalf("WritesToWindowClose() = %d, want 99", got)
 	}
-	mon.Skip(2, 98)
+	mon.Advance(2, 98)
 	if got := mon.WritesToWindowClose(); got != 1 {
-		t.Fatalf("after skip: WritesToWindowClose() = %d, want 1", got)
+		t.Fatalf("after the batch: WritesToWindowClose() = %d, want 1", got)
 	}
-	// Skipping into the window close must panic (the fast-forward
-	// contract: bulk books never cross detector-visible state changes).
+	// Advancing past the window close must panic (the fast-forward
+	// contract: a batch never hides detector-visible state changes).
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("Skip across a window close did not panic")
+				t.Fatal("Advance past a window close did not panic")
 			}
 		}()
-		mon.Skip(2, 1)
+		mon.Advance(2, 2)
 	}()
-	mon.Observe(2) // closes the window; 100/100 writes in region 2
+	mon.Advance(2, 1) // closes the window; 100/100 writes in region 2
 	if mon.Alarms() != 1 || !mon.Alarmed(2) {
 		t.Fatal("skipped writes did not count toward the alarm share")
 	}

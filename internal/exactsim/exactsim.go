@@ -7,8 +7,9 @@
 //
 //   - Batched write runs. Between remapping movements a scheme's
 //     translation is frozen, so a pinned write stream applies in bulk
-//     (pcm.Bank.WriteN + wear.FastForwarder.SkipWrites) with the epoch's
-//     single movement-carrying write executed individually. This lives in
+//     (one pcm.Bank.WriteN + one wear.FastForwarder.Advance per epoch),
+//     with the movements of the epoch's last write run by Advance and
+//     its latency reported individually. This lives in
 //     wear.Controller.WriteRun; the attacks use it through their
 //     batch-aware helpers.
 //
@@ -242,7 +243,7 @@ func (t *FastTarget) sweepWorker(wg *sync.WaitGroup, shard *pcm.Shard, rLo, rHi 
 			la := uint64(la32)
 			ia := t.rb.Intermediate(la)
 			shard.Write(reg.Translate(ia%per), sweepContent(la, bit))
-			if ns := reg.NoteWrite(shard); ns > 0 {
+			if ns := reg.Advance(1, shard); ns > 0 {
 				*events++
 				*moveNs += ns
 			}

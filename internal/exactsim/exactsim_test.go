@@ -146,6 +146,29 @@ func twin(tb testing.TB, s *registry.Scheme, cfg registry.Config) (naive, fast *
 	return wear.MustNewController(pc, noFF{mk()}), wear.MustNewController(pc, inst)
 }
 
+// TestAdvancePastEpochPanics pins the other half of the contract for
+// every exact scheme: on a fresh instance, advancing one write past the
+// epoch Epoch reports must panic rather than silently book a write whose
+// movements the batch would skip.
+func TestAdvancePastEpochPanics(t *testing.T) {
+	for _, s := range exactSchemes(t) {
+		t.Run(s.Name, func(t *testing.T) {
+			_, c := twin(t, s, registry.Config{Lines: 1 << 10, Endurance: 1000, Seed: 3})
+			ff := c.Scheme().(wear.FastForwarder)
+			_, k := ff.Epoch(5)
+			if k == ^uint64(0) {
+				t.Skipf("%s never remaps: its epoch has no end to run past", s.Name)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: Advance(5, %d) past an epoch of %d did not panic", s.Name, k+1, k)
+				}
+			}()
+			ff.Advance(5, k+1, c.Bank())
+		})
+	}
+}
+
 // TestDifferentialRAA drives the repeated-address attack through the
 // batched WriteRun fast path and through the naive loop on twin
 // controllers for every exact scheme.
@@ -594,6 +617,9 @@ func FuzzWriteRunEpochBoundaries(f *testing.F) {
 				content = pcm.Ones
 			}
 			stopOnFail := script[i+1]&1 == 1
+			if pa, _ := cf.Scheme().(wear.FastForwarder).Epoch(la); pa != cf.Scheme().Translate(la) {
+				t.Fatalf("step %d: Epoch(%d) names line %d, Translate %d", i/2, la, pa, cf.Scheme().Translate(la))
+			}
 			var evN, evF [][2]uint64
 			in, nsN := cn.WriteRun(la, content, n, stopOnFail, func(j, ns uint64) bool {
 				evN = append(evN, [2]uint64{j, ns})

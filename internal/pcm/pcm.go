@@ -261,10 +261,7 @@ func (b *Bank) Write(pa uint64, c Content) uint64 {
 	w := uint64(b.wear[pa]) + 1
 	b.wear[pa] = uint32(w)
 	b.noteWear(pa, uint32(w))
-	endurance := b.cfg.Endurance
-	if b.endurances != nil {
-		endurance = uint64(b.endurances[pa])
-	}
+	endurance := b.budget(pa)
 	if w > endurance {
 		if w == endurance+1 {
 			b.failedLines++
@@ -307,10 +304,7 @@ func (b *Bank) WriteN(pa uint64, c Content, n uint64) uint64 {
 	w1 := w0 + n
 	b.wear[pa] = uint32(w1)
 	b.noteWear(pa, uint32(w1))
-	endurance := b.cfg.Endurance
-	if b.endurances != nil {
-		endurance = uint64(b.endurances[pa])
-	}
+	endurance := b.budget(pa)
 	if w0 <= endurance && w1 > endurance {
 		// The (endurance+1−w0)-th write of this batch is the crossing one.
 		b.failedLines++
@@ -352,6 +346,18 @@ func (b *Bank) Swap(x, y uint64) uint64 {
 func (b *Bank) Wear(pa uint64) uint64 {
 	b.check(pa)
 	return uint64(b.wear[pa])
+}
+
+// WritesToFailure returns how many more writes line pa takes up to and
+// including the one that fails it: the j-th write from now carries its
+// wear past its endurance budget. It returns 0 once the line has failed.
+func (b *Bank) WritesToFailure(pa uint64) uint64 {
+	b.check(pa)
+	e, w := b.budget(pa), uint64(b.wear[pa])
+	if w > e {
+		return 0
+	}
+	return e + 1 - w
 }
 
 // WearCounts returns the underlying wear array without copying, because

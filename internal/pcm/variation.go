@@ -63,6 +63,12 @@ func gaussian(rng *stats.RNG) float64 {
 // endurance when the bank has no variation).
 func (b *Bank) LineEndurance(pa uint64) uint64 {
 	b.check(pa)
+	return b.budget(pa)
+}
+
+// budget is LineEndurance without the range check, for callers that
+// have checked pa already.
+func (b *Bank) budget(pa uint64) uint64 {
 	if b.endurances == nil {
 		return b.cfg.Endurance
 	}

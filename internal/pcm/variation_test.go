@@ -105,3 +105,29 @@ func TestVariationShortensUniformLifetime(t *testing.T) {
 	}
 	t.Logf("uniform-wear lifetime with σ=0.2 variation: %.0f%% of uniform-endurance", 100*ratio)
 }
+
+// TestWritesToFailure: the count names exactly the write that fails the
+// line, under each line's own budget, and reads 0 once it has failed.
+func TestWritesToFailure(t *testing.T) {
+	varied, err := NewVariedBank(Config{Lines: 64, Endurance: 1000}, 0.2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []*Bank{varied, MustNewBank(Config{Lines: 64, Endurance: 1000})} {
+		for i, pa := range []uint64{0, 17, 63} {
+			b.WriteN(pa, Ones, 3)
+			j := b.WritesToFailure(pa)
+			if j != b.LineEndurance(pa)+1-3 {
+				t.Fatalf("line %d: WritesToFailure = %d with budget %d after 3 writes", pa, j, b.LineEndurance(pa))
+			}
+			b.WriteN(pa, Ones, j-1)
+			if b.FailedLines() != uint64(i) || b.WritesToFailure(pa) != 1 {
+				t.Fatalf("line %d: failed early or miscounted (%d left)", pa, b.WritesToFailure(pa))
+			}
+			b.Write(pa, Ones)
+			if b.FailedLines() != uint64(i+1) || b.WritesToFailure(pa) != 0 {
+				t.Fatalf("line %d: the counted write did not fail it (%d left)", pa, b.WritesToFailure(pa))
+			}
+		}
+	}
+}

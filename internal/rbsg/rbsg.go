@@ -153,25 +153,22 @@ func (s *Scheme) Translate(la uint64) uint64 {
 
 // NoteWrite books the write against the region owning la's intermediate
 // address and performs that region's gap movement when due.
-func (s *Scheme) NoteWrite(la uint64, m wear.Mover) uint64 {
+func (s *Scheme) NoteWrite(la uint64, m wear.Mover) uint64 { return s.Advance(la, 1, m) }
+
+// Epoch implements wear.FastForwarder: of the next k writes to la,
+// exactly the k-th can trigger a gap movement — the one in la's (static)
+// region whose interval elapses. Movements in other regions cannot be
+// triggered by writes to la, so k is exact, not a bound.
+func (s *Scheme) Epoch(la uint64) (pa, k uint64) {
 	ia := s.randomizer.Encrypt(la)
-	return s.regions[ia/s.perRegion].NoteWrite(m)
+	return s.regions[ia/s.perRegion].Epoch(ia % s.perRegion)
 }
 
-// WritesToNextRemap implements wear.FastForwarder: of the next k writes
-// to la, exactly the k-th can trigger a gap movement — the one in la's
-// (static) region whose interval elapses. Movements in other regions
-// cannot be triggered by writes to la, so k is exact, not a bound.
-func (s *Scheme) WritesToNextRemap(la uint64) uint64 {
+// Advance implements wear.FastForwarder: book k writes to la against its
+// region, running the gap movement the k-th may complete.
+func (s *Scheme) Advance(la, k uint64, m wear.Mover) uint64 {
 	ia := s.randomizer.Encrypt(la)
-	return s.regions[ia/s.perRegion].WritesToNextMove()
-}
-
-// SkipWrites implements wear.FastForwarder: book k movement-free writes
-// to la against its region (k < WritesToNextRemap(la)).
-func (s *Scheme) SkipWrites(la, k uint64) {
-	ia := s.randomizer.Encrypt(la)
-	s.regions[ia/s.perRegion].SkipWrites(k)
+	return s.regions[ia/s.perRegion].Advance(k, m)
 }
 
 // LineVulnerabilityFactor returns the LVF — the maximum number of writes a

@@ -114,11 +114,28 @@ func (a *Adaptive) FirstRaiseWrite() (write uint64, ok bool) {
 // consults the controller at the boundary. An applied decision lands as
 // a deferred SetStages, which the base scheme picks up at the next key
 // redraw: the level never changes mid-round.
-func (a *Adaptive) NoteWrite(la uint64, m wear.Mover) uint64 {
-	a.mon.Observe(a.Intermediate(la) / a.LinesPerRegion())
-	a.seen++
+func (a *Adaptive) NoteWrite(la uint64, m wear.Mover) uint64 { return a.Advance(la, 1, m) }
+
+// Epoch implements wear.FastForwarder: the base scheme's epoch shrunk to
+// the monitor's next window close, so a batch never runs past a write
+// that could change the detector signal (and round completions — which
+// the controller must observe — are always an epoch's last write).
+//
+//rbsglint:hotpath
+func (a *Adaptive) Epoch(la uint64) (pa, k uint64) {
+	pa, k = a.Scheme.Epoch(la)
+	return pa, min(k, a.mon.WritesToWindowClose())
+}
+
+// Advance implements wear.FastForwarder: book k writes to la (k ≤
+// Epoch(la)'s k) with the monitor and then the base scheme, and consult
+// the controller when the k-th write completed a remapping round. The
+// promoted core.Scheme.Advance would bypass both.
+func (a *Adaptive) Advance(la, k uint64, m wear.Mover) uint64 {
+	a.mon.Advance(a.Intermediate(la)/a.LinesPerRegion(), k)
+	a.seen += k
 	rounds := a.Scheme.Rounds()
-	ns := a.Scheme.NoteWrite(la, m)
+	ns := a.Scheme.Advance(la, k, m)
 	if a.Scheme.Rounds() != rounds {
 		a.onBoundary()
 	}
@@ -152,31 +169,4 @@ func (a *Adaptive) onBoundary() {
 		a.firstRaise = a.seen
 		a.firstRaiseSeen = true
 	}
-}
-
-// WritesToNextRemap implements wear.FastForwarder: the base scheme's
-// bound shrunk to the monitor's next window close, so batched runs
-// never skip past a write that could change the detector signal (and
-// round completions — which the controller must observe — always
-// execute through NoteWrite).
-//
-//rbsglint:hotpath
-func (a *Adaptive) WritesToNextRemap(la uint64) uint64 {
-	rem := a.Scheme.WritesToNextRemap(la)
-	if w := a.mon.WritesToWindowClose(); w < rem {
-		rem = w
-	}
-	return rem
-}
-
-// SkipWrites books k movement-free, window-close-free writes to la in
-// bulk against both the base scheme and the monitor
-// (k < WritesToNextRemap(la)).
-//
-//rbsglint:hotpath
-func (a *Adaptive) SkipWrites(la, k uint64) {
-	region := a.Intermediate(la) / a.LinesPerRegion()
-	a.Scheme.SkipWrites(la, k)
-	a.mon.Skip(region, k)
-	a.seen += k
 }

@@ -197,6 +197,38 @@ func TestAdaptiveBatchedMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestAdaptiveWriteRunZeroAlloc pins the closed loop's remap-round
+// boundary at zero allocations: once a warm-up round has built the
+// second DFN table, a WriteRun across round boundaries — each consults
+// the controller with the monitor's rolling alarm rate — must not
+// allocate. Every srbsg-adaptive tournament cell and memctld bank runs
+// this path behind the wear.Scheme interface, where hotpathalloc cannot
+// follow it.
+func TestAdaptiveWriteRunZeroAlloc(t *testing.T) {
+	s, err := registry.Default.Scheme("srbsg-adaptive")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := s.New(s.Defaults(registry.Config{Lines: 1 << 10, Seed: 5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := inst.(*seclevel.Adaptive)
+	ctrl := wear.MustNewController(pcm.Config{
+		LineBytes: 256, Endurance: 100_000_000, Timing: pcm.DefaultTiming,
+	}, a)
+	ctrl.WriteRun(7, pcm.Ones, a.WritesPerRound(), false, nil) // warm-up round
+	rounds := a.Rounds()
+	const n = 1 << 18 // about two rounds per call
+	allocs := testing.AllocsPerRun(2, func() { ctrl.WriteRun(7, pcm.Ones, n, false, nil) })
+	if crossed := a.Rounds() - rounds; crossed < 4 {
+		t.Fatalf("the measured runs crossed %d round boundaries, want ≥ 4", crossed)
+	}
+	if allocs != 0 {
+		t.Fatalf("WriteRun on srbsg-adaptive allocates %.1f times per %d writes, want 0", allocs, n)
+	}
+}
+
 // TestAdaptiveTraceReplays pins rerun determinism: the same seeded
 // scenario replayed from scratch yields a byte-identical decision trace
 // and identical closed-loop state.

@@ -123,42 +123,40 @@ func (s *OneLevel) Translate(la uint64) uint64 {
 
 // NoteWrite records one demand write and performs a refresh step through m
 // when the interval has elapsed, returning the step's movement latency.
-func (s *OneLevel) NoteWrite(la uint64, m wear.Mover) uint64 {
-	_ = la // a domain counts every write landing in it
-	s.writeCount++
-	if s.writeCount < s.interval {
-		return 0
-	}
-	s.writeCount = 0
-	return s.Step(m)
+func (s *OneLevel) NoteWrite(la uint64, m wear.Mover) uint64 { return s.Advance(la, 1, m) }
+
+// Epoch implements wear.FastForwarder for a standalone domain: every
+// write counts toward the one refresh interval, so of the next k writes
+// exactly the k-th triggers Step.
+func (s *OneLevel) Epoch(la uint64) (pa, k uint64) {
+	return s.Translate(la), s.interval - s.writeCount
 }
 
-// writesToNextStep returns how many writes from now until a refresh step
-// fires: the k-th write triggers Step. Always ≥ 1.
-func (s *OneLevel) writesToNextStep() uint64 { return s.interval - s.writeCount }
+// Advance implements wear.FastForwarder: book k writes to the domain
+// (k ≤ Epoch's k) and perform the refresh step the k-th may complete.
+// Between steps the translation is frozen, so a batch is
+// indistinguishable from k single writes.
+func (s *OneLevel) Advance(la, k uint64, m wear.Mover) uint64 {
+	_ = la // a domain counts every write landing in it
+	if s.tick(k) {
+		return s.Step(m)
+	}
+	return 0
+}
 
-// skip books k step-free writes (k < writesToNextStep()). Between steps
-// the domain's translation is frozen, so this is indistinguishable from
-// k NoteWrite calls that all returned 0.
-func (s *OneLevel) skip(k uint64) {
-	if k >= s.interval-s.writeCount {
-		panic(fmt.Errorf("secref: skip(%d) would cross a refresh step (%d writes remain)",
-			k, s.interval-s.writeCount))
+// tick books k writes against the refresh interval and reports whether
+// the k-th completes it (resetting the counter); it panics when k would
+// run past the step.
+func (s *OneLevel) tick(k uint64) bool {
+	if left := s.interval - s.writeCount; k > left {
+		panic(fmt.Errorf("secref: %d writes would run past a refresh step (%d remain)", k, left))
 	}
 	s.writeCount += k
-}
-
-// WritesToNextRemap implements wear.FastForwarder for a standalone
-// domain: every write counts toward the one refresh interval.
-func (s *OneLevel) WritesToNextRemap(la uint64) uint64 {
-	_ = la
-	return s.writesToNextStep()
-}
-
-// SkipWrites implements wear.FastForwarder (k < WritesToNextRemap).
-func (s *OneLevel) SkipWrites(la, k uint64) {
-	_ = la
-	s.skip(k)
+	if s.writeCount < s.interval {
+		return false
+	}
+	s.writeCount = 0
+	return true
 }
 
 // Step performs one refresh step unconditionally: start a new round if the

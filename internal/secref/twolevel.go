@@ -130,39 +130,29 @@ func (s *TwoLevel) Translate(la uint64) uint64 {
 // that domain, and the outer domain steps every OuterInterval writes to
 // the bank. Outer swaps move data between the physical lines the inner
 // level currently assigns to the two intermediate addresses.
-func (s *TwoLevel) NoteWrite(la uint64, m wear.Mover) uint64 {
-	ia := s.Intermediate(la)
-	ns := s.inner[ia/s.perRegion].NoteWrite(ia%s.perRegion, m)
+func (s *TwoLevel) NoteWrite(la uint64, m wear.Mover) uint64 { return s.Advance(la, 1, m) }
 
-	s.outer.writeCount++
-	if s.outer.writeCount >= s.outer.interval {
-		s.outer.writeCount = 0
-		ns += s.outerStep(m)
-	}
-	return ns
-}
-
-// WritesToNextRemap implements wear.FastForwarder: of the next k writes
-// to la, exactly the k-th is the first that can trigger a refresh step —
+// Epoch implements wear.FastForwarder: of the next k writes to la,
+// exactly the k-th is the first that can trigger a refresh step —
 // whichever of la's inner domain's interval and the outer interval
 // elapses first. Writes to la tick both counters, and the levels'
 // translations are frozen between steps, so k is exact.
-func (s *TwoLevel) WritesToNextRemap(la uint64) uint64 {
+func (s *TwoLevel) Epoch(la uint64) (pa, k uint64) {
 	ia := s.Intermediate(la)
-	inner := s.inner[ia/s.perRegion].writesToNextStep()
-	outer := s.outer.writesToNextStep()
-	if outer < inner {
-		return outer
-	}
-	return inner
+	pa, inner := s.inner[ia/s.perRegion].Epoch(ia % s.perRegion)
+	return pa, min(inner, s.WritesToNextOuterStep())
 }
 
-// SkipWrites implements wear.FastForwarder: book k step-free writes to la
-// against both levels (k < WritesToNextRemap(la)).
-func (s *TwoLevel) SkipWrites(la, k uint64) {
+// Advance implements wear.FastForwarder: book k writes to la against
+// both levels (k ≤ Epoch(la)'s k), running the inner step and then the
+// outer step when the k-th write completes their intervals.
+func (s *TwoLevel) Advance(la, k uint64, m wear.Mover) uint64 {
 	ia := s.Intermediate(la)
-	s.inner[ia/s.perRegion].skip(k)
-	s.outer.skip(k)
+	ns := s.inner[ia/s.perRegion].Advance(ia%s.perRegion, k, m)
+	if s.outer.tick(k) {
+		ns += s.outerStep(m)
+	}
+	return ns
 }
 
 // WritesToNextOuterStep returns how many bank writes remain until the
@@ -171,7 +161,7 @@ func (s *TwoLevel) SkipWrites(la, k uint64) {
 // with it Intermediate(la) for every la — is frozen for that many minus
 // one writes; attackers batching hammer stints use it as the bound past
 // which an address may migrate between sub-regions.
-func (s *TwoLevel) WritesToNextOuterStep() uint64 { return s.outer.writesToNextStep() }
+func (s *TwoLevel) WritesToNextOuterStep() uint64 { return s.outer.interval - s.outer.writeCount }
 
 // outerStep performs one outer refresh step, routing the data movement
 // through the inner translation so the swap touches the correct physical
@@ -246,19 +236,17 @@ func (s *MultiWay) Translate(la uint64) uint64 {
 }
 
 // NoteWrite books the write against la's sub-region domain.
-func (s *MultiWay) NoteWrite(la uint64, m wear.Mover) uint64 {
-	return s.inner[la/s.perRegion].NoteWrite(la%s.perRegion, m)
+func (s *MultiWay) NoteWrite(la uint64, m wear.Mover) uint64 { return s.Advance(la, 1, m) }
+
+// Epoch implements wear.FastForwarder: writes to la tick only its own
+// sub-region's domain, and the other domains never step without writes
+// of their own, so the epoch is that domain's.
+func (s *MultiWay) Epoch(la uint64) (pa, k uint64) {
+	return s.inner[la/s.perRegion].Epoch(la % s.perRegion)
 }
 
-// WritesToNextRemap implements wear.FastForwarder: writes to la tick only
-// its own sub-region's domain, and the other domains never step without
-// writes of their own, so the bound is that domain's next refresh step.
-func (s *MultiWay) WritesToNextRemap(la uint64) uint64 {
-	return s.inner[la/s.perRegion].writesToNextStep()
-}
-
-// SkipWrites implements wear.FastForwarder: book k step-free writes
-// against la's sub-region domain (k < WritesToNextRemap(la)).
-func (s *MultiWay) SkipWrites(la, k uint64) {
-	s.inner[la/s.perRegion].skip(k)
+// Advance implements wear.FastForwarder: book k writes against la's
+// sub-region domain.
+func (s *MultiWay) Advance(la, k uint64, m wear.Mover) uint64 {
+	return s.inner[la/s.perRegion].Advance(la%s.perRegion, k, m)
 }

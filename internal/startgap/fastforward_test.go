@@ -17,10 +17,12 @@ func mustSingle(t *testing.T, n, interval uint64) *Single {
 
 // TestFastForwardDifferential drives two identical Singles through the
 // same pinned write stream — one write by write, one through the
-// WritesToNextRemap/SkipWrites fast path — and asserts the scheme state
-// is bit-identical afterwards. This is the exactness contract of
+// Epoch/Advance fast path — and asserts the scheme state is
+// bit-identical afterwards. This is the exactness contract of
 // wear.FastForwarder, checked at the scheme layer (internal/exactsim
-// checks it again with a bank underneath).
+// checks it again with a bank underneath). Epochs alternate between one
+// Advance of the whole epoch and a movement-free prefix followed by the
+// firing write, so both shapes of call are pinned.
 func TestFastForwardDifferential(t *testing.T) {
 	const (
 		n     = 32
@@ -38,29 +40,31 @@ func TestFastForwardDifferential(t *testing.T) {
 	}
 
 	issued := uint64(0)
-	for issued < total {
-		k := fast.WritesToNextRemap(la)
+	for epoch := 0; issued < total; epoch++ {
+		pa, k := fast.Epoch(la)
 		if k == 0 {
-			t.Fatal("WritesToNextRemap returned 0 (contract says ≥ 1)")
+			t.Fatal("Epoch returned k = 0 (contract says ≥ 1)")
 		}
-		if batch := k - 1; batch > 0 {
-			if rem := uint64(total) - issued; batch > rem {
-				batch = rem
-			}
+		if pa != fast.Translate(la) {
+			t.Fatalf("Epoch's line %d, Translate %d", pa, fast.Translate(la))
+		}
+		if rem := uint64(total) - issued; k > rem {
+			k = rem
+		}
+		if epoch%2 == 1 && k > 1 {
 			// The movement-free prefix: translation must be frozen across it.
-			before := fast.Translate(la)
-			fast.SkipWrites(la, batch)
-			if after := fast.Translate(la); after != before {
-				t.Fatalf("SkipWrites moved the mapping: %d -> %d", before, after)
+			moves := fast.Movements()
+			if fast.Advance(la, k-1, mf); fast.Movements() != moves {
+				t.Fatal("a movement-free prefix moved the gap")
 			}
-			issued += batch
-			if issued == total {
-				break
+			if after := fast.Translate(la); after != pa {
+				t.Fatalf("a movement-free prefix moved the mapping: %d -> %d", pa, after)
 			}
+			fast.Advance(la, 1, mf)
+		} else {
+			fast.Advance(la, k, mf)
 		}
-		// The epoch's firing write goes through the ordinary path.
-		fast.NoteWrite(la, mf)
-		issued++
+		issued += k
 	}
 
 	if naive.Start() != fast.Start() || naive.Gap() != fast.Gap() {
@@ -82,29 +86,34 @@ func TestFastForwardDifferential(t *testing.T) {
 }
 
 // TestFastForwardBound pins the closed form itself: after w writes into
-// an interval of ψ, exactly ψ−w writes remain until the next movement,
-// and skipping right up to (but not onto) that boundary is legal while
-// crossing it panics.
+// an interval of ψ, the epoch has exactly ψ−w writes left, and advancing
+// right up to the boundary is legal (and fires the movement on its last
+// write) while running past it panics.
 func TestFastForwardBound(t *testing.T) {
 	const psi = 10
 	s := mustSingle(t, 8, psi)
 	m := schemetest.NewTokenMover(s)
 	for w := uint64(0); w < psi-1; w++ {
-		if got := s.WritesToNextRemap(3); got != psi-w {
-			t.Fatalf("after %d writes: WritesToNextRemap = %d, want %d", w, got, psi-w)
+		if _, got := s.Epoch(3); got != psi-w {
+			t.Fatalf("after %d writes: Epoch's k = %d, want %d", w, got, psi-w)
 		}
 		s.NoteWrite(3, m)
 	}
 
 	s2 := mustSingle(t, 8, psi)
-	s2.SkipWrites(0, psi-1) // legal: lands one short of the boundary
-	if got := s2.WritesToNextRemap(0); got != 1 {
-		t.Fatalf("after max skip: WritesToNextRemap = %d, want 1", got)
+	m2 := schemetest.NewTokenMover(s2)
+	s2.Advance(0, psi-1, m2) // legal: lands one short of the boundary
+	if _, got := s2.Epoch(0); got != 1 || s2.Movements() != 0 {
+		t.Fatalf("after the prefix: Epoch's k = %d (want 1), %d movements (want 0)", got, s2.Movements())
 	}
+	if s2.Advance(0, 1, m2); s2.Movements() != 1 {
+		t.Fatalf("the epoch's last write did not move the gap (%d movements)", s2.Movements())
+	}
+	s2.Advance(0, psi-1, m2)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("SkipWrites across a movement boundary must panic")
+			t.Fatal("Advance past a movement boundary must panic")
 		}
 	}()
-	s2.SkipWrites(0, 1)
+	s2.Advance(0, 2, m2)
 }

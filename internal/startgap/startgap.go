@@ -96,34 +96,42 @@ func (r *Region) Translate(la uint64) uint64 {
 	return r.base + pa
 }
 
-// NoteWrite records one demand write into the region and performs a gap
-// movement through m when the interval has elapsed, returning the movement
-// latency in nanoseconds (0 otherwise).
-func (r *Region) NoteWrite(m wear.Mover) uint64 {
-	r.writeCount++
-	if r.writeCount < r.interval {
-		return 0
-	}
-	r.writeCount = 0
-	return r.MoveGap(m)
-}
-
 // WritesToNextMove returns how many demand writes from now until a gap
 // movement fires: of the next k = WritesToNextMove() writes to the
 // region, exactly the k-th triggers MoveGap. Always ≥ 1.
 func (r *Region) WritesToNextMove() uint64 { return r.interval - r.writeCount }
 
-// SkipWrites books k demand writes at once, none of which may trigger a
-// movement: k must be strictly less than WritesToNextMove(). This is the
-// epoch fast-forward primitive — between gap movements the region's
-// translation is frozen, so skipped writes are indistinguishable from
-// k calls to NoteWrite that all returned 0.
-func (r *Region) SkipWrites(k uint64) {
-	if k >= r.interval-r.writeCount {
-		panic(fmt.Errorf("startgap: SkipWrites(%d) would cross a gap movement (%d writes remain)",
-			k, r.interval-r.writeCount))
-	}
+// Epoch returns the bank physical address of region-local line la and
+// WritesToNextMove — the region's side of wear.FastForwarder.Epoch.
+func (r *Region) Epoch(la uint64) (pa, k uint64) {
+	return r.Translate(la), r.WritesToNextMove()
+}
+
+// Advance books k demand writes into the region (1 ≤ k ≤
+// WritesToNextMove) and, when the k-th completes the interval, performs
+// the gap movement through m, returning its latency (0 otherwise). One
+// write at a time it is the per-write booking; between gap movements the
+// region's translation is frozen, so a batch is indistinguishable from k
+// single writes. It panics if k ran past the movement; the check sits on
+// the movement path so the movement-free path stays small enough to
+// inline into every scheme's booking.
+func (r *Region) Advance(k uint64, m wear.Mover) uint64 {
 	r.writeCount += k
+	if r.writeCount < r.interval {
+		return 0
+	}
+	return r.completeInterval(k, m)
+}
+
+// completeInterval performs the gap movement of the write that completed
+// the interval.
+func (r *Region) completeInterval(k uint64, m wear.Mover) uint64 {
+	if r.writeCount > r.interval {
+		panic(fmt.Errorf("startgap: Advance(%d) would run past a gap movement (%d writes remain)",
+			k, r.interval-(r.writeCount-k)))
+	}
+	r.writeCount = 0
+	return r.MoveGap(m)
 }
 
 // MoveGap performs one gap movement unconditionally: the line before the
@@ -173,21 +181,12 @@ func (s *Single) Name() string { return "start-gap" }
 // LogicalLines returns the logical space size.
 func (s *Single) LogicalLines() uint64 { return s.Lines() }
 
-// NoteWrite implements wear.Scheme.
-func (s *Single) NoteWrite(la uint64, m wear.Mover) uint64 {
-	_ = la // a single region counts every write
-	return s.Region.NoteWrite(m)
-}
+// NoteWrite implements wear.Scheme: one write of Advance.
+func (s *Single) NoteWrite(la uint64, m wear.Mover) uint64 { return s.Advance(la, 1, m) }
 
-// WritesToNextRemap implements wear.FastForwarder: the region counts
-// every write regardless of address.
-func (s *Single) WritesToNextRemap(la uint64) uint64 {
+// Advance implements wear.FastForwarder (with the promoted Region.Epoch):
+// the region counts every write regardless of address.
+func (s *Single) Advance(la, k uint64, m wear.Mover) uint64 {
 	_ = la
-	return s.Region.WritesToNextMove()
-}
-
-// SkipWrites implements wear.FastForwarder.
-func (s *Single) SkipWrites(la, k uint64) {
-	_ = la
-	s.Region.SkipWrites(k)
+	return s.Region.Advance(k, m)
 }

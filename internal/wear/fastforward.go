@@ -5,32 +5,36 @@ import "securityrbsg/internal/pcm"
 // FastForwarder is the optional scheme capability behind the exact-tier
 // acceleration (Controller.WriteRun and internal/exactsim): a scheme that
 // can tell, in closed form, how long its mappings stay frozen under a
-// fixed write stream.
+// fixed write stream, and book that many writes at once.
 //
 // The contract is exact, not approximate. For a demand-write stream
 // pinned to logical address la:
 //
-//   - WritesToNextRemap(la) returns k ≥ 1 such that the next k−1 writes
-//     to la provably trigger no remapping movements (NoteWrite returns 0
-//     and no scheme register that affects Translate changes), while the
-//     k-th write is the first that may trigger movements.
-//   - SkipWrites(la, k), with k < WritesToNextRemap(la), advances the
-//     scheme's write counters exactly as k calls to NoteWrite(la, m)
-//     would — implementations panic if k would cross a remap boundary.
+//   - Epoch(la) returns pa == Translate(la) and k ≥ 1 such that the next
+//     k−1 writes to la provably trigger no remapping movements and change
+//     no scheme register that affects Translate, while the k-th write is
+//     the first that may trigger movements.
+//   - Advance(la, j, m), with 1 ≤ j ≤ k, books j writes to la exactly as
+//     j calls to NoteWrite(la, m) would: when j == k the j-th write's
+//     movements run through m and their latency is returned, otherwise
+//     nothing moves and it returns 0. Implementations panic when j would
+//     run past the epoch. Every implementor's NoteWrite is Advance(la, 1,
+//     m), so the write-by-write and the batched path share one booking.
 //
-// Between remap events the translation Translate(la) is frozen, which is
-// what makes the closed form possible: k−1 writes to la are k−1 writes
-// to the same physical line, with constant latency and no observable
-// anomaly, so they can be applied in bulk (pcm.Bank.WriteN) without
-// losing a bit of the timing side channel — every anomalous (movement-
-// carrying) write is still executed individually.
+// Between remap events the translation is frozen, which is what makes
+// the closed form possible: the epoch's k writes to la land on the same
+// physical line pa, with constant device latency, so they can be applied
+// in bulk (pcm.Bank.WriteN) without losing a bit of the timing side
+// channel — the only anomalous (movement-carrying) write of the epoch is
+// its last, whose movements Advance runs and whose latency WriteRun
+// reports individually.
 //
 // Every exact-tier scheme implements it: internal/exactsim's
 // differentials require it of each registered exact scheme, because a
 // scheme without it runs WriteRun's write-by-write loop.
 type FastForwarder interface {
-	WritesToNextRemap(la uint64) uint64
-	SkipWrites(la, k uint64)
+	Epoch(la uint64) (pa, k uint64)
+	Advance(la, k uint64, m Mover) uint64
 }
 
 // WriteRun issues n consecutive demand writes of content to la, exactly
@@ -48,12 +52,13 @@ type FastForwarder interface {
 // bank's first line failure (issued then counts that write).
 //
 // When the scheme implements FastForwarder and TranslationNs is zero, the
-// run is accelerated: each inter-remap epoch's movement-free prefix is
-// applied with pcm.Bank.WriteN plus FastForwarder.SkipWrites, and only
-// the epoch's firing write goes through the ordinary Write path. Wear
-// array, device clock, failure record, scheme state and the sequence of
-// onEvent callbacks are bit-identical to the naive loop (the differential
-// tests in internal/exactsim assert this). Otherwise the naive loop runs.
+// run is accelerated to two scheme calls per inter-remap epoch: Epoch
+// names the line and the epoch's length, one pcm.Bank.WriteN applies the
+// epoch's writes (its firing write included), and Advance books them and
+// runs the firing write's movements. Wear array, device clock, failure
+// record, scheme state and the sequence of onEvent callbacks are
+// bit-identical to the naive loop (the differential tests in
+// internal/exactsim assert this). Otherwise the naive loop runs.
 func (c *Controller) WriteRun(la uint64, content pcm.Content, n uint64, stopOnFail bool, onEvent func(i, ns uint64) bool) (issued, totalNs uint64) {
 	base := c.TranslationNs + c.bank.Config().Timing.WriteNs(content)
 	ff, ok := c.scheme.(FastForwarder)
@@ -61,41 +66,31 @@ func (c *Controller) WriteRun(la uint64, content pcm.Content, n uint64, stopOnFa
 		return c.writeRunNaive(la, content, n, base, stopOnFail, onEvent)
 	}
 	for issued < n {
-		k := ff.WritesToNextRemap(la)
-		if batch := k - 1; batch > 0 {
-			if rem := n - issued; batch > rem {
-				batch = rem
-			}
-			pa := c.scheme.Translate(la)
-			truncated := false
-			if stopOnFail && !c.bank.Failed() {
-				// No line has failed yet, so this one hasn't either: its
-				// wear is ≤ its budget and j ≥ 1 more writes fail it.
-				j := c.bank.LineEndurance(pa) + 1 - c.bank.Wear(pa)
-				if j <= batch {
-					batch = j
-					truncated = true
-				}
-			}
-			totalNs += c.bank.WriteN(pa, content, batch)
-			c.demandWrites += batch
-			ff.SkipWrites(la, batch)
-			issued += batch
-			if truncated {
-				return issued, totalNs
-			}
-			if issued == n {
-				return issued, totalNs
+		pa, k := ff.Epoch(la)
+		if rem := n - issued; k > rem {
+			k = rem
+		}
+		failedBefore := c.bank.Failed()
+		if stopOnFail && !failedBefore {
+			// No line has failed yet, so this one hasn't either: its
+			// j-th write from now is the one that fails it.
+			if j := c.bank.WritesToFailure(pa); j < k {
+				k = j
 			}
 		}
-		// The epoch's firing write (and any remapping movements it
-		// triggers) executes exactly through the ordinary path.
-		failedBefore := c.bank.Failed()
-		ns := c.Write(la, content)
-		issued++
-		totalNs += ns
-		if ns != base && onEvent != nil && !onEvent(issued-1, ns) {
-			return issued, totalNs
+		totalNs += c.bank.WriteN(pa, content, k)
+		c.demandWrites += k
+		issued += k
+		// Only the epoch's last write can move anything, and a firing
+		// write that also fails its line still runs its movements, as
+		// in Write.
+		if rns := ff.Advance(la, k, c.bank); rns > 0 {
+			c.remapNs += rns
+			c.remapEvents++
+			totalNs += rns
+			if onEvent != nil && !onEvent(issued-1, base+rns) {
+				return issued, totalNs
+			}
 		}
 		if stopOnFail && !failedBefore && c.bank.Failed() {
 			return issued, totalNs

@@ -22,11 +22,11 @@ func (p Passthrough) PhysicalLines() uint64 { return uint64(p) }
 func (p Passthrough) Translate(la uint64) uint64 { return la }
 
 // NoteWrite never remaps.
-func (p Passthrough) NoteWrite(la uint64, m Mover) uint64 { return 0 }
+func (p Passthrough) NoteWrite(la uint64, m Mover) uint64 { return p.Advance(la, 1, m) }
 
-// WritesToNextRemap implements FastForwarder: the identity never remaps,
-// so every write is movement-free.
-func (p Passthrough) WritesToNextRemap(la uint64) uint64 { return ^uint64(0) }
+// Epoch implements FastForwarder: the identity never remaps, so every
+// write is movement-free.
+func (p Passthrough) Epoch(la uint64) (pa, k uint64) { return la, ^uint64(0) }
 
-// SkipWrites implements FastForwarder: there are no counters to advance.
-func (p Passthrough) SkipWrites(la, k uint64) {}
+// Advance implements FastForwarder: there are no counters to advance.
+func (p Passthrough) Advance(la, k uint64, m Mover) uint64 { return 0 }

@@ -6,7 +6,7 @@
 # Overrides (documented in DESIGN.md "Performance engineering"):
 #   BENCHGATE_SKIP=1            skip the gate (e.g. known-noisy runner)
 #   BENCHGATE_MAX_REGRESS=0.30  widen the ns/op threshold
-#   BENCH_BASELINE=BENCH_10.json compare against a different baseline
+#   BENCH_BASELINE=BENCH_13.json compare against a different baseline
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,7 +15,7 @@ if [ "${BENCHGATE_SKIP:-0}" = "1" ]; then
     exit 0
 fi
 
-baseline="${BENCH_BASELINE:-BENCH_13.json}"
+baseline="${BENCH_BASELINE:-BENCH_16.json}"
 # The designated guards (see bench_test.go and the per-package
 # bench/clientbench files, "perf-gate guard benchmarks"): pure mapping
 # kernel, both per-access paths, the end-to-end Monte-Carlo kernel, the

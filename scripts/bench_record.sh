@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Record the repo's benchmark baseline (BENCH_13.json): run every
+# Record the repo's benchmark baseline (BENCH_16.json): run every
 # benchmark with -benchmem and fold the output — ns/op, B/op,
 # allocs/op and each ReportMetric figure series — into a committed
 # JSON baseline via cmd/benchdiff.
@@ -10,7 +10,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_13.json}"
+out="${1:-BENCH_16.json}"
 benchtime="${BENCH_TIME:-1s}"
 count="${BENCH_COUNT:-3}"
 tmp="$(mktemp)"
