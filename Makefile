@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build fmt fmt-check vet lint test race race-sweep fuzz-smoke bench-smoke bench-record bench-gate profile serve serve-smoke adaptive-smoke router-smoke loadgen tournament-smoke tournament-nightly ci
+.PHONY: build fmt fmt-check vet lint test race race-sweep fuzz-smoke bench-smoke bench-test bench-record bench-gate profile serve serve-smoke adaptive-smoke router-smoke loadgen tournament-smoke tournament-nightly ci
 
 build:
 	$(GO) build ./...
@@ -58,6 +58,13 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
+# The benchmark module's own suite. bench/ is a module of its own, so
+# the root `go test ./...` never reaches it: the wire differential, the
+# span self-time test, the corrupted-response check and a -smoke run of
+# all four workloads with their output checks.
+bench-test:
+	cd bench && $(GO) test ./...
+
 # Re-record the committed benchmark baseline (BENCH_16.json). Run on a
 # quiet machine; commit the result with an explanation of what moved.
 bench-record:
@@ -69,8 +76,8 @@ bench-record:
 bench-gate:
 	./scripts/bench_gate.sh
 
-# Capture a CPU profile of memctld's binary listener under loadgen
-# (writes cpu.pprof).
+# Capture a CPU profile of memctld's binary listener under loadgen at
+# the benchmark's serve_uniform shape (writes cpu.pprof).
 profile:
 	./scripts/profile.sh
 
@@ -119,4 +126,4 @@ tournament-nightly:
 		-ckpt .tournament-ckpt -resume \
 		-out tournament.csv -meta runmeta.tournament.json
 
-ci: fmt-check test lint race race-sweep fuzz-smoke bench-smoke bench-gate serve-smoke adaptive-smoke router-smoke tournament-smoke
+ci: fmt-check test lint race race-sweep fuzz-smoke bench-smoke bench-test bench-gate serve-smoke adaptive-smoke router-smoke tournament-smoke

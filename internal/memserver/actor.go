@@ -1,6 +1,7 @@
 package memserver
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"securityrbsg/internal/detector"
@@ -24,13 +25,14 @@ type opResult struct {
 }
 
 // bankReq is one queue entry: a run of ops for a single bank, executed
-// in order, answered on reply. The ops slice stays owned by the sender;
-// the actor reads it but never retains or recycles it. The reply buffer
-// travels the other way: allocated by the actor from the pool, freed by
-// the receiver.
+// in order. The actor owns *run from dequeue until it calls done.Done:
+// it reads run.ops, writes one result per op into run.res, calls Done
+// and never touches the run again. The submitter owns the run at all
+// other times, so the run's buffers are reused across batches without
+// ever crossing the queue pooled.
 type bankReq struct {
-	ops   []op
-	reply chan<- *resBuf
+	run  *bankRun
+	done *sync.WaitGroup
 }
 
 // BankSnapshot is the immutable telemetry record an actor publishes.
@@ -104,9 +106,13 @@ func (a *actor) run() {
 	defer a.publish(true)
 	var sinceSnap, sinceWear uint64
 	for req := range a.ch {
-		rb := getResBuf(len(req.ops))
-		res := rb.res
-		for i, o := range req.ops {
+		run := req.run
+		n := len(run.ops)
+		if cap(run.res) < n {
+			run.res = make([]opResult, n)
+		}
+		res := run.res[:n]
+		for i, o := range run.ops {
 			if o.read {
 				c, ns := a.ctrl.Read(o.local)
 				res[i] = opResult{ns: ns, content: c}
@@ -120,13 +126,10 @@ func (a *actor) run() {
 				}
 			}
 		}
-		if req.reply != nil {
-			req.reply <- rb
-		} else {
-			putResBuf(rb)
-		}
-		sinceSnap += uint64(len(req.ops))
-		sinceWear += uint64(len(req.ops))
+		run.res = res
+		req.done.Done() // the run is the submitter's again
+		sinceSnap += uint64(n)
+		sinceWear += uint64(n)
 		refreshWear := sinceWear >= a.wearEvery
 		if refreshWear || sinceSnap >= a.snapEvery {
 			a.publish(refreshWear)

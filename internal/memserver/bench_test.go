@@ -1,8 +1,12 @@
 package memserver
 
 import (
+	"context"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"securityrbsg/internal/stats"
 )
@@ -57,6 +61,61 @@ func BenchmarkBinaryBatchWriteAdaptive(b *testing.B) {
 		Banks: 8, Lines: 8 << 14, Scheme: SchemeAdaptive,
 		Regions: 32, Interval: 100, Stages: 4, Seed: 1, QueueDepth: 256,
 	})
+}
+
+// BenchmarkBinaryBatchServeUniform is the actor-handoff rung, at
+// serve_uniform's geometry and mix: 64 banks of 2^12 lines under
+// srbsg+adaptive and 256-op frames with 25% reads, so every frame hands
+// ~63 bank runs of ~4 ops to the actors and waits for them. Each
+// b.RunParallel goroutine drives its own connection handler's Begin,
+// and SetParallelism(1) runs one per P: two submitters on a 2-core
+// host, like the benchmark's two connections. The handlers are built
+// and warmed before the timer, so allocs/op counts steady-state frames.
+func BenchmarkBinaryBatchServeUniform(b *testing.B) {
+	const batch, banks, lines = 256, 64, 64 << 12
+	s := MustNew(Config{
+		Banks: banks, Lines: lines, Scheme: SchemeAdaptive,
+		Regions: 32, Interval: 100, Stages: 7, Seed: 1, QueueDepth: 256,
+	})
+	s.Start()
+	b.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Drain(ctx)
+	})
+	type submitter struct {
+		h    FrameHandler
+		body []byte
+	}
+	subs := make([]submitter, runtime.GOMAXPROCS(0))
+	for k := range subs {
+		rng := stats.NewRNG(uint64(3 + k))
+		ops := make([]BatchOp, batch)
+		for i := range ops {
+			ops[i] = BatchOp{Line: rng.Uint64n(lines), Data: uint8(rng.Uint64n(3))}
+			if rng.Uint64n(4) == 0 {
+				ops[i] = BatchOp{Line: ops[i].Line, Read: true}
+			}
+		}
+		subs[k] = submitter{h: s.newBinConn(), body: appendBatchReqBody(nil, WireVersion, ops)}
+		subs[k].h.Begin(0, subs[k].body)
+	}
+	var next atomic.Int32
+	b.SetParallelism(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		sub := subs[next.Add(1)-1]
+		for pb.Next() {
+			out, fatal := sub.h.Begin(0, sub.body)
+			if fatal || len(out) < 4+wireHdrSize || out[4+1] != frameBatchResp {
+				b.Errorf("fatal=%v out=% x", fatal, out[:min(len(out), 8)])
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "lines/s")
 }
 
 // BenchmarkBinaryDecodeFrame isolates the wire decode: one 256-op

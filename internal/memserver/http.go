@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync"
 
 	"securityrbsg/internal/pcm"
 )
@@ -123,14 +124,55 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// batchScratch is one batch's execution state: the validated ops, the
+// per-bank coalescing runs (indexed by bank, `order` listing the banks
+// touched this batch in first-touch order), the batch's one completion
+// and the response with its aligned arrays. A scratch serves one batch
+// at a time; a binary connection keeps one for its lifetime, a JSON
+// request makes its own.
+type batchScratch struct {
+	ops   []BatchOp
+	runs  []bankRun
+	order []int
+	done  sync.WaitGroup
+	resp  BatchResponse
+}
+
+func newBatchScratch(banks int) *batchScratch {
+	return &batchScratch{runs: make([]bankRun, banks)}
+}
+
+// bankRun is one bank's slice of a batch: its ops, each op's position
+// in the batch, and the actor's results. Runs are embedded in the batch
+// scratch, and their backing arrays are reused across batches.
+type bankRun struct {
+	bank int
+	ops  []op
+	idx  []int
+	res  []opResult
+}
+
+// resetRuns clears the per-bank runs touched by the last batch so the
+// scratch can host another one.
+//
+//rbsglint:hotpath
+func resetRuns(sc *batchScratch) {
+	for _, b := range sc.order {
+		run := &sc.runs[b]
+		run.ops = run.ops[:0]
+		run.idx = run.idx[:0]
+	}
+	sc.order = sc.order[:0]
+}
+
 // executeBatch is the transport-independent batch engine: coalesce the
 // already-validated ops in sc.ops into one run per touched bank
-// (preserving request order), enqueue every run without blocking, then
-// collect into sc.resp, whose Ns/Data align with the ops (rejected ops
-// report zero). Both the JSON handler and the binary frame handler
-// call it, so the banks — and the timing signal they emit — cannot
-// tell the protocols apart. It reports whether a drain caused any of
-// the rejections.
+// (preserving request order), enqueue every run without blocking, wait
+// once for the actors that took one, then scatter the results into
+// sc.resp, whose Ns/Data align with the ops (rejected ops report zero).
+// Both the JSON handler and the binary frame handler call it, so the
+// banks — and the timing signal they emit — cannot tell the protocols
+// apart. It reports whether a drain caused any of the rejections.
 //
 //rbsglint:hotpath
 func (s *Server) executeBatch(sc *batchScratch) (draining bool) {
@@ -146,30 +188,29 @@ func (s *Server) executeBatch(sc *batchScratch) (draining bool) {
 		run.idx = append(run.idx, i)
 	}
 
-	// Phase 1: enqueue everything (non-blocking), phase 2: collect.
+	// Every run counts once in sc.done: its actor's Done, or ours when
+	// the queue refused it. Add precedes every enqueue, and this batch's
+	// Wait precedes the next batch's Add.
 	resp := &sc.resp
 	resp.Reset(len(ops))
+	sc.done.Add(len(sc.order))
 	for _, b := range sc.order {
 		run := &sc.runs[b]
-		reply, err := s.enqueue(run.bank, run.ops)
-		switch err {
-		case nil:
-			run.reply = reply
-		case errDraining:
-			draining = true
-			resp.Rejected += len(run.ops)
-		default:
-			resp.Rejected += len(run.ops)
-		}
-	}
-	for _, b := range sc.order {
-		run := &sc.runs[b]
-		if run.reply == nil {
+		err := s.enqueue(run, &sc.done)
+		if err == nil {
 			continue
 		}
-		rb := <-run.reply
-		putReply(run.reply)
-		for j, res := range rb.res {
+		if err == errDraining {
+			draining = true
+		}
+		sc.done.Done()
+		run.res = run.res[:0] // nothing applied
+		resp.Rejected += len(run.ops)
+	}
+	sc.done.Wait()
+	for _, b := range sc.order {
+		run := &sc.runs[b]
+		for j, res := range run.res {
 			i := run.idx[j]
 			resp.Ns[i] = res.ns
 			resp.Data[i] = uint8(res.content)
@@ -178,20 +219,9 @@ func (s *Server) executeBatch(sc *batchScratch) (draining bool) {
 				resp.NsMax = res.ns
 			}
 		}
-		resp.Applied += len(rb.res)
-		putResBuf(rb)
+		resp.Applied += len(run.res)
 	}
 	return draining
-}
-
-// bankRun is one bank's slice of a batch plus where its results land.
-// Runs are embedded in the batch scratch; the ops/idx backing arrays
-// are reused across batches.
-type bankRun struct {
-	bank  int
-	ops   []op
-	idx   []int
-	reply chan *resBuf
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -18,7 +18,8 @@
 // explicit backpressure (a Nack frame, or HTTP 429 + Retry-After),
 // never an unbounded goroutine pileup. Batches are coalesced per bank:
 // one queue entry per touched bank, preserving per-bank op order, with
-// banks executing in parallel.
+// banks executing in parallel and the batch waiting once for all of
+// them.
 //
 // Telemetry the batch tools compute only post-hoc is published live:
 // each actor periodically (and at drain) publishes an immutable
@@ -29,6 +30,7 @@ package memserver
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"securityrbsg/internal/core"
@@ -289,24 +291,22 @@ func (s *Server) Drain(ctx context.Context) error {
 // errBusy marks a rejected (queue-full) submission.
 var errBusy = fmt.Errorf("memserver: bank queue full")
 
-// enqueue submits ops for one bank without blocking, so the batch path
-// keeps all touched banks in flight at once; a full queue answers
-// errBusy, surfaced as 429 or Nack. The reply channel comes from the
-// pool; the receiver returns it (putReply) after the single answer
-// arrives, and owes the answer's buffer back too (putResBuf).
-func (s *Server) enqueue(bank int, ops []op) (chan *resBuf, error) {
+// enqueue submits run to its bank's actor without blocking, so the
+// batch path keeps all touched banks in flight at once; a full queue
+// answers errBusy, surfaced as 429 or Nack. On success the actor owns
+// run until it calls done.Done, so the caller must have counted the run
+// in done beforehand; on an error no actor will.
+func (s *Server) enqueue(run *bankRun, done *sync.WaitGroup) error {
 	if s.draining.Load() {
-		return nil, errDraining
+		return errDraining
 	}
-	a := s.actors[bank]
-	reply := getReply()
+	a := s.actors[run.bank]
 	select {
-	case a.ch <- bankReq{ops: ops, reply: reply}:
-		return reply, nil
+	case a.ch <- bankReq{run: run, done: done}:
+		return nil
 	default:
 		a.rejected.Add(1)
-		putReply(reply)
-		return nil, errBusy
+		return errBusy
 	}
 }
 

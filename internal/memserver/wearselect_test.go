@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -187,24 +188,26 @@ func TestActorWearRefreshCadence(t *testing.T) {
 	rng := stats.NewRNG(9)
 	var last [3]uint64 // percentiles of the latest refresh (all zero at boot)
 	const total = 3*lines + lines/2 + 7
+	run := &bankRun{bank: 0, ops: make([]op, 1)}
+	var done sync.WaitGroup
 	for n := uint64(1); n <= total; n++ {
 		la := rng.Uint64n(lines)
 		if rng.Uint64n(2) == 0 {
 			la = 5 // the hammered line
 		}
-		reply, err := s.enqueue(0, []op{{local: la, content: pcm.Ones}})
-		if err != nil {
+		run.ops[0] = op{local: la, content: pcm.Ones}
+		done.Add(1)
+		if err := s.enqueue(run, &done); err != nil {
 			t.Fatal(err)
 		}
-		putResBuf(<-reply)
-		putReply(reply)
+		done.Wait()
 		if n%snapEvery != 0 {
 			continue
 		}
 		snap := waitPublished(t, a, n)
 		if n%lines == 0 {
-			// The reply precedes the publish, and the next write waits
-			// for this loop, so the array is quiescent here.
+			// Done precedes the publish, and the next write waits for
+			// this loop, so the array is quiescent here.
 			last = sortedQuantiles(a.ctrl.Bank().WearCounts())
 		}
 		if got := [3]uint64{snap.WearP50, snap.WearP90, snap.WearP99}; got != last {
@@ -228,7 +231,7 @@ func TestActorWearRefreshCadence(t *testing.T) {
 }
 
 // waitPublished waits for the snapshot that covers the first n ops: the
-// actor answers a request before it publishes.
+// actor completes a run before it publishes.
 func waitPublished(t *testing.T, a *actor, n uint64) *BankSnapshot {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

@@ -7,6 +7,13 @@
 #
 #	go tool pprof -top cpu.pprof
 #
+# The shape mirrors the benchmark's serve_uniform workload
+# (bench/README.md): memctld at 64 banks x 2^12 lines under
+# srbsg+adaptive, driven by two pipelined connections that keep 8
+# frames of 256 ops in flight each, a quarter of them reads. A frame
+# then hands ~63 bank runs of ~4 ops to the actors, so the handoff
+# shows in the profile at the weight it has in that workload.
+#
 # Knobs: PROFILE_SECONDS (default 10), PROFILE_PATTERN (uniform|attack),
 # PROFILE_OUT (default cpu.pprof).
 set -euo pipefail
@@ -29,7 +36,7 @@ go build -o "$tmp/loadgen" ./cmd/loadgen
 
 "$tmp/memctld" -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
     -binary-addr 127.0.0.1:0 -binary-addr-file "$tmp/binaddr" \
-    -pprof 127.0.0.1:0 -banks 8 -lines $((1 << 20)) 2>"$tmp/server.log" &
+    -pprof 127.0.0.1:0 -banks 64 -lines $((1 << 18)) -scheme srbsg+adaptive 2>"$tmp/server.log" &
 pid=$!
 
 for _ in $(seq 100); do
@@ -51,7 +58,8 @@ fetch() {
 fetch "$ppurl/debug/pprof/profile?seconds=$seconds" "$out" &
 profpid=$!
 
-"$tmp/loadgen" -addr "$addr" -binary-addr "$binaddr" -workers 8 -duration "${seconds}s" -pattern "$pattern" \
+"$tmp/loadgen" -addr "$addr" -binary-addr "$binaddr" -workers 2 -window 8 -batch 256 -reads 0.25 \
+    -duration "${seconds}s" -pattern "$pattern" \
     | tee "$tmp/loadgen.out"
 
 wait "$profpid" || { echo "FAIL: profile fetch failed"; exit 1; }
