@@ -1,12 +1,12 @@
 // Command attackdemo runs the Remapping Timing Attack end to end against
-// a small RBSG or Security Refresh instance and narrates what the
-// attacker learns from the timing side channel alone — alignment,
-// recovered mapping secrets, and the final wear-out — then shows the same
-// attack failing against Security RBSG.
+// a small RBSG or Security Refresh (one- or two-level) instance and
+// narrates what the attacker learns from the timing side channel alone —
+// alignment, recovered mapping secrets, and the final wear-out — then
+// shows the same attack failing against Security RBSG.
 //
 // Usage:
 //
-//	attackdemo [-target rbsg|sr|security-rbsg] [-lines N] [-regions R]
+//	attackdemo [-target rbsg|sr|sr2|security-rbsg] [-lines N] [-regions R]
 //	           [-interval ψ] [-endurance E] [-li LA]
 package main
 

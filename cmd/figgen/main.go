@@ -1,25 +1,27 @@
 // Command figgen regenerates the data series behind every figure in the
-// paper's evaluation (Section V) and writes them as CSV files under
-// results/ (or prints to stdout with -stdout).
+// paper's evaluation (Section V), plus the adaptive security level's
+// tradeoff curve, and writes them as CSV files under results/ (or prints
+// to stdout with -stdout).
 //
 // Usage:
 //
 //	figgen [-out results] [-stdout] [-full] [-runs N]
 //	       [-workers N] [-resume] [-ckpt DIR] [-cell-timeout D] [-quiet]
-//	       [fig11 fig12 fig13 fig14 fig15 fig16 overhead perf]
+//	       [fig11 fig12 fig13 fig14 fig15 fig16 overhead perf adaptive]
 //
 // With no figure arguments, every figure is generated. -full evaluates
 // the Monte-Carlo figures (14, 15, 16) at the paper's 1 GB geometry
 // instead of the scaled geometry (minutes instead of seconds); the
 // closed-form figures (11, 12, 13) always use the paper geometry.
 //
-// The Monte-Carlo figures run through the sharded experiment runner
-// (internal/runner): cells spread across -workers goroutines with
-// deterministic per-cell seeds (sharded output is bit-identical to
-// sequential), completed cells checkpoint under -ckpt, and an
-// interrupted run (Ctrl-C, timeout, crash) resumes with -resume without
-// recomputing finished cells. Progress streams to stderr; the per-cell
-// accounting of the whole invocation lands in <out>/runmeta.json.
+// The Monte-Carlo figures and the adaptive grid run through the sharded
+// experiment runner (internal/runner): cells spread across -workers
+// goroutines with deterministic per-cell seeds (sharded output is
+// bit-identical to sequential), completed cells checkpoint under -ckpt,
+// and an interrupted run (Ctrl-C, timeout, crash) resumes with -resume
+// without recomputing finished cells. Progress streams to stderr; the
+// per-cell accounting of the whole invocation lands in
+// <out>/runmeta.json.
 package main
 
 import (
@@ -60,7 +62,7 @@ func main() {
 
 	figs := flag.Args()
 	if len(figs) == 0 {
-		figs = []string{"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "overhead", "perf"}
+		figs = []string{"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "overhead", "perf", "adaptive"}
 	}
 
 	// Ctrl-C / SIGTERM cancel the grid cleanly: completed cells keep
@@ -92,6 +94,8 @@ func main() {
 			err = g.overhead()
 		case "perf":
 			err = g.perf()
+		case "adaptive":
+			err = g.adaptive()
 		default:
 			err = fmt.Errorf("unknown figure %q", f)
 		}
@@ -398,20 +402,25 @@ func (g *generator) fig16() error {
 	return err
 }
 
-// overhead: the Section V-C-3 hardware-cost table.
+// overhead: the Section V-C-3 hardware-cost table, closed by the
+// Section IV-B security condition that sizes the DFN.
 func (g *generator) overhead() error {
+	const lines, outer = 1 << 22, 128
 	return g.emit("overhead.csv", func(w io.Writer) error {
 		fmt.Fprintln(w, "stages,register_bits,register_kb,spare_pcm_bytes,sram_mbits,gates")
 		for _, s := range []int{3, 6, 7, 10, 20} {
 			o := analytic.ComputeOverhead(analytic.OverheadParams{
-				Lines: 1 << 22, Regions: 512,
-				InnerInterval: 64, OuterInterval: 128,
+				Lines: lines, Regions: 512,
+				InnerInterval: 64, OuterInterval: outer,
 				Stages: s, LineBytes: 256,
 			})
 			fmt.Fprintf(w, "%d,%d,%.2f,%d,%.2f,%d\n",
 				s, o.RegisterBits, float64(o.RegisterBits)/8/1024,
 				o.SparePCMBytes, float64(o.SRAMBits)/1e6, o.Gates)
 		}
+		bits := analytic.Log2(lines)
+		fmt.Fprintf(w, "# security condition: S·B ≥ ψ_outer ⇒ S ≥ %d (ψ_outer=%d, B=%d)\n",
+			analytic.MinStages(outer, bits), outer, bits)
 		return nil
 	})
 }

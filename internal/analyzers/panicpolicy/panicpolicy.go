@@ -42,7 +42,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // scopePrefix limits the pass to library packages; binaries under cmd/
-// and examples/ own their process and may crash how they like.
+// own their process and may crash how they like.
 const scopePrefix = "securityrbsg/internal/"
 
 func run(pass *analysis.Pass) error {

@@ -9,10 +9,6 @@
 //     register.go: registration is the sole sanctioned construction
 //     site, so nothing outside the registry composes plugin entries by
 //     hand.
-//   - Capability flags match constructors, statically: Caps.Exact
-//     requires New / RunExact and vice versa, and AdjustableLevel
-//     requires Exact. The registry re-checks this at init time with a
-//     panic; this pass catches it before anything runs.
 //   - internal/plugins is complete and minimal: every in-module
 //     package with a register.go is reachable from its blank imports
 //     (either imported by plugins, or — like internal/experiments,
@@ -24,11 +20,15 @@
 // Calls to methods on a *registry.Registry value other than the
 // package-level Default helpers are not restricted — tests and
 // tournament harnesses build private registries freely.
+//
+// Whether an entry's capability flags match its constructors is not
+// checked here: registry.RegisterScheme and RegisterAttack panic on
+// every mismatch at init, and each plugin package's own tests run its
+// register.go.
 package registryhygiene
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -101,9 +101,6 @@ func run(pass *analysis.Pass) error {
 					if !inInit {
 						pass.Reportf(n.Pos(), "registry.%s outside init(): registrations run once at link-up, not from runtime code paths", name)
 					}
-					if inRegisterFile && inInit {
-						checkCaps(pass, n, name)
-					}
 				case *ast.CompositeLit:
 					kind := entryLiteral(pass, n)
 					if kind == "" || inRegisterFile || pass.Allowed(n.Pos()) {
@@ -161,93 +158,6 @@ func entryLiteral(pass *analysis.Pass, lit *ast.CompositeLit) string {
 		return named.Obj().Name()
 	}
 	return ""
-}
-
-// checkCaps statically mirrors the registry's init-time capability
-// panics for RegisterScheme/RegisterAttack calls whose argument is a
-// literal with literal Caps.
-func checkCaps(pass *analysis.Pass, call *ast.CallExpr, helper string) {
-	var ctorField, capsFlag string
-	switch helper {
-	case "RegisterScheme":
-		ctorField, capsFlag = "New", "Exact"
-	case "RegisterAttack":
-		ctorField, capsFlag = "RunExact", "Exact"
-	default:
-		return
-	}
-	if len(call.Args) != 1 {
-		return
-	}
-	lit, ok := ast.Unparen(call.Args[0]).(*ast.CompositeLit)
-	if !ok || entryLiteral(pass, lit) == "" {
-		return
-	}
-	fields := keyedFields(lit)
-	name := literalString(pass, fields["Name"])
-	capsLit, _ := ast.Unparen(fields["Caps"]).(*ast.CompositeLit)
-	if fields["Caps"] != nil && capsLit == nil {
-		return // caps computed elsewhere: not statically checkable
-	}
-	caps := map[string]bool{}
-	if capsLit != nil {
-		for key, val := range keyedFields(capsLit) {
-			caps[key] = literalBool(pass, val)
-		}
-	}
-	hasCtor := fields[ctorField] != nil && !isNil(pass, fields[ctorField])
-	exact := caps[capsFlag]
-	if exact && !hasCtor {
-		pass.Reportf(lit.Pos(), "%s %s declares Caps.Exact but sets no %s (the registry will panic at init)", strings.ToLower(entryLiteral(pass, lit)), name, ctorField)
-	}
-	if !exact && hasCtor {
-		pass.Reportf(lit.Pos(), "%s %s sets %s but does not declare Caps.Exact (the registry will panic at init)", strings.ToLower(entryLiteral(pass, lit)), name, ctorField)
-	}
-	if caps["AdjustableLevel"] && !exact {
-		pass.Reportf(lit.Pos(), "scheme %s declares Caps.AdjustableLevel without Exact (nothing to adjust)", name)
-	}
-}
-
-// keyedFields maps a keyed composite literal's field names to values.
-func keyedFields(lit *ast.CompositeLit) map[string]ast.Expr {
-	out := map[string]ast.Expr{}
-	for _, el := range lit.Elts {
-		kv, ok := el.(*ast.KeyValueExpr)
-		if !ok {
-			continue
-		}
-		if id, ok := kv.Key.(*ast.Ident); ok {
-			out[id.Name] = kv.Value
-		}
-	}
-	return out
-}
-
-// literalString resolves a constant string expression, or "?".
-func literalString(pass *analysis.Pass, e ast.Expr) string {
-	if e == nil {
-		return "?"
-	}
-	if tv, ok := pass.TypesInfo.Types[e]; ok && tv.Value != nil && tv.Value.Kind() == constant.String {
-		return strconv.Quote(constant.StringVal(tv.Value))
-	}
-	return "?"
-}
-
-// literalBool resolves a constant bool expression (false when not).
-func literalBool(pass *analysis.Pass, e ast.Expr) bool {
-	if e == nil {
-		return false
-	}
-	if tv, ok := pass.TypesInfo.Types[e]; ok && tv.Value != nil && tv.Value.Kind() == constant.Bool {
-		return constant.BoolVal(tv.Value)
-	}
-	return false
-}
-
-func isNil(pass *analysis.Pass, e ast.Expr) bool {
-	tv, ok := pass.TypesInfo.Types[ast.Unparen(e)]
-	return ok && tv.IsNil()
 }
 
 // checkPlugins runs the two whole-module checks from the plugins

@@ -15,7 +15,6 @@ import (
 func TestHygiene(t *testing.T) {
 	analysistest.Run(t, registryhygiene.Analyzer,
 		"securityrbsg/internal/goodscheme",
-		"securityrbsg/internal/badcaps",
 		"securityrbsg/internal/stray",
 		"securityrbsg/internal/orphan",
 		"securityrbsg/internal/noreg",

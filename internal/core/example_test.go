@@ -9,7 +9,9 @@ import (
 )
 
 // Example shows the minimal Security RBSG setup: a scheme over a small
-// logical space wired to a PCM bank through the controller.
+// logical space wired to a PCM bank through the controller, which
+// translates each address, accounts the asymmetric write latency and
+// remaps behind the scenes.
 func Example() {
 	scheme, err := core.New(core.Config{
 		Lines:         1 << 10,
@@ -29,14 +31,28 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
+	ctrl.TranslationNs = 10 // the paper's DFN + SRAM lookup latency
 
 	ns := ctrl.Write(42, pcm.Mixed)
-	fmt.Printf("write took %d ns\n", ns)
+	fmt.Printf("write took %d ns (translation 10 + SET 1000)\n", ns)
 	content, _ := ctrl.Read(42)
 	fmt.Printf("read back %v\n", content)
+
+	// Drive enough writes for remapping rounds to complete: the logical
+	// line's physical home keeps moving.
+	before := scheme.Translate(42)
+	for i := uint64(0); i < 200_000; i++ {
+		ctrl.Write(i%(1<<10), pcm.Mixed)
+	}
+	fmt.Printf("after %d DFN rounds LA 42 moved PA %d → %d\n",
+		scheme.Rounds(), before, scheme.Translate(42))
+	fmt.Printf("write overhead: %.2f%% (remap device writes per demand write)\n",
+		100*ctrl.WriteOverhead())
 	// Output:
-	// write took 1000 ns
+	// write took 1010 ns (translation 10 + SET 1000)
 	// read back MIXED
+	// after 7 DFN rounds LA 42 moved PA 69 → 289
+	// write overhead: 12.49% (remap device writes per demand write)
 }
 
 // ExampleSuggestedConfig shows the paper's recommended 1 GB configuration.
