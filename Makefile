@@ -20,15 +20,18 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# rbsglint enforces the repo's seven mechanized contracts: determinism,
-# bank isolation, panic policy, hot-path allocations, remap-boundary
-# level changes, registry hygiene and metric naming (see DESIGN.md
-# "Mechanized invariants"). Findings also land in
-# rbsglint-findings.json (empty array when clean); CI uploads it as an
-# artifact. staticcheck and govulncheck run when installed (CI installs
-# them); offline dev boxes without them still get the custom suite.
+# rbsglint enforces the repo's five mechanized contracts: determinism,
+# bank isolation, panic policy, hot-path allocations and registry
+# hygiene (see DESIGN.md "Mechanized invariants"). It runs twice: once
+# standalone, writing rbsglint-findings.json (empty array when clean;
+# CI uploads it as an artifact), and once as go vet's vettool, which
+# carries the cross-package facts through .vetx files. staticcheck and
+# govulncheck run when installed (CI installs them); offline dev boxes
+# without them still get the custom suite.
 lint:
 	$(GO) run ./cmd/rbsglint -out rbsglint-findings.json ./...
+	$(GO) build -o bin/rbsglint ./cmd/rbsglint
+	$(GO) vet -vettool=$(CURDIR)/bin/rbsglint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else echo "lint: staticcheck not installed; skipping"; fi

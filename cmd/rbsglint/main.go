@@ -1,20 +1,19 @@
 // Command rbsglint runs the repo's custom analyzer suite — the
 // mechanized determinism, bank-isolation, panic-policy, hot-path
-// allocation, remap-boundary, registry-hygiene and metric-naming
-// contracts.
+// allocation and registry-hygiene contracts.
 //
-// Standalone (what `make lint` runs):
+// Standalone:
 //
-//	go run ./cmd/rbsglint ./...
+//	go run ./cmd/rbsglint [-out FILE] ./...
 //
-// It exits 0 when the tree is clean, 2 when diagnostics were reported,
-// and 1 on load/internal errors (including bad flags). Pass -json for
-// machine-readable output on stdout, or -out FILE to also write the
-// findings as a JSON report (always written, an empty array when
-// clean — CI uploads it as an artifact).
+// It prints findings to stderr and exits 0 when the tree is clean, 2
+// when diagnostics were reported, and 1 on load/internal errors
+// (including bad flags). -out FILE also writes the findings as a JSON
+// report (always written, an empty array when clean — CI uploads it as
+// an artifact).
 //
 // The binary also speaks `go vet`'s vettool protocol, so the same
-// checks compose with the rest of vet:
+// checks compose with the rest of vet (`make lint` runs both modes):
 //
 //	go build -o bin/rbsglint ./cmd/rbsglint
 //	go vet -vettool=$PWD/bin/rbsglint ./...
@@ -64,7 +63,6 @@ func run(args []string) int {
 	}
 
 	fs := flag.NewFlagSet("rbsglint", flag.ContinueOnError)
-	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON on stdout")
 	outPath := fs.String("out", "", "write diagnostics as a JSON report to this file (empty array when clean)")
 	if err := fs.Parse(args); err != nil {
 		return 1 // usage problems are driver errors, not violations
@@ -93,16 +91,10 @@ func run(args []string) int {
 	if len(diags) == 0 {
 		return 0
 	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(diags)
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(os.Stderr, d)
-		}
-		fmt.Fprintf(os.Stderr, "rbsglint: %d violation(s)\n", len(diags))
+	for _, d := range diags {
+		fmt.Fprintln(os.Stderr, d)
 	}
+	fmt.Fprintf(os.Stderr, "rbsglint: %d violation(s)\n", len(diags))
 	return 2
 }
 

@@ -19,38 +19,6 @@ func buildDriver(t *testing.T) string {
 	return bin
 }
 
-// scratchModule writes a throwaway module containing one package with a
-// seeded simdeterminism violation and one clean package.
-func scratchModule(t *testing.T) string {
-	t.Helper()
-	dir := t.TempDir()
-	files := map[string]string{
-		"go.mod": "module scratch\n\ngo 1.22\n",
-		"dirty/dirty.go": `package dirty
-
-import "time"
-
-// Stamp leaks the wall clock into a result.
-func Stamp() int64 { return time.Now().UnixNano() }
-`,
-		"clean/clean.go": `package clean
-
-// Add is free of environmental reads.
-func Add(a, b int) int { return a + b }
-`,
-	}
-	for name, content := range files {
-		path := filepath.Join(dir, name)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dir
-}
-
 // writeModule materializes a file map as a throwaway module.
 func writeModule(t *testing.T, files map[string]string) string {
 	t.Helper()
@@ -90,22 +58,23 @@ func TestSeededViolation(t *testing.T) {
 		t.Skip("subprocess go builds; skipped in -short")
 	}
 	bin := buildDriver(t)
-	mod := scratchModule(t)
+	mod := writeModule(t, map[string]string{
+		"go.mod": "module scratch\n\ngo 1.22\n",
+		"dirty/dirty.go": `package dirty
 
-	run := func(args ...string) (string, int) {
-		cmd := exec.Command(args[0], args[1:]...)
-		cmd.Dir = mod
-		out, err := cmd.CombinedOutput()
-		code := 0
-		if ee, ok := err.(*exec.ExitError); ok {
-			code = ee.ExitCode()
-		} else if err != nil {
-			t.Fatalf("running %v: %v\n%s", args, err, out)
-		}
-		return string(out), code
-	}
+import "time"
 
-	out, code := run(bin, "./...")
+// Stamp leaks the wall clock into a result.
+func Stamp() int64 { return time.Now().UnixNano() }
+`,
+		"clean/clean.go": `package clean
+
+// Add is free of environmental reads.
+func Add(a, b int) int { return a + b }
+`,
+	})
+
+	out, code := runIn(t, mod, bin, "./...")
 	if code != 2 {
 		t.Fatalf("standalone on dirty module: exit %d, want 2\n%s", code, out)
 	}
@@ -113,12 +82,12 @@ func TestSeededViolation(t *testing.T) {
 		t.Errorf("standalone output missing diagnostic:\n%s", out)
 	}
 
-	out, code = run(bin, "./clean")
+	out, code = runIn(t, mod, bin, "./clean")
 	if code != 0 {
 		t.Fatalf("standalone on clean package: exit %d, want 0\n%s", code, out)
 	}
 
-	out, code = run("go", "vet", "-vettool="+bin, "./...")
+	out, code = runIn(t, mod, "go", "vet", "-vettool="+bin, "./...")
 	if code == 0 {
 		t.Fatalf("go vet -vettool on dirty module: exit 0, want nonzero\n%s", out)
 	}
@@ -126,19 +95,18 @@ func TestSeededViolation(t *testing.T) {
 		t.Errorf("vettool output missing diagnostic:\n%s", out)
 	}
 
-	out, code = run("go", "vet", "-vettool="+bin, "./clean")
+	out, code = runIn(t, mod, "go", "vet", "-vettool="+bin, "./clean")
 	if code != 0 {
 		t.Fatalf("go vet -vettool on clean package: exit %d, want 0\n%s", code, out)
 	}
 }
 
 // contractModule writes a throwaway module that reuses the real module
-// path, seeding one violation of each PR 4-7 contract:
+// path, seeding one violation of each fact-based contract:
 //
 //   - a heap allocation in a //rbsglint:hotpath encode path, reachable
 //     only through a cross-package call — catching it in vet mode
 //     requires the facts round-trip through .vetx files;
-//   - a DFN stage-count mutation outside a remap boundary;
 //   - a scheme package whose register.go is not reachable from
 //     internal/plugins (its constructor never runs).
 func contractModule(t *testing.T) string {
@@ -164,18 +132,6 @@ import "securityrbsg/internal/enc"
 func Encode(out []byte, v uint64) []byte {
 	return enc.AppendFrame(out, v)
 }
-`,
-		"internal/core/core.go": `package core
-
-type Scheme struct{ stages int }
-
-func (s *Scheme) SetStages(n int) { s.stages = n }
-`,
-		"internal/ctl/ctl.go": `package ctl
-
-import "securityrbsg/internal/core"
-
-func Bump(s *core.Scheme) { s.SetStages(8) }
 `,
 		"internal/registry/registry.go": `package registry
 
@@ -208,7 +164,7 @@ package plugins
 	})
 }
 
-// TestSeededContractViolations seeds one violation per mechanized
+// TestSeededContractViolations seeds one violation per fact-based
 // contract and requires exactly one finding each, in both standalone
 // and `go vet -vettool` modes. The hot-path finding crosses a package
 // boundary, so its presence under vet proves facts survive the .vetx
@@ -222,7 +178,6 @@ func TestSeededContractViolations(t *testing.T) {
 
 	wants := []string{
 		"hot path: calls enc.AppendFrame, which allocates (make)",
-		"level mutation outside a remap boundary: calls core.Scheme.SetStages, which mutates the DFN stage count",
 		"package securityrbsg/internal/orphan has a register.go but is not reachable from internal/plugins",
 	}
 

@@ -2,8 +2,8 @@
 // the golang.org/x/tools/go/analysis surface the rbsglint suite needs.
 //
 // The repo's invariants (bit-identical simulation, single-writer bank
-// actors, panic-free data paths, alloc-free hot paths, remap-boundary
-// level changes) are enforced by custom analyzers, but the module
+// actors, panic-free data paths, alloc-free hot paths, registry
+// hygiene) are enforced by custom analyzers, but the module
 // deliberately has no third-party dependencies, so instead of importing
 // x/tools this package provides the same shape — an Analyzer with a Run
 // function over a type-checked Pass — on top of the standard library's
@@ -22,6 +22,12 @@
 //     named types carry facts, which is all the suite needs.
 //   - Packages are processed in dependency order, so a pass may read
 //     facts exported by its imports in the same run.
+//
+// There are two loaders, one per driver protocol. Load runs `go list
+// -export -deps` over a module; it serves `rbsglint ./...` and the
+// analysistest fixtures, whose roots are modules of their own.
+// LoadFiles type-checks the one compilation a `go vet -vettool` config
+// describes.
 package analysis
 
 import (
@@ -201,8 +207,7 @@ func sortedNames(set map[string]bool) []string {
 
 // FuncMarked reports whether decl's doc comment (or a comment on the
 // func line) carries the //rbsglint:<marker> annotation — the mechanism
-// hotpathalloc ("hotpath") and remapboundary ("remapboundary") use to
-// designate sanctioned functions.
+// hotpathalloc uses to designate hot paths ("hotpath").
 func FuncMarked(files []*ast.File, fset *token.FileSet, decl *ast.FuncDecl, marker string) bool {
 	want := "//rbsglint:" + marker
 	if decl.Doc != nil {

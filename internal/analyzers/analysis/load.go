@@ -13,8 +13,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -32,7 +30,7 @@ type Package struct {
 	FactsOnly bool
 }
 
-// listedPackage is the subset of `go list -json` output the loaders use.
+// listedPackage is the subset of `go list -json` output Load uses.
 type listedPackage struct {
 	ImportPath string
 	Dir        string
@@ -45,9 +43,9 @@ type listedPackage struct {
 
 // goList runs `go list -e -json -export -deps` in dir over the given
 // patterns and decodes the package stream. Export data for every
-// listed package comes from the build cache, so the loaders can
-// type-check against compiled imports without network access or any
-// dependency beyond the go toolchain itself.
+// listed package comes from the build cache, so Load can type-check
+// against compiled imports without network access or any dependency
+// beyond the go toolchain itself.
 func goList(dir string, patterns []string) ([]listedPackage, error) {
 	args := append([]string{"list", "-e", "-json", "-export", "-deps", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -72,63 +70,42 @@ func goList(dir string, patterns []string) ([]listedPackage, error) {
 	return pkgs, nil
 }
 
-// newExportImporter returns a types importer that resolves import paths
-// through compiled export data files, consulting local first (when not
-// nil) so fixture packages can shadow or extend the real ones.
-func newExportImporter(fset *token.FileSet, exports map[string]string, local func(path string) (*types.Package, bool, error)) types.ImporterFrom {
-	lookup := func(path string) (io.ReadCloser, error) {
-		file, ok := exports[path]
+// exportImporter returns a types importer that resolves import paths
+// through compiled export data files (import path → file).
+func exportImporter(fset *token.FileSet, exports func(path string) (string, bool)) types.Importer {
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports(path)
 		if !ok || file == "" {
 			return nil, fmt.Errorf("no export data for %q", path)
 		}
 		return os.Open(file)
-	}
-	return &exportImporter{
-		gc:    importer.ForCompiler(fset, "gc", lookup).(types.ImporterFrom),
-		local: local,
-	}
+	})
 }
 
-type exportImporter struct {
-	gc    types.ImporterFrom
-	local func(path string) (*types.Package, bool, error)
-}
-
-func (i *exportImporter) Import(path string) (*types.Package, error) {
-	return i.ImportFrom(path, "", 0)
-}
-
-func (i *exportImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if i.local != nil {
-		if pkg, ok, err := i.local(path); ok || err != nil {
-			return pkg, err
+// typecheck parses the named files and type-checks them as the package
+// importPath, resolving imports through imp.
+func typecheck(fset *token.FileSet, imp types.Importer, importPath, dir string, goFiles []string) (*Package, error) {
+	var files []*ast.File
+	for _, name := range goFiles {
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
 		}
+		files = append(files, f)
 	}
-	return i.gc.ImportFrom(path, dir, mode)
-}
-
-// newInfo allocates the types.Info maps the analyzers rely on.
-func newInfo() *types.Info {
-	return &types.Info{
+	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Implicits:  map[ast.Node]types.Object{},
 	}
-}
-
-// parseDir parses the named files of one package directory.
-func parseDir(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
-	var files []*ast.File
-	for _, name := range names {
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
+	conf := types.Config{Importer: imp}
+	tpkg, err := conf.Check(importPath, fset, files, info)
+	if err != nil {
+		return nil, err
 	}
-	return files, nil
+	return &Package{Path: importPath, Dir: dir, Fset: fset, Files: files, Types: tpkg, TypesInfo: info}, nil
 }
 
 // Load type-checks the non-test compilation of every package matched by
@@ -161,31 +138,25 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 
 	fset := token.NewFileSet()
-	imp := newExportImporter(fset, exports, nil)
+	imp := exportImporter(fset, func(path string) (string, bool) {
+		file, ok := exports[path]
+		return file, ok
+	})
 	var out []*Package
 	for _, p := range listed {
 		if p.Standard || len(p.GoFiles) == 0 {
 			continue
 		}
-		files, err := parseDir(fset, p.Dir, p.GoFiles)
-		if err != nil {
-			return nil, err
+		files := make([]string, len(p.GoFiles))
+		for i, name := range p.GoFiles {
+			files[i] = filepath.Join(p.Dir, name)
 		}
-		info := newInfo()
-		conf := types.Config{Importer: imp}
-		tpkg, err := conf.Check(p.ImportPath, fset, files, info)
+		pkg, err := typecheck(fset, imp, p.ImportPath, p.Dir, files)
 		if err != nil {
 			return nil, fmt.Errorf("typecheck %s: %w", p.ImportPath, err)
 		}
-		out = append(out, &Package{
-			Path:      p.ImportPath,
-			Dir:       p.Dir,
-			Fset:      fset,
-			Files:     files,
-			Types:     tpkg,
-			TypesInfo: info,
-			FactsOnly: p.DepOnly,
-		})
+		pkg.FactsOnly = p.DepOnly
+		out = append(out, pkg)
 	}
 	return out, nil
 }
@@ -197,194 +168,5 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 // hands us the export file of each import.
 func LoadFiles(importPath, dir string, goFiles []string, exports func(path string) (string, bool)) (*Package, error) {
 	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range goFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		file, ok := exports(path)
-		if !ok || file == "" {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	imp := &exportImporter{gc: importer.ForCompiler(fset, "gc", lookup).(types.ImporterFrom)}
-	info := newInfo()
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(importPath, fset, files, info)
-	if err != nil {
-		return nil, err
-	}
-	return &Package{Path: importPath, Dir: dir, Fset: fset, Files: files, Types: tpkg, TypesInfo: info}, nil
-}
-
-// LoadFixtures type-checks fixture packages laid out GOPATH-style under
-// srcRoot (srcRoot/<import path>/*.go) and returns packages for the
-// requested paths. Imports resolve within srcRoot first — so fixtures
-// can stub module packages like securityrbsg/internal/membank — and
-// fall back to the standard library via build-cache export data.
-func LoadFixtures(srcRoot string, paths ...string) ([]*Package, error) {
-	fset := token.NewFileSet()
-	l := &fixtureLoader{
-		root: srcRoot,
-		fset: fset,
-		pkgs: map[string]*Package{},
-	}
-	// Pre-resolve every non-local import reachable from the fixtures in
-	// one `go list` pass so the importer below never touches the tools
-	// again.
-	std, err := l.collectExternalImports(paths)
-	if err != nil {
-		return nil, err
-	}
-	exports := map[string]string{}
-	if len(std) > 0 {
-		listed, err := goList(srcRoot, std)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range listed {
-			if p.Error != nil {
-				return nil, fmt.Errorf("fixture import %s: %s", p.ImportPath, p.Error.Err)
-			}
-			if p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
-		}
-	}
-	l.imp = newExportImporter(fset, exports, func(path string) (*types.Package, bool, error) {
-		if !l.isLocal(path) {
-			return nil, false, nil
-		}
-		pkg, err := l.load(path)
-		if err != nil {
-			return nil, true, err
-		}
-		return pkg.Types, true, nil
-	})
-
-	var out []*Package
-	for _, path := range paths {
-		pkg, err := l.load(path)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pkg)
-	}
-	return out, nil
-}
-
-type fixtureLoader struct {
-	root string
-	fset *token.FileSet
-	imp  types.ImporterFrom
-	pkgs map[string]*Package
-}
-
-func (l *fixtureLoader) isLocal(path string) bool {
-	fi, err := os.Stat(filepath.Join(l.root, filepath.FromSlash(path)))
-	return err == nil && fi.IsDir()
-}
-
-// goFiles lists the non-test .go files of a local fixture package.
-func (l *fixtureLoader) goFiles(path string) ([]string, error) {
-	dir := filepath.Join(l.root, filepath.FromSlash(path))
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
-			names = append(names, e.Name())
-		}
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("fixture package %s has no Go files", path)
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
-func (l *fixtureLoader) load(path string) (*Package, error) {
-	if pkg, ok := l.pkgs[path]; ok {
-		if pkg == nil {
-			return nil, fmt.Errorf("fixture import cycle through %s", path)
-		}
-		return pkg, nil
-	}
-	l.pkgs[path] = nil // cycle marker
-	dir := filepath.Join(l.root, filepath.FromSlash(path))
-	names, err := l.goFiles(path)
-	if err != nil {
-		return nil, err
-	}
-	files, err := parseDir(l.fset, dir, names)
-	if err != nil {
-		return nil, err
-	}
-	info := newInfo()
-	conf := types.Config{Importer: l.imp}
-	tpkg, err := conf.Check(path, l.fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("typecheck fixture %s: %w", path, err)
-	}
-	pkg := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, TypesInfo: info}
-	l.pkgs[path] = pkg
-	return pkg, nil
-}
-
-// collectExternalImports walks the fixture import graph from the given
-// roots and returns every import path that does not resolve under
-// srcRoot (i.e. the standard-library imports the fixtures use).
-func (l *fixtureLoader) collectExternalImports(roots []string) ([]string, error) {
-	seen := map[string]bool{}
-	external := map[string]bool{}
-	var visit func(path string) error
-	visit = func(path string) error {
-		if seen[path] {
-			return nil
-		}
-		seen[path] = true
-		names, err := l.goFiles(path)
-		if err != nil {
-			return err
-		}
-		dir := filepath.Join(l.root, filepath.FromSlash(path))
-		for _, name := range names {
-			f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(dir, name), nil, parser.ImportsOnly)
-			if err != nil {
-				return err
-			}
-			for _, spec := range f.Imports {
-				p, err := strconv.Unquote(spec.Path.Value)
-				if err != nil {
-					continue
-				}
-				if l.isLocal(p) {
-					if err := visit(p); err != nil {
-						return err
-					}
-				} else {
-					external[p] = true
-				}
-			}
-		}
-		return nil
-	}
-	for _, r := range roots {
-		if err := visit(r); err != nil {
-			return nil, err
-		}
-	}
-	out := make([]string, 0, len(external))
-	for p := range external {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out, nil
+	return typecheck(fset, exportImporter(fset, exports), importPath, dir, goFiles)
 }

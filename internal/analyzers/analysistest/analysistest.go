@@ -3,9 +3,12 @@
 // the x/tools package of the same name (which the module deliberately
 // does not depend on).
 //
-// Fixtures live GOPATH-style under testdata/src/<import path>/ next to
-// the analyzer's test. Every line that should be flagged carries a
-// comment of the form
+// Each fixture root, testdata/src/<module>/ next to the analyzer's
+// test, is a module with its own go.mod, so its packages load through
+// analysis.Load — the `go list -export -deps` loader `rbsglint ./...`
+// runs — and may stub real module packages such as
+// securityrbsg/internal/membank. Every line that should be flagged
+// carries a comment of the form
 //
 //	expr // want `regexp` `another regexp`
 //
@@ -22,7 +25,7 @@
 // asserts that after the run the fact store holds a fact for the
 // object keyed "Helper" in the enclosing fixture package whose
 // String() matches the regexp. Method facts use the "Recv.Name" key
-// (e.g. `// want Scheme.SetStages:"mutates"`). Fact expectations and
+// (e.g. `// want Buffer.Grow:"allocfree"`). Fact expectations and
 // diagnostic expectations can share one want clause.
 package analysistest
 
@@ -53,18 +56,17 @@ type expectation struct {
 	re  *regexp.Regexp
 }
 
-// Run loads the fixture packages at the given import paths from
-// testdata/src, applies the analyzer through the framework (directive
-// suppression included), and fails the test on any mismatch between
-// diagnostics and // want annotations. Fact expectations are checked
-// against the run's fact store.
+// Run loads the fixture packages at the given import paths from their
+// module under testdata/src (named by the paths' first element),
+// applies the analyzer through the framework (directive suppression
+// included), and fails the test on any mismatch between diagnostics
+// and // want annotations. Fact expectations are checked against the
+// run's fact store. Dependencies the paths do not name are analyzed
+// for their facts only, so their wants are not checked.
 func Run(t *testing.T, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
-	srcRoot, err := filepath.Abs(filepath.Join("testdata", "src"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := analysis.LoadFixtures(srcRoot, pkgPaths...)
+	module, _, _ := strings.Cut(pkgPaths[0], "/")
+	pkgs, err := analysis.Load(filepath.Join("testdata", "src", module), pkgPaths...)
 	if err != nil {
 		t.Fatalf("loading fixtures: %v", err)
 	}
@@ -88,6 +90,9 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgPaths ...string) {
 	// Walk every fixture file of the analyzed packages and pair wants
 	// with diagnostics and facts.
 	for _, pkg := range pkgs {
+		if pkg.FactsOnly {
+			continue
+		}
 		factStrings := map[string][]string{}
 		for _, of := range facts.PackageFacts(pkg.Path) {
 			factStrings[of.Obj] = append(factStrings[of.Obj], fmt.Sprint(of.Fact))

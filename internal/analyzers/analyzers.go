@@ -1,19 +1,16 @@
 // Package analyzers registers the rbsglint suite: the custom static
 // checks that turn this repo's prose contracts (deterministic
 // simulation, single-writer banks, panic-free data paths, alloc-free
-// hot paths, remap-boundary level changes, registry hygiene, metric
-// naming) into CI failures. See DESIGN.md "Mechanized invariants" for
-// the catalogue.
+// hot paths, registry hygiene) into CI failures. See DESIGN.md
+// "Mechanized invariants" for the catalogue.
 package analyzers
 
 import (
 	"securityrbsg/internal/analyzers/analysis"
 	"securityrbsg/internal/analyzers/bankisolation"
 	"securityrbsg/internal/analyzers/hotpathalloc"
-	"securityrbsg/internal/analyzers/metriccontract"
 	"securityrbsg/internal/analyzers/panicpolicy"
 	"securityrbsg/internal/analyzers/registryhygiene"
-	"securityrbsg/internal/analyzers/remapboundary"
 	"securityrbsg/internal/analyzers/simdeterminism"
 )
 
@@ -24,8 +21,6 @@ func All() []*analysis.Analyzer {
 		bankisolation.Analyzer,
 		panicpolicy.Analyzer,
 		hotpathalloc.Analyzer,
-		remapboundary.Analyzer,
 		registryhygiene.Analyzer,
-		metriccontract.Analyzer,
 	}
 }

@@ -15,8 +15,9 @@
 //     once.
 //
 // Restricted types are the named struct and interface types of the
-// simulation-state packages (membank, pcm, wear, core, rbsg, secref,
-// startgap, tablewl, feistel, detector, stats, workload, attack).
+// simulation-state packages (membank, pcm, wear, core, seclevel, rbsg,
+// secref, startgap, tablewl, feistel, detector, stats, workload,
+// attack, exactsim).
 // Plain value kinds like pcm.Content (a uint8) are not restricted:
 // sharing a copy of a number is harmless, sharing a scheme is not.
 // Constructing a fresh instance inside the goroutine is always legal —
@@ -52,6 +53,7 @@ var statePkgs = map[string]bool{
 	"securityrbsg/internal/pcm":      true,
 	"securityrbsg/internal/wear":     true,
 	"securityrbsg/internal/core":     true,
+	"securityrbsg/internal/seclevel": true,
 	"securityrbsg/internal/rbsg":     true,
 	"securityrbsg/internal/secref":   true,
 	"securityrbsg/internal/startgap": true,

@@ -6,12 +6,20 @@ import (
 	"securityrbsg/internal/membank"
 	"securityrbsg/internal/parallel"
 	"securityrbsg/internal/pcm"
+	"securityrbsg/internal/seclevel"
 )
 
 func capture() {
 	bank := membank.New(8)
 	go func() {
 		bank.Write(0) // want `"bank" \(membank\.Bank\) is captured by a goroutine`
+	}()
+}
+
+func adaptiveCapture() {
+	scheme := seclevel.New(8)
+	go func() {
+		scheme.Write(0) // want `"scheme" \(seclevel\.Adaptive\) is captured by a goroutine`
 	}()
 }
 

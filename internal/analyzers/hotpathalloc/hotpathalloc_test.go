@@ -11,10 +11,10 @@ func TestConstructsAndExemptions(t *testing.T) {
 	analysistest.Run(t, hotpathalloc.Analyzer, "securityrbsg/hot/a")
 }
 
-// TestCrossPackageFacts loads the dependency first (as the framework's
-// dependency-order contract requires) and checks that violations in
-// securityrbsg/hot/use are detected purely through AllocProfile facts
-// imported from securityrbsg/hot/dep.
+// TestCrossPackageFacts checks that violations in securityrbsg/hot/use
+// are detected purely through AllocProfile facts imported from
+// securityrbsg/hot/dep, which the loader analyzes first. Naming dep
+// also checks its own fact wants.
 func TestCrossPackageFacts(t *testing.T) {
 	analysistest.Run(t, hotpathalloc.Analyzer, "securityrbsg/hot/dep", "securityrbsg/hot/use")
 }

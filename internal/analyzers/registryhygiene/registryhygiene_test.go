@@ -7,11 +7,11 @@ import (
 	"securityrbsg/internal/analyzers/registryhygiene"
 )
 
-// TestHygiene loads the whole fixture module in dependency order:
-// plugin packages first (their RegistersPlugins facts feed the
-// blank-import check), then plugins (which also scans the fixture
-// tree for orphaned register.go files), then the package that escapes
-// the import cycle by importing plugins itself.
+// TestHygiene analyzes the whole fixture module, which the loader
+// orders by imports: plugin packages first (their RegistersPlugins
+// facts feed the blank-import check), then plugins (which also scans
+// the fixture tree for orphaned register.go files), then the package
+// that escapes the import cycle by importing plugins itself.
 func TestHygiene(t *testing.T) {
 	analysistest.Run(t, registryhygiene.Analyzer,
 		"securityrbsg/internal/goodscheme",

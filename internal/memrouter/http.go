@@ -199,49 +199,78 @@ func (r *Router) renderMetrics(b *strings.Builder) {
 	}
 
 	// Shard passthrough: every shard's memctld_* series re-emitted with
-	// a shard label, HELP/TYPE deduplicated. Summing over labels (which
-	// is what ParseMetrics does) yields deployment-wide totals, so
-	// loadgen's alarm and line reads work unchanged through the router.
+	// a shard label. Summing over labels (which is what ParseMetrics
+	// does) yields deployment-wide totals, so loadgen's alarm and line
+	// reads work unchanged through the router.
 	if len(r.cfg.ShardControl) == 0 {
 		return
 	}
 	client := &http.Client{Timeout: 2 * time.Second}
-	headerDone := map[string]bool{}
-	for i := range r.cfg.ShardControl {
-		text, err := r.scrapeShard(client, i)
-		if err != nil {
-			continue // the health probe reports the outage; /metrics stays partial
-		}
-		relabelShardMetrics(b, text, i, headerDone)
+	texts := make([]string, len(r.cfg.ShardControl))
+	for i := range texts {
+		// A failed scrape leaves the text empty: the health probe
+		// reports the outage and /metrics stays partial.
+		texts[i], _ = r.scrapeShard(client, i)
 	}
+	mergeShardMetrics(b, texts)
 }
 
-// relabelShardMetrics re-emits one shard's metrics text with a
-// shard=N label spliced into every sample.
-func relabelShardMetrics(b *strings.Builder, text string, shard int, headerDone map[string]bool) {
-	label := fmt.Sprintf("shard=%q", fmt.Sprint(shard))
-	for _, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
+// mergeShardMetrics re-emits the shards' metrics texts family by
+// family, as the text format requires: each family's HELP/TYPE lines
+// once, then its samples from every shard in shard order, with a
+// shard=N label spliced into each.
+func mergeShardMetrics(b *strings.Builder, texts []string) {
+	type family struct {
+		owner           int // the first shard to send the family supplies its header
+		header, samples []string
+	}
+	fams := map[string]*family{}
+	var order []string
+	open := func(name string, shard int) *family {
+		f := fams[name]
+		if f == nil {
+			f = &family{owner: shard}
+			fams[name] = f
+			order = append(order, name)
 		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.Fields(line)
-			// "# HELP name ..." / "# TYPE name kind": emit once per name.
-			if len(fields) >= 3 {
-				key := fields[1] + " " + fields[2]
-				if headerDone[key] {
-					continue
+		return f
+	}
+	for shard, text := range texts {
+		label := fmt.Sprintf("shard=%q", fmt.Sprint(shard))
+		var cur *family
+		for _, line := range strings.Split(text, "\n") {
+			line = strings.TrimSpace(line)
+			if strings.HasPrefix(line, "#") {
+				// "# HELP name ..." / "# TYPE name kind" open the family
+				// every sample up to the next header belongs to.
+				if fields := strings.Fields(line); len(fields) >= 3 {
+					if cur = open(fields[2], shard); cur.owner == shard {
+						cur.header = append(cur.header, line)
+					}
 				}
-				headerDone[key] = true
+				continue
 			}
-			fmt.Fprintln(b, line)
-			continue
+			i := strings.IndexAny(line, "{ ")
+			if i < 0 {
+				continue
+			}
+			if cur == nil {
+				cur = open(line[:i], shard)
+			}
+			if line[i] == '{' {
+				line = line[:i] + "{" + label + "," + line[i+1:]
+			} else {
+				line = line[:i] + "{" + label + "}" + line[i:]
+			}
+			cur.samples = append(cur.samples, line)
 		}
-		if i := strings.IndexByte(line, '{'); i >= 0 {
-			fmt.Fprintf(b, "%s{%s,%s\n", line[:i], label, line[i+1:])
-		} else if i := strings.IndexByte(line, ' '); i >= 0 {
-			fmt.Fprintf(b, "%s{%s}%s\n", line[:i], label, line[i:])
+	}
+	for _, name := range order {
+		for _, line := range fams[name].header {
+			fmt.Fprintln(b, line)
+		}
+		for _, line := range fams[name].samples {
+			fmt.Fprintln(b, line)
 		}
 	}
 }

@@ -143,9 +143,9 @@ func (a *Adaptive) Advance(la, k uint64, m wear.Mover) uint64 {
 }
 
 // onBoundary feeds the rolling detector signal to the controller and
-// actuates its decision.
-//
-//rbsglint:remapboundary
+// actuates its decision. SetStages only records the new level: the
+// scheme applies it at the key redraw that opens the next round, so no
+// caller can change the level mid-round.
 func (a *Adaptive) onBoundary() {
 	hist := a.ctl.Config().HistoryWindows
 	alarms, _, rate := a.mon.RecentAlarmRate(hist)
