@@ -47,7 +47,7 @@ race:
 
 # Second race pass: the exact tier's parallel sub-region sweep kernel,
 # sharded across up to 64 goroutines — the shape most likely to surface
-# a ShardedBank ownership race. Mirrors the CI race job's second step.
+# a pcm.Shard ownership race. Mirrors the CI race job's second step.
 race-sweep:
 	$(GO) test -race -run 'TestParallelSweep' ./internal/exactsim/
 
@@ -84,10 +84,10 @@ bench-gate:
 profile:
 	./scripts/profile.sh
 
-# Run the memory-controller daemon with defaults plus the binary
-# listener `make loadgen` drives (Ctrl-C drains).
+# Run the memory-controller daemon with defaults: the binary listener
+# `make loadgen` drives is on 127.0.0.1:8101 (Ctrl-C drains).
 serve:
-	$(GO) run ./cmd/memctld -binary-addr 127.0.0.1:8101
+	$(GO) run ./cmd/memctld
 
 # Drive a running memctld with the default closed-loop benign stream.
 loadgen:

@@ -1,24 +1,21 @@
 // Command memctld runs the memory-controller daemon: a sharded,
 // wear-leveled PCM memory (one single-writer actor per bank, the
 // paper's "managed in the memory controller, each bank separately")
-// behind an HTTP API and, optionally, the binary wire protocol.
+// behind two listeners.
 //
-// HTTP endpoints: GET /healthz, /metrics (Prometheus text) — the
-// control plane — and POST /v1/batch, a plain JSON batch API. Full
-// queues answer 429 + Retry-After. SIGINT/SIGTERM drains gracefully:
-// the listeners stop, queued requests finish, final per-bank telemetry
-// is printed.
-//
-// With -binary-addr set, the daemon also serves the binary batch
-// protocol (length-prefixed frames, see internal/memserver wire.go) on
-// a second TCP listener: the hot data path loadgen, binprobe and
-// memrouterd use.
+// The data plane, -binary-addr, is the binary batch protocol
+// (length-prefixed frames, see internal/memserver wire.go) that
+// loadgen, binprobe and memrouterd speak. A full bank queue answers a
+// Nack frame carrying a retry-after. The control plane, -addr, is HTTP:
+// GET /healthz and GET /metrics (Prometheus text). SIGINT/SIGTERM
+// drains gracefully: the listeners stop, queued requests finish, final
+// per-bank telemetry is printed.
 //
 // Usage:
 //
-//	memctld -addr 127.0.0.1:8100 -banks 8 -lines $((1<<20))
-//	memctld -addr 127.0.0.1:0 -addr-file /tmp/addr   # scripted runs
-//	memctld -binary-addr 127.0.0.1:8101              # binary data plane
+//	memctld -banks 8 -lines $((1<<20))   # control 127.0.0.1:8100, data 127.0.0.1:8101
+//	memctld -addr 127.0.0.1:0 -addr-file /tmp/addr \
+//	    -binary-addr 127.0.0.1:0 -binary-addr-file /tmp/bin   # scripted runs
 package main
 
 import (
@@ -39,9 +36,9 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8100", "listen address (port 0 picks a free port)")
-	addrFile := flag.String("addr-file", "", "write the bound address to this file (for scripts)")
-	binAddr := flag.String("binary-addr", "", "serve the binary batch protocol on this address (empty = JSON only)")
+	addr := flag.String("addr", "127.0.0.1:8100", "HTTP control-plane listen address (port 0 picks a free port)")
+	addrFile := flag.String("addr-file", "", "write the bound control address to this file (for scripts)")
+	binAddr := flag.String("binary-addr", "127.0.0.1:8101", "binary data-plane listen address (port 0 picks a free port)")
 	binAddrFile := flag.String("binary-addr-file", "", "write the bound binary address to this file (for scripts)")
 	banks := flag.Int("banks", 8, "number of independently wear-leveled banks")
 	lines := flag.Uint64("lines", 1<<20, "total logical lines (lines/banks must be a power of two)")
@@ -64,6 +61,8 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-drain deadline")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (default off; keep it loopback)")
 	flag.Parse()
+	requireAddr("-addr", *addr)
+	requireAddr("-binary-addr", *binAddr)
 
 	srv, err := memserver.New(memserver.Config{
 		Banks: *banks, Lines: *lines, Scheme: *scheme,
@@ -127,25 +126,21 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 
-	binary := false
-	if *binAddr != "" {
-		bln, err := net.Listen("tcp", *binAddr)
-		if err != nil {
-			fatal(fmt.Errorf("binary listen: %w", err))
-		}
-		if *binAddrFile != "" {
-			if err := os.WriteFile(*binAddrFile, []byte(bln.Addr().String()), 0o644); err != nil {
-				fatal(err)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "memctld: binary protocol on %s\n", bln.Addr())
-		go func() {
-			if err := srv.ServeBinary(bln); err != nil {
-				errc <- fmt.Errorf("binary serve: %w", err)
-			}
-		}()
-		binary = true
+	bln, err := net.Listen("tcp", *binAddr)
+	if err != nil {
+		fatal(fmt.Errorf("binary listen: %w", err))
 	}
+	if *binAddrFile != "" {
+		if err := os.WriteFile(*binAddrFile, []byte(bln.Addr().String()), 0o644); err != nil {
+			fatal(err)
+		}
+	}
+	fmt.Fprintf(os.Stderr, "memctld: binary protocol on %s\n", bln.Addr())
+	go func() {
+		if err := srv.ServeBinary(bln); err != nil {
+			errc <- fmt.Errorf("binary serve: %w", err)
+		}
+	}()
 
 	cfg := srv.Config()
 	fmt.Fprintf(os.Stderr, "memctld: listening on %s — %d banks × %d lines, scheme %s (regions %d, interval %d)\n",
@@ -158,18 +153,16 @@ func main() {
 		fatal(err)
 	}
 
-	// Drain order: stop both listeners first (in-flight requests and
-	// frames finish against still-running actors), then close the bank
-	// queues and wait them out.
+	// Drain order: stop both listeners first (in-flight frames finish
+	// against still-running actors), then close the bank queues and
+	// wait them out.
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		fatal(fmt.Errorf("http shutdown: %w", err))
 	}
-	if binary {
-		if err := srv.ShutdownBinary(ctx); err != nil {
-			fatal(err)
-		}
+	if err := srv.ShutdownBinary(ctx); err != nil {
+		fatal(err)
 	}
 	if err := srv.Drain(ctx); err != nil {
 		fatal(err)
@@ -197,6 +190,14 @@ func printSummary(srv *memserver.Server) {
 			"memctld: adaptive level: %0.f raises, %0.f lowers across banks\n",
 			totals["memctld_level_raises_total"],
 			totals["memctld_level_lowers_total"])
+	}
+}
+
+// requireAddr exits when the listen-address flag name is empty:
+// net.Listen("tcp", "") would bind every interface on a random port.
+func requireAddr(name, addr string) {
+	if addr == "" {
+		fatal(fmt.Errorf("%s is empty; give host:port (port 0 picks a free port)", name))
 	}
 }
 

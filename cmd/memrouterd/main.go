@@ -57,6 +57,8 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-drain deadline")
 	flag.Parse()
 
+	requireAddr("-addr", *addr)
+	requireAddr("-binary-addr", *binAddr)
 	if *shards == "" {
 		fatal(fmt.Errorf("-shards is required"))
 	}
@@ -167,6 +169,14 @@ func splitList(s string) []string {
 		}
 	}
 	return out
+}
+
+// requireAddr exits when the listen-address flag name is empty:
+// net.Listen("tcp", "") would bind every interface on a random port.
+func requireAddr(name, addr string) {
+	if addr == "" {
+		fatal(fmt.Errorf("%s is empty; give host:port (port 0 picks a free port)", name))
+	}
 }
 
 func fatal(err error) {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -60,6 +62,32 @@ func TestSIGTERMAtReadiness(t *testing.T) {
 		}
 		if !strings.Contains(stderr.String(), "memrouterd: drained cleanly") {
 			t.Fatalf("run %d: no clean-drain line\n%s", i, stderr.String())
+		}
+	}
+}
+
+// TestEmptyListenAddrRefused: net.Listen("tcp", "") binds every
+// interface on a random port, so memrouterd refuses an empty -addr or
+// -binary-addr with exit 1 and names the flag instead of serving.
+func TestEmptyListenAddrRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the daemon")
+	}
+	bin := filepath.Join(t.TempDir(), "memrouterd")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, name := range []string{"-addr", "-binary-addr"} {
+		// The flag under test comes last, so it overrides the free-port
+		// address before it. No shard listens on port 1: the router must
+		// refuse before it dials.
+		out, err := exec.CommandContext(ctx, bin, "-shards", "127.0.0.1:1", "-lines", "2048",
+			"-addr", "127.0.0.1:0", "-binary-addr", "127.0.0.1:0", name, "").CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), name+" is empty") {
+			t.Errorf("%s \"\": %v\n%s\nwant exit status 1 naming the flag", name, err, out)
 		}
 	}
 }

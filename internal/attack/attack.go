@@ -7,9 +7,10 @@
 //   - RTA, the Remapping Timing Attack introduced by the paper: craft
 //     ALL-0/ALL-1 write patterns and watch per-write latency to catch the
 //     scheme's remapping movements, recovering mapping secrets one bit at
-//     a time. Variants target RBSG (rta_rbsg.go) and Security Refresh
-//     (rta_sr.go), and rta_srbsg.go shows the attempt failing against
-//     Security RBSG.
+//     a time. Variants target RBSG (rta_rbsg.go), one- and two-level
+//     Security Refresh (rta_sr.go), and two-level Security Refresh with
+//     no oracle at all (rta_sr2.go). Run against Security RBSG, the RBSG
+//     variant fails (TestSecurityRBSGResistsRTARBSG).
 //
 // Attackers interact with memory only through the Target interface —
 // logical reads and writes with observed latency — which is exactly the

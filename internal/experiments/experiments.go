@@ -299,7 +299,7 @@ func CompareGrid(d lifetime.Device, runs int) runner.Grid {
 
 // Evaluate computes the lifetime of one (scheme, attack, configuration)
 // triple — the single-cell evaluation behind cmd/lifetime. It resolves
-// the pair through the plugin registry's model tier (see models.go); the
+// the pair through the plugin registry's model tier (see register.go); the
 // error for an unknown pairing lists the modeled combinations. All
 // randomness derives from seed.
 func Evaluate(d lifetime.Device, scheme, att string, p lifetime.SRBSGParams, runs int, seed uint64) (lifetime.Estimate, error) {

@@ -235,9 +235,9 @@ func (s *arcSim) run(la uint64, maxWrites float64) float64 {
 // RAASim is a reusable Monte-Carlo simulator for RAA against Security
 // RBSG: one instance holds the flat visit-count and rotation arrays
 // (megabytes at paper scale) and the key network, and successive Run
-// calls reuse them all — a repetition allocates nothing. Run(seed) is
-// bit-identical to RAAOnSecurityRBSG(d, p, seed). Not safe for
-// concurrent use; callers shard by running one RAASim per goroutine.
+// calls reuse them all — a repetition allocates nothing. Not safe for
+// concurrent use; callers shard by running one RAASim per goroutine, as
+// RAAOnSecurityRBSGAvg does.
 type RAASim struct {
 	d   Device
 	p   SRBSGParams
@@ -268,23 +268,14 @@ func (r *RAASim) Run(seed uint64) Estimate {
 	}
 }
 
-// RAAOnSecurityRBSG simulates hammering one logical address against
-// Security RBSG (Figs 14 and 15) with real DFN key draws.
-func RAAOnSecurityRBSG(d Device, p SRBSGParams, seed uint64) (Estimate, error) {
-	s, err := NewRAASim(d, p)
-	if err != nil {
-		return Estimate{}, err
-	}
-	return s.Run(seed), nil
-}
-
-// RAAOnSecurityRBSGAvg averages RAAOnSecurityRBSG over `runs` seeds —
-// matching the paper's five-trial averaging. The trials are independent
-// Monte-Carlo simulations, so they spread over parallel workers (at
-// most GOMAXPROCS), each worker reusing one RAASim's preallocated
-// arrays across its share of the trials; results are accumulated in
-// trial order, keeping the average bit-for-bit deterministic for a
-// given seed regardless of worker count.
+// RAAOnSecurityRBSGAvg simulates hammering one logical address against
+// Security RBSG (Figs 14 and 15) with real DFN key draws, averaged over
+// `runs` seeds — matching the paper's five-trial averaging. The trials
+// are independent Monte-Carlo simulations, so they spread over parallel
+// workers (at most GOMAXPROCS), each worker reusing one RAASim's
+// preallocated arrays across its share of the trials; results are
+// accumulated in trial order, keeping the average bit-for-bit
+// deterministic for a given seed regardless of worker count.
 func RAAOnSecurityRBSGAvg(d Device, p SRBSGParams, runs int, seed uint64) (Estimate, error) {
 	if runs <= 0 {
 		runs = 5

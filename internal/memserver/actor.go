@@ -11,7 +11,7 @@ import (
 )
 
 // op is one routed memory operation, already translated to a bank-local
-// line by the HTTP layer.
+// line by executeBatch.
 type op struct {
 	local   uint64
 	read    bool

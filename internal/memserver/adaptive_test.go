@@ -46,6 +46,9 @@ func adaptiveScheme(t *testing.T, s *Server, bank int) *seclevel.Adaptive {
 	return a
 }
 
+// TestWireAdaptiveEscalatesUnderAttack: a hammer stream over the binary
+// wire raises the security level, the metrics say so, and the first
+// event OnLevelChange sees is a raise.
 func TestWireAdaptiveEscalatesUnderAttack(t *testing.T) {
 	var mu sync.Mutex
 	var events []seclevel.Decision
@@ -58,7 +61,7 @@ func TestWireAdaptiveEscalatesUnderAttack(t *testing.T) {
 		events = append(events, d)
 		mu.Unlock()
 	}
-	s, c := startServer(t, cfg)
+	s, c, ctl := startServer(t, cfg)
 
 	ops := make([]BatchOp, 256)
 	for i := range ops {
@@ -70,7 +73,7 @@ func TestWireAdaptiveEscalatesUnderAttack(t *testing.T) {
 		}
 	}
 
-	m, err := c.Metrics()
+	m, err := ctl.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +97,58 @@ func TestWireAdaptiveEscalatesUnderAttack(t *testing.T) {
 	}
 }
 
+// TestBinaryAdaptiveEscalates: escalation is per bank. Frames that
+// hammer one line of bank 0 and spread their other half uniformly over
+// bank 1 raise bank 0's security level — alarm, raise, level above the
+// boot level 4 — while bank 1's loop sees only benign traffic and never
+// raises: every Raise event OnLevelChange reports names bank 0.
+func TestBinaryAdaptiveEscalates(t *testing.T) {
+	var mu sync.Mutex
+	raises := make([]int, 2)
+	cfg := adaptiveConfig()
+	cfg.Banks, cfg.Lines = 2, 2*cfg.Lines
+	cfg.OnLevelChange = func(bank int, d seclevel.Decision) {
+		if d.Action == seclevel.Raise {
+			mu.Lock()
+			raises[bank]++
+			mu.Unlock()
+		}
+	}
+	s, c, _ := startServer(t, cfg)
+
+	rng := stats.NewRNG(11)
+	ops := make([]BatchOp, 256)
+	for round := 0; round < 160; round++ {
+		for i := range ops {
+			if i%2 == 0 {
+				ops[i] = BatchOp{Line: 26, Data: 2} // bank 0, local line 13
+			} else {
+				ops[i] = BatchOp{Line: 2*rng.Uint64n(256) + 1, Data: 2}
+			}
+		}
+		if _, err := c.Batch(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	hot, cold := s.actors[0].Snapshot(), s.actors[1].Snapshot()
+	if hot.LevelRaises == 0 || hot.SecurityLevel <= 4 || hot.Alarms == 0 {
+		t.Fatalf("hammered bank 0: raises %d, level %d, alarms %d; want a raise above the boot level 4 after an alarm",
+			hot.LevelRaises, hot.SecurityLevel, hot.Alarms)
+	}
+	if cold.LevelRaises != 0 || cold.SecurityLevel > 4 {
+		t.Fatalf("benign bank 1: raises %d, level %d; want none, at most the boot level 4",
+			cold.LevelRaises, cold.SecurityLevel)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if raises[0] == 0 || raises[1] != 0 {
+		t.Fatalf("OnLevelChange raises per bank %v, want some on bank 0 and none on bank 1", raises)
+	}
+}
+
 func TestWireAdaptiveStaysDownUnderBenign(t *testing.T) {
-	s, c := startServer(t, adaptiveConfig())
+	s, c, ctl := startServer(t, adaptiveConfig())
 	rng := stats.NewRNG(11)
 	ops := make([]BatchOp, 256)
 	for round := 0; round < 80; round++ {
@@ -106,7 +159,7 @@ func TestWireAdaptiveStaysDownUnderBenign(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m, err := c.Metrics()
+	m, err := ctl.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +179,7 @@ func TestWireAdaptiveStaysDownUnderBenign(t *testing.T) {
 // elapses) must carry the bare RESET and SET pulses, byte-identical to
 // the static scheme. Adaptivity adds no observable event of its own.
 func TestWireAdaptiveTimingSignalIntact(t *testing.T) {
-	_, c := startServer(t, adaptiveConfig())
+	_, c, _ := startServer(t, adaptiveConfig())
 	if ns := c.Write(8, pcm.Zeros); ns != pcm.DefaultTiming.ResetNs {
 		t.Fatalf("ALL-0 write: %d ns over the wire, want RESET %d", ns, pcm.DefaultTiming.ResetNs)
 	}
@@ -185,13 +238,13 @@ func TestWireAdaptiveEscalatesBeforeRTARecovery(t *testing.T) {
 	// endurance (the defense should hold regardless).
 	cfg := adaptiveConfig()
 	cfg.Endurance = 1 << 20
-	s, c := startServer(t, cfg)
+	s, c, ctl := startServer(t, cfg)
 	wa := &attack.RTARBSG{
 		Target: c,
 		Lines:  lines, Regions: regions, Interval: interval,
 		Li: 17, SeqLen: 6,
 		MaxWrites: 4 * recovery,
-		Oracle:    wireOracle(c, 64),
+		Oracle:    wireOracle(ctl, 64),
 	}
 	wres, werr := wa.Run()
 	if wres.Failed {
@@ -203,7 +256,7 @@ func TestWireAdaptiveEscalatesBeforeRTARecovery(t *testing.T) {
 	// flowing up to the recovery budget — the question under test is how
 	// many attack-shaped writes the defender needs, not how long this
 	// attacker variant persists before giving up.
-	m, err := c.Metrics()
+	m, err := ctl.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +268,7 @@ func TestWireAdaptiveEscalatesBeforeRTARecovery(t *testing.T) {
 		if _, err := c.Batch(ops); err != nil {
 			t.Fatal(err)
 		}
-		if m, err = c.Metrics(); err != nil {
+		if m, err = ctl.Metrics(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,126 +11,13 @@ import (
 	"time"
 
 	"securityrbsg/internal/pcm"
-	"securityrbsg/internal/stats"
 )
-
-// startBinaryListener attaches a binary-protocol listener to s and
-// registers its shutdown (before any drain cleanup the caller has
-// already registered — t.Cleanup runs LIFO, and ShutdownBinary must
-// run while the actors still do).
-func startBinaryListener(t *testing.T, s *Server) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- s.ServeBinary(ln) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := s.ShutdownBinary(ctx); err != nil {
-			t.Errorf("binary shutdown: %v", err)
-		}
-		if err := <-done; err != nil {
-			t.Errorf("serve binary: %v", err)
-		}
-	})
-	return ln.Addr().String()
-}
-
-// startBinaryServer builds and starts a server with a binary listener
-// and returns a connected client plus the listener address.
-func startBinaryServer(t *testing.T, cfg Config) (*Server, *BinaryClient, string) {
-	t.Helper()
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := s.Drain(ctx); err != nil {
-			t.Errorf("drain: %v", err)
-		}
-	})
-	addr := startBinaryListener(t, s)
-	c := dialBinary(t, addr)
-	return s, c, addr
-}
-
-func dialBinary(t *testing.T, addr string) *BinaryClient {
-	t.Helper()
-	c, err := DialBinary(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c
-}
-
-func TestBinaryWriteReadRoundTrip(t *testing.T) {
-	_, c, _ := startBinaryServer(t, testConfig())
-	for _, la := range []uint64{0, 1, 2, 3, 4095, 1234} {
-		want := pcm.Content(la % 3)
-		if ns := c.Write(la, want); ns == 0 {
-			t.Fatalf("write LA %d: zero latency", la)
-		}
-		got, ns := c.Read(la)
-		if got != want {
-			t.Fatalf("read LA %d = %v, want %v", la, got, want)
-		}
-		if ns < pcm.DefaultTiming.ReadNs {
-			t.Fatalf("read LA %d: latency %d below device read time", la, ns)
-		}
-	}
-}
-
-// TestBinaryMatchesJSON is the differential proof the two transports
-// front the same machine: identically seeded servers fed the same op
-// stream — one over HTTP+JSON, one over the binary protocol — must
-// report identical per-op latencies, data, and accounting.
-func TestBinaryMatchesJSON(t *testing.T) {
-	_, jc := startServer(t, testConfig())
-	_, bc, _ := startBinaryServer(t, testConfig())
-
-	rng := stats.NewRNG(7)
-	ops := make([]BatchOp, 100)
-	for round := 0; round < 5; round++ {
-		for i := range ops {
-			ops[i] = BatchOp{Line: rng.Uint64n(4096), Data: uint8(rng.Uint64n(3))}
-			if rng.Float64() < 0.2 {
-				ops[i].Read = true
-				ops[i].Data = 0
-			}
-		}
-		jr, err := jc.Batch(ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		br, err := bc.Batch(ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if jr.Applied != br.Applied || jr.Rejected != br.Rejected ||
-			jr.NsSum != br.NsSum || jr.NsMax != br.NsMax {
-			t.Fatalf("round %d accounting: json %+v != binary %+v", round, jr, br)
-		}
-		for i := range ops {
-			if jr.Ns[i] != br.Ns[i] || jr.Data[i] != br.Data[i] {
-				t.Fatalf("round %d op %d (%+v): json ns=%d d=%d, binary ns=%d d=%d",
-					round, i, ops[i], jr.Ns[i], jr.Data[i], br.Ns[i], br.Data[i])
-			}
-		}
-	}
-}
 
 // TestBinaryVersionSkew pins the versioning rule: a frame from the
 // future gets a typed Err frame back — listable by the client — and
 // the connection survives to serve the current version.
 func TestBinaryVersionSkew(t *testing.T) {
-	_, c, _ := startBinaryServer(t, testConfig())
+	_, c, _ := startServer(t, testConfig())
 	c.Version = WireVersion + 1
 	_, err := c.Batch([]BatchOp{{Line: 1}})
 	var we *WireError
@@ -152,9 +39,10 @@ func TestBinaryVersionSkew(t *testing.T) {
 	}
 }
 
-// TestBinaryNackBackpressure mirrors TestBackpressure429: a full bank
-// queue answers with a Nack frame carrying retry-after and partial
-// accounting instead of an HTTP 429.
+// TestBinaryNackBackpressure fills a bank queue (actors deliberately
+// not started, so nothing dequeues) and checks the server answers a
+// Nack frame carrying retry-after and partial accounting instead of
+// blocking.
 func TestBinaryNackBackpressure(t *testing.T) {
 	cfg := testConfig()
 	cfg.QueueDepth = 2
@@ -162,12 +50,14 @@ func TestBinaryNackBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Stuff bank 0's queue to capacity by hand.
 	for i := 0; i < cfg.QueueDepth; i++ {
 		s.actors[0].ch <- bankReq{}
 	}
-	addr := startBinaryListener(t, s)
-	c := dialBinary(t, addr)
+	c := dialBinary(t, startBinaryListener(t, s))
 
+	// LA 0 routes to bank 0 → full queue → Nack. Batch does not retry,
+	// so the rejection is observable.
 	resp, err := c.Batch([]BatchOp{{Line: 0}})
 	be, ok := err.(*BackpressureError)
 	if !ok {
@@ -236,8 +126,8 @@ func wantErrFrame(t *testing.T, body []byte, code uint16) {
 // is answered with a typed Err frame and the connection closes — the
 // server will not stream-skip an attacker-sized body.
 func TestBinaryOversizedFrameClosesConn(t *testing.T) {
-	s, _, addr := startBinaryServer(t, testConfig())
-	conn := rawDial(t, addr)
+	s := runServer(t, testConfig())
+	conn := rawDial(t, startBinaryListener(t, s))
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], WireMaxBody+1)
 	if _, err := conn.Write(hdr[:]); err != nil {
@@ -256,8 +146,7 @@ func TestBinaryOversizedFrameClosesConn(t *testing.T) {
 // Err frames but — being length-delimited — do not cost the
 // connection.
 func TestBinaryMalformedKeepsConn(t *testing.T) {
-	_, _, addr := startBinaryServer(t, testConfig())
-	conn := rawDial(t, addr)
+	conn := rawDial(t, startBinaryListener(t, runServer(t, testConfig())))
 
 	send := func(body []byte) {
 		t.Helper()
@@ -301,7 +190,7 @@ func TestBinaryMalformedKeepsConn(t *testing.T) {
 // TestBinaryBadOp: semantically invalid ops are rejected whole with a
 // typed Err frame, before any bank sees the batch.
 func TestBinaryBadOp(t *testing.T) {
-	_, c, _ := startBinaryServer(t, testConfig())
+	_, c, _ := startServer(t, testConfig())
 	for _, ops := range [][]BatchOp{
 		{{Line: 4096}},               // out of the 4096-line space
 		{{Line: 1, Data: 3}},         // content class outside {0,1,2}
@@ -322,18 +211,7 @@ func TestBinaryBadOp(t *testing.T) {
 // TestBinaryDrainGoodbye: a connection parked in a read when shutdown
 // begins is told why (a draining Err frame) before the socket closes.
 func TestBinaryDrainGoodbye(t *testing.T) {
-	s, err := New(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := s.Drain(ctx); err != nil {
-			t.Errorf("drain: %v", err)
-		}
-	})
+	s := runServer(t, testConfig())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -422,10 +300,10 @@ func TestBinaryRejectPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBinaryMetricsCounters: the per-protocol counters split serving
-// traffic by transport.
+// TestBinaryMetricsCounters: the binary listener counts frames, rejects
+// and applied line ops.
 func TestBinaryMetricsCounters(t *testing.T) {
-	s, c, _ := startBinaryServer(t, testConfig())
+	s, c, _ := startServer(t, testConfig())
 	for round := 0; round < 2; round++ {
 		if _, err := c.Batch([]BatchOp{{Line: 1}, {Line: 2}, {Line: 3}}); err != nil {
 			t.Fatal(err)
@@ -442,7 +320,6 @@ func TestBinaryMetricsCounters(t *testing.T) {
 		"memctld_binary_frames_total":   3,
 		"memctld_binary_reject_total":   1,
 		"memctld_binary_line_ops_total": 6,
-		"memctld_json_line_ops_total":   0,
 	} {
 		if m[name] != want {
 			t.Errorf("%s = %v, want %v", name, m[name], want)
@@ -457,8 +334,8 @@ func TestBinaryMetricsCounters(t *testing.T) {
 // so any reorder or drop shows up as wrong data, and the final state
 // must match what the same ops produce in lockstep on a twin server.
 func TestBinaryPipelinedInOrder(t *testing.T) {
-	_, pc, _ := startBinaryServer(t, testConfig())
-	_, lc, _ := startBinaryServer(t, testConfig())
+	_, pc, _ := startServer(t, testConfig())
+	_, lc, _ := startServer(t, testConfig())
 
 	const window = 16
 	batch := func(i int) []BatchOp {
@@ -516,7 +393,7 @@ func TestBinaryPipelinedInOrder(t *testing.T) {
 // send order while a sender goroutine runs concurrently with a receiver
 // goroutine on one client (disjoint buffer halves).
 func TestBinaryPipelinedReadBatches(t *testing.T) {
-	_, c, _ := startBinaryServer(t, testConfig())
+	_, c, _ := startServer(t, testConfig())
 	const rounds = 64
 	writes := make([]BatchOp, rounds+1)
 	for i := range writes {

@@ -10,10 +10,10 @@ import (
 )
 
 // BinaryClient speaks the binary wire protocol (wire.go) over one TCP
-// connection. Like the HTTP Client, its Write and Read methods satisfy
-// attack.Target — logical address in, simulated latency out — so every
-// attacker in internal/attack runs unmodified over the binary
-// transport; that is what the binary-transport RTA regression drives.
+// connection. Its Write and Read methods satisfy attack.Target —
+// logical address in, simulated latency out — so every attacker in
+// internal/attack runs unmodified against a live server; that is what
+// the wire-level RTA regression drives.
 //
 // The client supports two calling styles over the same connection:
 //
@@ -63,6 +63,20 @@ func DialBinary(addr string) (*BinaryClient, error) {
 	return &BinaryClient{conn: conn}, nil
 }
 
+// BackpressureError reports a Nack frame: a full bank queue refused
+// part of the batch, and the server asked the client to back off for
+// RetryAfter.
+type BackpressureError struct {
+	RetryAfter time.Duration
+	// Resp holds the partial batch accounting when the Nack carried it
+	// (nil otherwise).
+	Resp *BatchResponse
+}
+
+func (e *BackpressureError) Error() string {
+	return fmt.Sprintf("server backpressure, retry after %v", e.RetryAfter)
+}
+
 // Close tears down the connection.
 func (c *BinaryClient) Close() error { return c.conn.Close() }
 
@@ -94,8 +108,8 @@ func (c *BinaryClient) SendBatch(ops []BatchOp) error {
 // RecvBatch reads the oldest outstanding batch response into resp,
 // reusing resp's slice capacity. On a Nack frame it returns a
 // *BackpressureError carrying the retry-after and the partial
-// accounting (decoded into resp), mirroring the JSON client's 429
-// handling; on an Err frame it returns the typed *WireError.
+// accounting (decoded into resp); on an Err frame it returns the typed
+// *WireError.
 //
 //rbsglint:hotpath
 func (c *BinaryClient) RecvBatch(resp *BatchResponse) error {
@@ -176,14 +190,33 @@ func (c *BinaryClient) readFrame() ([]byte, error) {
 	return c.rbuf, nil
 }
 
+// mustBatch runs one lockstep batch, sleeping out backpressure until it
+// applies: demand ops must not be silently dropped (an attacker's write
+// stream, like a CPU's, just stalls until the controller accepts it).
+// It panics on any other error: Write and Read exist to satisfy
+// attack.Target for tests and demos, where a broken server is fatal.
+func (c *BinaryClient) mustBatch(ops []BatchOp) *BatchResponse {
+	for {
+		resp, err := c.Batch(ops)
+		if err == nil {
+			return resp
+		}
+		be, ok := err.(*BackpressureError)
+		if !ok {
+			panic(fmt.Errorf("memserver client: batch: %w", err)) //rbsglint:allow panicpolicy -- documented attack.Target contract: a broken server is fatal in the tests/demos this client exists for
+		}
+		time.Sleep(be.RetryAfter)
+	}
+}
+
 // Write issues one demand write and returns the simulated latency in
 // nanoseconds; it panics on transport errors (mustBatch).
 func (c *BinaryClient) Write(la uint64, content pcm.Content) uint64 {
-	return mustBatch(c.Batch, []BatchOp{{Line: la, Data: uint8(content)}}).Ns[0]
+	return c.mustBatch([]BatchOp{{Line: la, Data: uint8(content)}}).Ns[0]
 }
 
 // Read issues one demand read; same contract as Write.
 func (c *BinaryClient) Read(la uint64) (pcm.Content, uint64) {
-	resp := mustBatch(c.Batch, []BatchOp{{Line: la, Read: true}})
+	resp := c.mustBatch([]BatchOp{{Line: la, Read: true}})
 	return pcm.Content(resp.Data[0]), resp.Ns[0]
 }

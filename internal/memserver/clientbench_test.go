@@ -1,10 +1,7 @@
 package memserver
 
 import (
-	"context"
-	"net"
 	"testing"
-	"time"
 
 	"securityrbsg/internal/stats"
 )
@@ -16,32 +13,6 @@ import (
 // across the window and throughput approaches the server's serving
 // rate. The bench gate asserts pipelined > lockstep: if the windowed
 // client ever degrades to one-frame-at-a-time, the gate sees it.
-
-// startBenchBinaryServer is startBinaryServer for benchmarks (the test
-// helper wants *testing.T).
-func startBenchBinaryServer(b *testing.B, cfg Config) string {
-	b.Helper()
-	s := MustNew(cfg)
-	s.Start()
-	b.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.Drain(ctx)
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go s.ServeBinary(ln)
-	b.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := s.ShutdownBinary(ctx); err != nil {
-			b.Error(err)
-		}
-	})
-	return ln.Addr().String()
-}
 
 func benchOps(lines uint64, batch int) []BatchOp {
 	rng := stats.NewRNG(3)
@@ -56,15 +27,10 @@ func benchOps(lines uint64, batch int) []BatchOp {
 // the round trip, repeat. The baseline the pipelined client must beat.
 func BenchmarkBinaryClientLockstep(b *testing.B) {
 	const batch = 256
-	addr := startBenchBinaryServer(b, Config{
+	c := dialBinary(b, startBinaryListener(b, runServer(b, Config{
 		Banks: 8, Lines: 8 << 14, Scheme: SchemeRBSGDetector,
 		Regions: 32, Interval: 100, Seed: 1, QueueDepth: 256,
-	})
-	c, err := DialBinary(addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
+	})))
 	ops := benchOps(8<<14, batch)
 
 	b.ReportAllocs()
@@ -86,15 +52,10 @@ func BenchmarkBinaryClientPipelined(b *testing.B) {
 		batch  = 256
 		window = 16
 	)
-	addr := startBenchBinaryServer(b, Config{
+	c := dialBinary(b, startBinaryListener(b, runServer(b, Config{
 		Banks: 8, Lines: 8 << 14, Scheme: SchemeRBSGDetector,
 		Regions: 32, Interval: 100, Seed: 1, QueueDepth: 256,
-	})
-	c, err := DialBinary(addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
+	})))
 	ops := benchOps(8<<14, batch)
 
 	var resp BatchResponse

@@ -1,9 +1,10 @@
 // Package memserver turns the batch simulator into a long-running
 // memory-controller service: a membank.Memory sharded across per-bank
-// single-writer actors behind the binary wire protocol and a stdlib
-// net/http API. It is also the one implementation of that wire — codec
-// (wire.go), connection server (conn.go) and client (binaryclient.go) —
-// which internal/memrouter serves and dials through.
+// single-writer actors behind the binary wire protocol, its one data
+// plane, with a stdlib net/http control plane (/healthz, /metrics). It
+// is also the one implementation of that wire — codec (wire.go),
+// connection server (conn.go) and client (binaryclient.go) — which
+// internal/memrouter serves and dials through.
 //
 // The paper deploys Security RBSG "in the memory controller, managing
 // each bank separately" (Section IV-A); memserver is that controller as
@@ -15,11 +16,10 @@
 // bank other than the one it addresses.
 //
 // Requests enter through bounded per-bank queues. A full queue is
-// explicit backpressure (a Nack frame, or HTTP 429 + Retry-After),
-// never an unbounded goroutine pileup. Batches are coalesced per bank:
-// one queue entry per touched bank, preserving per-bank op order, with
-// banks executing in parallel and the batch waiting once for all of
-// them.
+// explicit backpressure (a Nack frame), never an unbounded goroutine
+// pileup. Batches are coalesced per bank: one queue entry per touched
+// bank, preserving per-bank op order, with banks executing in parallel
+// and the batch waiting once for all of them.
 //
 // Telemetry the batch tools compute only post-hoc is published live:
 // each actor periodically (and at drain) publishes an immutable
@@ -146,13 +146,11 @@ type Server struct {
 	draining  atomic.Bool
 	started   atomic.Bool
 
-	// The binary listener (binary.go) and the per-protocol serving
-	// counters /metrics splits by transport.
-	bin         *ConnServer
-	binFrames   atomic.Uint64 // frames processed on the binary listener
-	binRejects  atomic.Uint64 // frames rejected before execution (malformed, skewed, oversized, bad op)
-	binLineOps  atomic.Uint64 // line ops applied via the binary protocol
-	jsonLineOps atomic.Uint64 // line ops applied via the JSON HTTP API
+	// The binary listener (binary.go) and its serving counters.
+	bin        *ConnServer
+	binFrames  atomic.Uint64 // frames processed on the binary listener
+	binRejects atomic.Uint64 // frames rejected before execution (malformed, skewed, oversized, bad op)
+	binLineOps atomic.Uint64 // line ops applied via the binary protocol
 }
 
 // New builds a server (actors not yet running; call Start).
@@ -264,8 +262,8 @@ func (s *Server) Start() {
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Drain stops accepting requests, lets every queued request finish, and
-// waits for all actors to exit (or ctx to expire). The HTTP and binary
-// listeners must already be shut down: Drain closes the bank queues, and a
+// waits for all actors to exit (or ctx to expire). The binary listener
+// must already be shut down: Drain closes the bank queues, and a
 // concurrent submit on a closed queue would be rejected only by the
 // draining flag, which an in-flight handler may have checked earlier.
 func (s *Server) Drain(ctx context.Context) error {
@@ -293,7 +291,7 @@ var errBusy = fmt.Errorf("memserver: bank queue full")
 
 // enqueue submits run to its bank's actor without blocking, so the
 // batch path keeps all touched banks in flight at once; a full queue
-// answers errBusy, surfaced as 429 or Nack. On success the actor owns
+// answers errBusy, surfaced as a Nack. On success the actor owns
 // run until it calls done.Done, so the caller must have counted the run
 // in done beforehand; on an error no actor will.
 func (s *Server) enqueue(run *bankRun, done *sync.WaitGroup) error {

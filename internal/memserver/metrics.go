@@ -3,7 +3,6 @@ package memserver
 import (
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 )
 
@@ -42,13 +41,12 @@ func (s *Server) renderMetrics(b *strings.Builder) {
 	}
 	gauge("draining", "1 while the server drains, else 0.", draining)
 
-	// Per-protocol serving counters: the binary listener's frame and
-	// reject totals, and the line ops applied through each transport
-	// (their sum tracks demand_writes_total + demand_reads_total).
+	// Serving counters: the binary listener's frame and reject totals,
+	// and the line ops applied through it (which track
+	// demand_writes_total + demand_reads_total).
 	counter("binary_frames_total", "Frames processed on the binary listener.", s.binFrames.Load())
 	counter("binary_reject_total", "Binary frames rejected before execution (malformed, version-skewed, oversized, or bad op).", s.binRejects.Load())
 	counter("binary_line_ops_total", "Line ops applied via the binary protocol.", s.binLineOps.Load())
-	counter("json_line_ops_total", "Line ops applied via the JSON HTTP API.", s.jsonLineOps.Load())
 
 	type metric struct {
 		name, help, kind string
@@ -97,7 +95,7 @@ func (s *Server) renderMetrics(b *strings.Builder) {
 			func(a *actor, s *BankSnapshot) uint64 { return s.WearP99 }},
 		{"queue_depth", "Requests currently queued for the bank's actor.", "gauge",
 			func(a *actor, s *BankSnapshot) uint64 { return uint64(len(a.ch)) }},
-		{"queue_rejected_total", "Submissions rejected with backpressure (429).", "counter",
+		{"queue_rejected_total", "Submissions rejected with backpressure (Nack).", "counter",
 			func(a *actor, s *BankSnapshot) uint64 { return a.rejected.Load() }},
 	}
 	for _, m := range metrics {
@@ -133,14 +131,4 @@ func ParseMetrics(text string) map[string]float64 {
 		out[name] += v
 	}
 	return out
-}
-
-// MetricNames lists the names in a parsed payload, sorted (test helper).
-func MetricNames(m map[string]float64) []string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

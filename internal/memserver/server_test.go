@@ -2,6 +2,8 @@ package memserver
 
 import (
 	"context"
+	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -22,25 +24,71 @@ func testConfig() Config {
 	}
 }
 
-// startServer builds, starts and registers cleanup for a server plus
-// its HTTP front end.
-func startServer(t *testing.T, cfg Config) (*Server, *Client) {
+// runServer builds and starts a server and registers its drain.
+func runServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Start()
-	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
-		ts.Close() // waits for in-flight handlers, then Drain is safe
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := s.Drain(ctx); err != nil {
 			t.Errorf("drain: %v", err)
 		}
 	})
-	return s, NewClient(ts.URL)
+	return s
+}
+
+// startServer runs a server the way memctld deploys it — the binary
+// data plane plus the HTTP control plane — and returns it with a
+// connected binary client and a control-plane client. Cleanup runs
+// LIFO, so it closes the control plane, then the binary listener, then
+// drains the actors: memctld's drain order.
+func startServer(t *testing.T, cfg Config) (*Server, *BinaryClient, *Client) {
+	t.Helper()
+	s := runServer(t, cfg)
+	c := dialBinary(t, startBinaryListener(t, s))
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return s, c, NewClient(ts.URL)
+}
+
+// startBinaryListener attaches a binary-protocol listener to s and
+// registers its shutdown (before any drain cleanup the caller has
+// already registered — t.Cleanup runs LIFO, and ShutdownBinary must
+// run while the actors still do).
+func startBinaryListener(t testing.TB, s *Server) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.ServeBinary(ln) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := s.ShutdownBinary(ctx); err != nil {
+			t.Errorf("binary shutdown: %v", err)
+		}
+		if err := <-done; err != nil {
+			t.Errorf("serve binary: %v", err)
+		}
+	})
+	return ln.Addr().String()
+}
+
+func dialBinary(t testing.TB, addr string) *BinaryClient {
+	t.Helper()
+	c, err := DialBinary(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
 }
 
 // settledMetrics scrapes c until the published snapshots count ops
@@ -63,7 +111,7 @@ func settledMetrics(t *testing.T, c *Client, ops float64) map[string]float64 {
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	_, c := startServer(t, testConfig())
+	_, c, _ := startServer(t, testConfig())
 	for _, la := range []uint64{0, 1, 2, 3, 4095, 1234} {
 		want := pcm.Content(la % 3)
 		if ns := c.Write(la, want); ns == 0 {
@@ -75,6 +123,50 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		}
 		if ns < pcm.DefaultTiming.ReadNs {
 			t.Fatalf("read LA %d: latency %d below device read time", la, ns)
+		}
+	}
+}
+
+// TestBinaryWriteReadRoundTrip is the round trip at frame level: a read
+// after two writes to the same line in one frame sees the later write
+// (a line's ops apply in frame order), and a second connection reads
+// the same data back (state lives in the banks, not the connection).
+func TestBinaryWriteReadRoundTrip(t *testing.T) {
+	addr := startBinaryListener(t, runServer(t, testConfig()))
+	writer, reader := dialBinary(t, addr), dialBinary(t, addr)
+	lines := []uint64{0, 1, 2, 3, 4095, 1234}
+
+	var ops []BatchOp
+	for _, la := range lines {
+		want := uint8(la % 3)
+		ops = append(ops,
+			BatchOp{Line: la, Data: (want + 1) % 3},
+			BatchOp{Line: la, Data: want},
+			BatchOp{Line: la, Read: true})
+	}
+	resp, err := writer.Batch(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, la := range lines {
+		if got := resp.Data[3*i+2]; got != uint8(la%3) {
+			t.Fatalf("in-frame read of LA %d = %d, want the later write %d", la, got, la%3)
+		}
+	}
+
+	ops = ops[:0]
+	for _, la := range lines {
+		ops = append(ops, BatchOp{Line: la, Read: true})
+	}
+	if resp, err = reader.Batch(ops); err != nil {
+		t.Fatal(err)
+	}
+	for i, la := range lines {
+		if got := resp.Data[i]; got != uint8(la%3) {
+			t.Fatalf("read of LA %d on a second connection = %d, want %d", la, got, la%3)
+		}
+		if resp.Ns[i] < pcm.DefaultTiming.ReadNs {
+			t.Fatalf("read LA %d: latency %d below device read time", la, resp.Ns[i])
 		}
 	}
 }
@@ -96,7 +188,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 		}
 	}
 
-	_, seqClient := startServer(t, testConfig())
+	_, seqClient, seqCtl := startServer(t, testConfig())
 	seqNs := make([]uint64, n)
 	for i, o := range ops {
 		if o.Read {
@@ -106,7 +198,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 		}
 	}
 
-	_, batchClient := startServer(t, testConfig())
+	_, batchClient, batchCtl := startServer(t, testConfig())
 	resp, err := batchClient.Batch(ops)
 	if err != nil {
 		t.Fatal(err)
@@ -121,8 +213,8 @@ func TestBatchMatchesSequential(t *testing.T) {
 		}
 	}
 
-	seqM := settledMetrics(t, seqClient, float64(n))
-	batM := settledMetrics(t, batchClient, float64(n))
+	seqM := settledMetrics(t, seqCtl, float64(n))
+	batM := settledMetrics(t, batchCtl, float64(n))
 	for _, name := range []string{
 		"memctld_demand_writes_total", "memctld_demand_reads_total",
 		"memctld_set_writes_total", "memctld_reset_writes_total",
@@ -134,9 +226,12 @@ func TestBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBackpressure429 fills a bank queue (actors deliberately not
-// started, so nothing dequeues) and checks the API answers 429 with
-// Retry-After instead of blocking.
+// TestBackpressure429 keeps the name of the HTTP-era test. Demand ops
+// no longer travel over HTTP, so a full bank queue answers a Nack frame
+// rather than a 429 (TestBinaryNackBackpressure); what the control
+// plane must show is that backpressure is a data-plane condition:
+// /healthz still answers 200, and /metrics reports the queue at
+// capacity and the one refused op.
 func TestBackpressure429(t *testing.T) {
 	cfg := testConfig()
 	cfg.QueueDepth = 2
@@ -144,37 +239,38 @@ func TestBackpressure429(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stuff bank 0's queue to capacity by hand.
+	// Stuff bank 0's queue to capacity by hand (actors deliberately not
+	// started, so nothing dequeues).
 	for i := 0; i < cfg.QueueDepth; i++ {
 		s.actors[0].ch <- bankReq{}
 	}
+	c := dialBinary(t, startBinaryListener(t, s))
 	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	c := NewClient(ts.URL)
+	t.Cleanup(ts.Close)
+	ctl := NewClient(ts.URL)
 
-	// LA 0 routes to bank 0 → full queue → 429. Use Batch (which does
-	// not retry) to observe the rejection.
-	resp, err := c.Batch([]BatchOp{{Line: 0}})
-	be, ok := err.(*BackpressureError)
-	if !ok {
+	// LA 0 routes to bank 0 → full queue → Nack.
+	if resp, err := c.Batch([]BatchOp{{Line: 0}}); !errors.As(err, new(*BackpressureError)) {
 		t.Fatalf("want BackpressureError, got resp=%+v err=%v", resp, err)
 	}
-	if be.RetryAfter <= 0 {
-		t.Fatalf("Retry-After not propagated: %+v", be)
+	if err := ctl.Healthz(); err != nil {
+		t.Fatalf("healthz under backpressure: %v", err)
 	}
-	if be.Resp == nil || be.Resp.Rejected != 1 || be.Resp.Applied != 0 {
-		t.Fatalf("partial accounting wrong: %+v", be.Resp)
+	m, err := ctl.Metrics()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// LA 1 routes to bank 1, whose queue is empty — but its actor is
-	// not running either, so only check the rejected counter stayed put.
-	if got := s.actors[0].rejected.Load(); got != 1 {
-		t.Fatalf("bank 0 rejected counter = %d, want 1", got)
+	if got := m["memctld_queue_depth"]; got != float64(cfg.QueueDepth) {
+		t.Errorf("memctld_queue_depth = %v, want the full queue %d", got, cfg.QueueDepth)
+	}
+	if got := m["memctld_queue_rejected_total"]; got != 1 {
+		t.Errorf("memctld_queue_rejected_total = %v, want 1", got)
 	}
 }
 
 // TestMixedBankBatchPartialRejection: a batch spanning a full bank and
 // an empty bank applies the empty bank's share and reports the rest
-// rejected with 429.
+// rejected in a Nack.
 func TestMixedBankBatchPartialRejection(t *testing.T) {
 	cfg := testConfig()
 	cfg.QueueDepth = 1
@@ -186,10 +282,7 @@ func TestMixedBankBatchPartialRejection(t *testing.T) {
 	s.actors[0].ch <- bankReq{}
 	go s.actors[1].run()
 	defer close(s.actors[1].ch)
-
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	c := NewClient(ts.URL)
+	c := dialBinary(t, startBinaryListener(t, s))
 
 	// LA 0 → bank 0 (rejected), LA 1 → bank 1 (applied).
 	_, err = c.Batch([]BatchOp{{Line: 0, Data: 1}, {Line: 1, Data: 1}})
@@ -209,20 +302,12 @@ func TestMixedBankBatchPartialRejection(t *testing.T) {
 }
 
 func TestHealthzAndDrain(t *testing.T) {
-	cfg := testConfig()
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	c := NewClient(ts.URL)
+	s, bc, c := startServer(t, testConfig())
 
 	if err := c.Healthz(); err != nil {
 		t.Fatal(err)
 	}
-	c.Write(5, pcm.Ones)
+	bc.Write(5, pcm.Ones)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -233,7 +318,7 @@ func TestHealthzAndDrain(t *testing.T) {
 		t.Fatal("healthz must fail while drained")
 	}
 	// New traffic is refused, not queued.
-	if _, err := c.Batch([]BatchOp{{Line: 0}}); err == nil {
+	if _, err := bc.Batch([]BatchOp{{Line: 0}}); err == nil {
 		t.Fatal("batch must fail after drain")
 	}
 	// Metrics stay up and reflect the final exact state.
@@ -255,7 +340,7 @@ func TestHealthzAndDrain(t *testing.T) {
 }
 
 func TestMetricsCounters(t *testing.T) {
-	_, c := startServer(t, testConfig())
+	_, c, ctl := startServer(t, testConfig())
 	for i := uint64(0); i < 40; i++ {
 		c.Write(i, pcm.Zeros)
 	}
@@ -265,7 +350,7 @@ func TestMetricsCounters(t *testing.T) {
 	for i := uint64(0); i < 10; i++ {
 		c.Read(i)
 	}
-	m := settledMetrics(t, c, 74)
+	m := settledMetrics(t, ctl, 74)
 	checks := map[string]float64{
 		"memctld_demand_writes_total": 64,
 		"memctld_demand_reads_total":  10,
@@ -287,31 +372,12 @@ func TestMetricsCounters(t *testing.T) {
 	}
 }
 
+// TestBadRequests: HTTP is the control plane only. Demand ops travel on
+// the binary wire, so every former JSON data path answers 404.
 func TestBadRequests(t *testing.T) {
-	_, c := startServer(t, testConfig())
-	cases := []struct {
-		path, body string
-	}{
-		{"/v1/batch", `{"ops": [{"l": 999999, "d": 0}]}`}, // out of range
-		{"/v1/batch", `{"ops": [{"l": 1, "d": 9}]}`},      // bad content class
-		{"/v1/batch", `not json`},
-		{"/v1/batch", `{"ops": []}`},
-		{"/v1/batch", `{"ops": [{"l": 1}, {"l": 999999}]}`}, // one bad op fails the batch
-	}
-	for _, tc := range cases {
-		resp, err := http.Post(c.BaseURL+tc.path, "application/json",
-			strings.NewReader(tc.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST %s %q: status %d, want 400", tc.path, tc.body, resp.StatusCode)
-		}
-	}
-	// The single-op endpoints are gone: Write and Read ride /v1/batch.
-	for _, path := range []string{"/v1/write", "/v1/read"} {
-		resp, err := http.Post(c.BaseURL+path, "application/json", strings.NewReader(`{"l": 1}`))
+	_, _, c := startServer(t, testConfig())
+	for _, path := range []string{"/v1/batch", "/v1/write", "/v1/read"} {
+		resp, err := http.Post(c.BaseURL+path, "application/json", strings.NewReader(`{"ops": [{"l": 1}]}`))
 		if err != nil {
 			t.Fatal(err)
 		}

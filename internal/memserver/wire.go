@@ -5,9 +5,9 @@ import (
 	"fmt"
 )
 
-// The binary wire protocol: the hot serving path without JSON framing.
-// This file is its one codec; memctld's listener, memrouterd's client
-// listener and BinaryClient all encode and decode through it.
+// The binary wire protocol: memctld's one data plane. This file is its
+// one codec; memctld's listener, memrouterd's client listener and
+// BinaryClient all encode and decode through it.
 //
 // Every frame is length-prefixed and little-endian:
 //
@@ -45,11 +45,11 @@ import (
 // op is read: a frame whose count disagrees with its byte length is
 // rejected whole.
 //
-// The timing side channel crosses this wire exactly as it crosses the
-// JSON API: per-op simulated latencies travel in the response payload
-// uncompressed and unaggregated, so the remap-latency signal the
-// paper's RTA reads is serialization-independent (the binary attack
-// regression test pins this).
+// The timing side channel crosses this wire intact: per-op simulated
+// latencies travel in the response payload uncompressed and
+// unaggregated, so the remap-latency signal the paper's RTA reads
+// survives serialization (the wire-level RTA test pins its write
+// counts).
 
 const (
 	// WireVersion is the protocol version this build speaks.
@@ -80,7 +80,7 @@ const (
 const (
 	frameBatchReq  = 0x01 // client → server: a batch of ops
 	frameBatchResp = 0x02 // server → client: per-op latencies + accounting
-	frameNack      = 0x03 // server → client: backpressure (429 + Retry-After equivalent)
+	frameNack      = 0x03 // server → client: backpressure (retry-after + partial accounting)
 	frameErr       = 0x04 // server → client: typed error
 )
 
@@ -96,8 +96,8 @@ const (
 	WireErrEmpty     = 0x06 // batch carried zero ops
 )
 
-// NackRetryAfterSecs is the Retry-After a memctld Nack carries, the
-// JSON API's Retry-After header value.
+// NackRetryAfterSecs is the retry-after, in seconds, a memctld Nack
+// carries.
 const NackRetryAfterSecs = 1
 
 // wireErrName maps Err codes to stable names (client error listings).

@@ -72,15 +72,6 @@ func NewAdaptive(cfg AdaptiveConfig) (*Adaptive, error) {
 	return &Adaptive{Scheme: base, mon: mon, ctl: ctl}, nil
 }
 
-// MustNewAdaptive is NewAdaptive that panics on error.
-func MustNewAdaptive(cfg AdaptiveConfig) *Adaptive {
-	a, err := NewAdaptive(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // Name identifies the scheme.
 func (a *Adaptive) Name() string { return "srbsg-adaptive" }
 

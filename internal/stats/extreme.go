@@ -15,7 +15,8 @@ import "math"
 // of n i.i.d. Poisson(λ) variables concentrates sharply, so we solve for
 // the visit count at which the expected number of bins at or above m
 // crosses ln 2 (the median of the extreme). The Monte-Carlo estimators
-// cross-validate this solver at small scale (see extreme_test.go).
+// cross-validate this solver at small scale (TestVisitsToMaxLoadMonteCarlo
+// in stats_test.go).
 
 // PoissonTail returns P(X >= m) for X ~ Poisson(lambda), computed by
 // summing the complementary series in log space for numerical stability.
@@ -113,9 +114,3 @@ func MaxLoadAfterVisits(n int, visits float64) int {
 	}
 	return m - 1
 }
-
-// BirthdayTrials returns the expected number of uniform random draws from n
-// values until some value has been drawn m times — the generalized birthday
-// problem that governs the Birthday Paradox Attack. It is the same quantity
-// as VisitsToMaxLoad and provided under the attack-facing name.
-func BirthdayTrials(n, m int) float64 { return VisitsToMaxLoad(n, m) }

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Server smoke test: the CI job and `make serve-smoke` both run this.
 #
-# Boots memctld on random ports (HTTP control plane and binary
-# listener both live), probes the binary listener with binprobe (round
+# Boots memctld on random ports (the binary data plane and the HTTP
+# control plane), probes the binary listener with binprobe (round
 # trip + version skew), drives it with loadgen for ~2s under the benign
 # and the attack-shaped stream, asserts the detector told them apart,
 # and checks the daemon drains cleanly on SIGTERM with both listeners
-# up. The JSON batch API is covered by go test.
+# up.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
