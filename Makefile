@@ -42,8 +42,12 @@ lint:
 test: build vet
 	$(GO) test ./...
 
+# The second line reruns memserver's executor tests at three executor
+# counts: one executor, an uneven split of 64 banks (22/21/21), and more
+# executors than the host has cores.
 race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -short -cpu 1,3,4 -run '^(TestConcurrentSubmitters|TestBinaryRTARecoversSequence|TestHealthzAndDrain)$$' ./internal/memserver/
 
 # Second race pass: the exact tier's parallel sub-region sweep kernel,
 # sharded across up to 64 goroutines — the shape most likely to surface

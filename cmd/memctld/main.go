@@ -1,14 +1,16 @@
 // Command memctld runs the memory-controller daemon: a sharded,
-// wear-leveled PCM memory (one single-writer actor per bank, the
-// paper's "managed in the memory controller, each bank separately")
-// behind two listeners.
+// wear-leveled PCM memory (each bank with its own state and one writer,
+// the paper's "managed in the memory controller, each bank separately";
+// one executor goroutine per core runs every W-th bank) behind two
+// listeners.
 //
 // The data plane, -binary-addr, is the binary batch protocol
 // (length-prefixed frames, see internal/memserver wire.go) that
-// loadgen, binprobe and memrouterd speak. A full bank queue answers a
-// Nack frame carrying a retry-after. The control plane, -addr, is HTTP:
-// GET /healthz and GET /metrics (Prometheus text). SIGINT/SIGTERM
-// drains gracefully: the listeners stop, queued requests finish, final
+// loadgen, binprobe and memrouterd speak. A bank that already holds
+// -queue runs not yet started refuses its share of a frame, answered by
+// a Nack frame carrying a retry-after. The control plane, -addr, is
+// HTTP: GET /healthz and GET /metrics (Prometheus text). SIGINT/SIGTERM
+// drains gracefully: the listeners stop, admitted runs finish, final
 // per-bank telemetry is printed.
 //
 // Usage:
@@ -48,7 +50,7 @@ func main() {
 	stages := flag.Int("stages", 7, "DFN stages (srbsg)")
 	seed := flag.Uint64("seed", 1, "key seed (bank i uses seed+i)")
 	endurance := flag.Uint64("endurance", 1<<30, "per-line endurance")
-	queue := flag.Int("queue", 256, "per-bank request queue depth")
+	queue := flag.Int("queue", 256, "per-bank queue depth: runs admitted and not yet started")
 	detWindow := flag.Uint64("detector-window", 0, "detector observation window in writes (0 = default)")
 	detBoost := flag.Uint64("detector-boost", 0, "detector remapping-rate boost (0 = default)")
 	levelPolicy := flag.String("level-policy", "", "srbsg+adaptive decision policy: hysteresis|aggressive|static (empty = hysteresis)")
@@ -76,8 +78,9 @@ func main() {
 			Step: *levelStep, CooldownRounds: *levelCooldown,
 		},
 		// Level-change events are the operator-visible trail of the
-		// adaptive loop; the hook runs on the bank's actor goroutine, so
-		// keep it to one line of stderr.
+		// adaptive loop. The hook runs on the executor that owns the
+		// bank, and a blocking hook stalls every bank of that executor,
+		// so keep it to one line of stderr.
 		OnLevelChange: func(bank int, d seclevel.Decision) {
 			fmt.Fprintf(os.Stderr, "memctld: bank %d level change: %s\n", bank, d)
 		},
@@ -154,8 +157,8 @@ func main() {
 	}
 
 	// Drain order: stop both listeners first (in-flight frames finish
-	// against still-running actors), then close the bank queues and
-	// wait them out.
+	// against still-running executors), then close the executor queues,
+	// let them run dry and take a final snapshot of every bank.
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {

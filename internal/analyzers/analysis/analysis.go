@@ -2,7 +2,7 @@
 // the golang.org/x/tools/go/analysis surface the rbsglint suite needs.
 //
 // The repo's invariants (bit-identical simulation, single-writer bank
-// actors, panic-free data paths, alloc-free hot paths, registry
+// executors, panic-free data paths, alloc-free hot paths, registry
 // hygiene) are enforced by custom analyzers, but the module
 // deliberately has no third-party dependencies, so instead of importing
 // x/tools this package provides the same shape — an Analyzer with a Run

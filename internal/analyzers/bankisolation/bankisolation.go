@@ -1,9 +1,9 @@
 // Package bankisolation mechanizes the membank godoc contract: scheme,
 // PCM and bank state is single-writer — exactly one goroutine may touch
 // a given instance — and the only sanctioned place to multiplex
-// goroutines over that state is internal/memserver's actor layer.
+// goroutines over that state is internal/memserver's executor layer.
 //
-// The pass flags, in every package except internal/memserver (the actor
+// The pass flags, in every package except internal/memserver (the executor
 // layer) and internal/parallel (the spawn helper itself):
 //
 //   - `go` statements whose function literal captures a variable of a
@@ -35,12 +35,12 @@ import (
 // Analyzer is the bankisolation pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "bankisolation",
-	Doc:  "forbid sharing scheme/PCM/bank state across goroutines outside the memserver actor layer",
+	Doc:  "forbid sharing scheme/PCM/bank state across goroutines outside the memserver executor layer",
 	Run:  run,
 }
 
 // exemptPkgs may share simulation state across goroutines: memserver is
-// the actor layer the contract blesses, parallel implements the
+// the executor layer the contract blesses, parallel implements the
 // spawning itself.
 var exemptPkgs = map[string]bool{
 	"securityrbsg/internal/memserver": true,
@@ -123,12 +123,12 @@ func checkSpawn(pass *analysis.Pass, call *ast.CallExpr, where string) {
 	}
 	for _, arg := range call.Args {
 		if name, ok := restricted(pass.TypeOf(arg)); ok {
-			pass.Reportf(arg.Pos(), "%s escapes into %s: simulation state is single-writer per bank (membank contract); confine it to one goroutine or go through internal/memserver's actors", name, where)
+			pass.Reportf(arg.Pos(), "%s escapes into %s: simulation state is single-writer per bank (membank contract); confine it to one goroutine or go through internal/memserver's executors", name, where)
 		}
 	}
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if name, ok := restricted(pass.TypeOf(sel.X)); ok {
-			pass.Reportf(call.Pos(), "method of %s runs on %s: simulation state is single-writer per bank (membank contract); confine it to one goroutine or go through internal/memserver's actors", name, where)
+			pass.Reportf(call.Pos(), "method of %s runs on %s: simulation state is single-writer per bank (membank contract); confine it to one goroutine or go through internal/memserver's executors", name, where)
 		}
 	}
 }
@@ -155,7 +155,7 @@ func checkCaptures(pass *analysis.Pass, lit *ast.FuncLit, where string) {
 		}
 		if name, ok := restricted(v.Type()); ok {
 			reported[v] = true
-			pass.Reportf(id.Pos(), "%q (%s) is captured by %s: simulation state is single-writer per bank (membank contract); construct it inside the goroutine or go through internal/memserver's actors", v.Name(), name, where)
+			pass.Reportf(id.Pos(), "%q (%s) is captured by %s: simulation state is single-writer per bank (membank contract); construct it inside the goroutine or go through internal/memserver's executors", v.Name(), name, where)
 		}
 		return true
 	})

@@ -1,5 +1,5 @@
 // Package hotpathalloc enforces the PR 4 hot-path allocation contract:
-// functions annotated //rbsglint:hotpath (the memserver actor loop, the
+// functions annotated //rbsglint:hotpath (the memserver executor loop, the
 // binary wire's connection loop, codec and frame handlers, the exactsim
 // sweep kernels, the seclevel adaptive apply path) and everything they
 // reach through static in-module calls must not allocate per operation.

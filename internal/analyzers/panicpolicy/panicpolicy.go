@@ -2,7 +2,7 @@
 // code: a panic may assert a programmer-error invariant, but it must
 // never be the transport for a data-dependent failure.
 //
-// The memserver HTTP service executes requests on per-bank actor
+// The memserver service executes requests on its bank executor
 // goroutines; a panic there is not a 500 — it kills the process. So in
 // internal/ packages, the service's supply chain, a panic whose
 // argument carries a function-local error value (panic(err),
@@ -64,7 +64,7 @@ func run(pass *analysis.Pass) error {
 					return true
 				}
 				if name, ok := localError(pass, call.Args[0]); ok {
-					pass.Reportf(call.Pos(), "panic propagates the data-dependent error %q: return it instead (a panic on an actor goroutine kills the service); if it is a provable invariant, wrap it in a Must* helper or annotate with //rbsglint:allow", name)
+					pass.Reportf(call.Pos(), "panic propagates the data-dependent error %q: return it instead (a panic on an executor goroutine kills the service); if it is a provable invariant, wrap it in a Must* helper or annotate with //rbsglint:allow", name)
 				}
 				return true
 			})

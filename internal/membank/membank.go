@@ -26,9 +26,12 @@
 //   - Requests for different banks may run on different goroutines
 //     concurrently, with no synchronization at all. Route, Banks, Lines
 //     and Bank are read-only and always safe.
-//   - All requests for one bank must come from one goroutine at a time
-//     (in practice: a dedicated actor goroutine per bank, as
-//     internal/memserver does), or be externally serialized.
+//   - All requests for one bank must come from one goroutine at a time,
+//     or be externally serialized. internal/memserver gives every bank
+//     one goroutine for the server's lifetime: W = min(GOMAXPROCS,
+//     banks) executor goroutines, executor i serving every bank
+//     b ≡ i (mod W). A goroutine may serve several banks; no bank is
+//     ever served by two.
 //   - The whole-memory inspectors (Failed, TotalDemandWrites, MaxWear)
 //     read every bank and must only run while no bank is being driven.
 //

@@ -4,7 +4,8 @@
 // memctld shard processes.
 //
 // The paper's controller manages each bank separately; memserver turned
-// that into per-bank actors inside one process. The router is the next
+// that into per-bank state with one writer each inside one process. The
+// router is the next
 // scaling step out: bank *groups* — contiguous runs of the logical line
 // space — are assigned to shard processes, each shard running an
 // unmodified memctld over its own lines. The map is blocked, not

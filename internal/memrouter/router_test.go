@@ -22,7 +22,7 @@ func shardConfig(lines uint64, seed uint64) memserver.Config {
 	}
 }
 
-// startShard boots one memctld-shaped shard: actors, binary listener,
+// startShard boots one memctld-shaped shard: executors, binary listener,
 // HTTP control plane. Returns the binary address and the control
 // host:port.
 func startShard(t *testing.T, cfg memserver.Config) (*memserver.Server, string, string) {

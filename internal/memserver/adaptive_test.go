@@ -131,7 +131,7 @@ func TestBinaryAdaptiveEscalates(t *testing.T) {
 		}
 	}
 
-	hot, cold := s.actors[0].Snapshot(), s.actors[1].Snapshot()
+	hot, cold := s.banks[0].Snapshot(), s.banks[1].Snapshot()
 	if hot.LevelRaises == 0 || hot.SecurityLevel <= 4 || hot.Alarms == 0 {
 		t.Fatalf("hammered bank 0: raises %d, level %d, alarms %d; want a raise above the boot level 4 after an alarm",
 			hot.LevelRaises, hot.SecurityLevel, hot.Alarms)

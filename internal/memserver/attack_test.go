@@ -2,6 +2,7 @@ package memserver
 
 import (
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"securityrbsg/internal/attack"
@@ -125,7 +126,7 @@ func checkRTA(t *testing.T, s *Server, target attack.Target, ctl *Client) {
 	}
 
 	// Ground truth from scheme internals the attacker never saw. The
-	// randomizer is static, so reading it while the actor still owns
+	// randomizer is static, so reading it while the executor still owns
 	// the scheme is safe: nothing ever mutates it.
 	scheme := s.Memory().Bank(0).Scheme().(*rbsg.Scheme)
 	want := groundTruthSequence(scheme, 17, 6)
@@ -178,25 +179,35 @@ func (b bankTarget) Read(x uint64) (pcm.Content, uint64) {
 	return b.c.Read(x*b.banks + b.bank)
 }
 
-// TestBinaryRTARecoversSequence: the side channel is per bank. The RTA
-// runs against bank 0 of a two-bank server while a second connection
-// streams benign frames to bank 1. Bank 0 is built exactly like
-// rtaConfig's single bank (same seed, geometry and endurance), so the
-// attacker must recover the same sequence at exactly the same cost —
-// traffic on the neighboring bank, sharing the listener and the
-// frames' fan-out, must leave no trace in the attacker's latencies.
+// TestBinaryRTARecoversSequence: the side channel is per bank, even
+// between banks that share an executor. The RTA runs against bank 0 of
+// a server with one bank more than it has executors, while a second
+// connection streams benign frames to the one other bank that bank 0's
+// executor owns — so the neighbor shares the attacked bank's executor
+// and its FIFO in wall time, as well as the listener and the frames'
+// fan-out. Bank 0 is built exactly like rtaConfig's single bank (same
+// seed, geometry and endurance), so the attacker must recover the same
+// sequence at exactly the same cost: the neighbor's traffic must leave
+// no trace in the attacker's latencies.
 func TestBinaryRTARecoversSequence(t *testing.T) {
 	cfg := rtaConfig()
-	cfg.Banks, cfg.Lines = 2, 2*cfg.Lines
+	// W = min(GOMAXPROCS, Banks) executors: one bank more than GOMAXPROCS
+	// puts two banks on one executor on any host.
+	banks := runtime.GOMAXPROCS(0) + 1
+	cfg.Banks, cfg.Lines = banks, uint64(banks)*cfg.Lines
 	s := runServer(t, cfg)
+	neighborBank := 1
+	for s.owner(neighborBank) != s.owner(0) {
+		neighborBank++
+	}
 	addr := startBinaryListener(t, s)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	attacker, neighbor := dialBinary(t, addr), dialBinary(t, addr)
 
-	// 400 frames of 32 writes spread over bank 1's 256 lines stay far
-	// below the 500-write endurance, so the oracle's failed-lines signal
-	// can only come from the attacked bank.
+	// 400 frames of 32 writes spread over the neighbor bank's 256 lines
+	// stay far below the 500-write endurance, so the oracle's
+	// failed-lines signal can only come from the attacked bank.
 	stop := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
@@ -210,7 +221,7 @@ func TestBinaryRTARecoversSequence(t *testing.T) {
 			default:
 			}
 			for i := range ops {
-				ops[i] = BatchOp{Line: 2*rng.Uint64n(256) + 1, Data: 2}
+				ops[i] = BatchOp{Line: uint64(banks)*rng.Uint64n(256) + uint64(neighborBank), Data: 2}
 			}
 			if _, err := neighbor.Batch(ops); err != nil {
 				done <- err
@@ -219,7 +230,7 @@ func TestBinaryRTARecoversSequence(t *testing.T) {
 		}
 		done <- nil
 	}()
-	checkRTA(t, s, bankTarget{c: attacker, banks: 2, bank: 0}, NewClient(ts.URL))
+	checkRTA(t, s, bankTarget{c: attacker, banks: uint64(banks), bank: 0}, NewClient(ts.URL))
 	close(stop)
 	if err := <-done; err != nil {
 		t.Fatalf("neighbor-bank traffic: %v", err)

@@ -13,7 +13,7 @@ import (
 
 // benchBinaryBatch drives 256-op write frames through a connection
 // handler's Begin: the whole binary hot path — decode, per-bank
-// coalescing, actor round trip, encode — minus socket I/O.
+// coalescing, executor round trip, encode — minus socket I/O.
 func benchBinaryBatch(b *testing.B, cfg Config) {
 	const batch = 256
 	s := MustNew(cfg)
@@ -63,10 +63,11 @@ func BenchmarkBinaryBatchWriteAdaptive(b *testing.B) {
 	})
 }
 
-// BenchmarkBinaryBatchServeUniform is the actor-handoff rung, at
+// BenchmarkBinaryBatchServeUniform is the executor-handoff rung, at
 // serve_uniform's geometry and mix: 64 banks of 2^12 lines under
-// srbsg+adaptive and 256-op frames with 25% reads, so every frame hands
-// ~63 bank runs of ~4 ops to the actors and waits for them. Each
+// srbsg+adaptive and 256-op frames with 25% reads, so every frame makes
+// ~63 bank runs of ~4 ops, sends them to the executors in one message
+// each and waits for them. Each
 // b.RunParallel goroutine drives its own connection handler's Begin,
 // and SetParallelism(1) runs one per P: two submitters on a 2-core
 // host, like the benchmark's two connections. The handlers are built
@@ -159,12 +160,12 @@ func BenchmarkActorPublish(b *testing.B) {
 	for _, lines := range []uint64{1 << 12, 1 << 18} {
 		b.Run(fmt.Sprintf("lines=%d", lines), func(b *testing.B) {
 			s := MustNew(Config{Banks: 1, Lines: lines, Scheme: SchemeAdaptive, Seed: 1})
-			a := s.actors[0]
-			applyWear(a.ctrl.Bank(), hammerShaped(stats.NewRNG(5), int(lines)))
+			bs := s.banks[0]
+			applyWear(bs.ctrl.Bank(), hammerShaped(stats.NewRNG(5), int(lines)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				a.publish(true)
+				bs.publish(true)
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(lines), "ns/line")

@@ -12,8 +12,8 @@ import (
 // wire protocol (wire.go) on the shared connection server (conn.go).
 // Each connection's handler decodes a frame into its batch scratch,
 // runs it through executeBatch and encodes the answer, all in Begin on
-// the reader goroutine, so at most one frame per connection sits in the
-// bank queues. A full bank queue answers a Nack frame carrying the
+// the reader goroutine, so at most one frame per connection is ever
+// admitted to the banks. A full bank answers a Nack frame carrying the
 // retry-after seconds and the partial accounting; draining answers a
 // typed Err frame. Per-op simulated latencies travel in the response
 // verbatim, so the timing side channel crosses the wire intact.
@@ -61,7 +61,7 @@ func (s *Server) ServeBinary(ln net.Listener) error { return s.bin.Serve(ln) }
 // connection answers its in-flight frames and says goodbye with a
 // draining Err frame, and every connection is waited for (or
 // force-closed when ctx expires). Call it before Drain, like
-// http.Server.Shutdown: the actors must still be running while
+// http.Server.Shutdown: the executors must still be running while
 // in-flight frames finish.
 func (s *Server) ShutdownBinary(ctx context.Context) error { return s.bin.Shutdown(ctx) }
 
@@ -75,7 +75,7 @@ type binConn struct {
 }
 
 func (s *Server) newBinConn() FrameHandler {
-	return &binConn{s: s, sc: newBatchScratch(s.cfg.Banks)}
+	return &binConn{s: s, sc: s.newBatchScratch()}
 }
 
 // Begin is the whole binary hot path minus the socket I/O:
@@ -110,33 +110,46 @@ func (c *binConn) Finish(slot int) []byte { return c.out[slot] }
 
 // batchScratch is one batch's execution state: the validated ops, the
 // per-bank coalescing runs (indexed by bank, `order` listing the banks
-// touched this batch in first-touch order), the batch's one completion
-// and the response with its aligned arrays. A scratch serves one batch
-// at a time; each binary connection keeps one for its lifetime.
+// touched this batch in first-touch order), one message per executor
+// (indexed by executor), the batch's one completion and the response
+// with its aligned arrays. A scratch serves one batch at a time; each
+// binary connection keeps one for its lifetime.
 type batchScratch struct {
 	ops   []BatchOp
 	runs  []bankRun
 	order []int
+	sends []execBatch
 	done  sync.WaitGroup
 	resp  BatchResponse
 }
 
-func newBatchScratch(banks int) *batchScratch {
-	return &batchScratch{runs: make([]bankRun, banks)}
+func (s *Server) newBatchScratch() *batchScratch {
+	sc := &batchScratch{runs: make([]bankRun, len(s.banks)), sends: make([]execBatch, len(s.execs))}
+	for e := range sc.sends {
+		sc.sends[e].done = &sc.done
+	}
+	for b := range sc.runs {
+		sc.runs[b].bank = s.banks[b]
+		sc.runs[b].msg = &sc.sends[s.owner(b)]
+	}
+	return sc
 }
 
 // bankRun is one bank's slice of a batch: its ops, each op's position
-// in the batch, and the actor's results. Runs are embedded in the batch
-// scratch, and their backing arrays are reused across batches.
+// in the batch, and the executor's results, plus the bank and the
+// message of its executor, fixed when the scratch is built. Runs are
+// embedded in the batch scratch, and their backing arrays are reused
+// across batches.
 type bankRun struct {
-	bank int
+	bank *bankState
+	msg  *execBatch
 	ops  []op
 	idx  []int
 	res  []opResult
 }
 
-// resetRuns clears the per-bank runs touched by the last batch so the
-// scratch can host another one.
+// resetRuns clears the per-bank runs and the messages of the last batch
+// so the scratch can host another one.
 //
 //rbsglint:hotpath
 func resetRuns(sc *batchScratch) {
@@ -146,14 +159,18 @@ func resetRuns(sc *batchScratch) {
 		run.idx = run.idx[:0]
 	}
 	sc.order = sc.order[:0]
+	for e := range sc.sends {
+		sc.sends[e].runs = sc.sends[e].runs[:0]
+	}
 }
 
 // executeBatch is the batch engine: coalesce the already-validated ops
 // in sc.ops into one run per touched bank (preserving request order),
-// enqueue every run without blocking, wait once for the actors that
-// took one, then scatter the results into sc.resp, whose Ns/Data align
-// with the ops (rejected ops report zero). It reports whether a drain
-// caused any of the rejections.
+// admit each run whole or refuse it whole, send every executor that
+// owns an admitted run one message carrying all of them, wait once,
+// then scatter the results into sc.resp, whose Ns/Data align with the
+// ops (refused ops report zero). It reports whether the server was
+// draining, which refuses every run.
 //
 //rbsglint:hotpath
 func (s *Server) executeBatch(sc *batchScratch) (draining bool) {
@@ -162,31 +179,33 @@ func (s *Server) executeBatch(sc *batchScratch) (draining bool) {
 		bank, local := s.mem.Route(o.Line)
 		run := &sc.runs[bank]
 		if len(run.idx) == 0 {
-			run.bank = bank
 			sc.order = append(sc.order, bank)
 		}
 		run.ops = append(run.ops, op{local: local, read: o.Read, content: pcm.Content(o.Data)})
 		run.idx = append(run.idx, i)
 	}
 
-	// Every run counts once in sc.done: its actor's Done, or ours when
-	// the queue refused it. Add precedes every enqueue, and this batch's
-	// Wait precedes the next batch's Add.
+	// sc.done counts messages: Add precedes every send, and this batch's
+	// Wait precedes the next batch's Add. No send blocks: New sizes each
+	// executor queue so that admission is the only refusal.
 	resp := &sc.resp
 	resp.Reset(len(ops))
-	sc.done.Add(len(sc.order))
+	draining = s.draining.Load()
+	depth := int64(s.cfg.QueueDepth)
 	for _, b := range sc.order {
 		run := &sc.runs[b]
-		err := s.enqueue(run, &sc.done)
-		if err == nil {
+		if draining || !run.bank.admit(depth) {
+			run.res = run.res[:0] // nothing applied
+			resp.Rejected += len(run.ops)
 			continue
 		}
-		if err == errDraining {
-			draining = true
+		run.msg.runs = append(run.msg.runs, run)
+	}
+	for e := range sc.sends {
+		if m := &sc.sends[e]; len(m.runs) > 0 {
+			sc.done.Add(1)
+			s.execs[e].ch <- m
 		}
-		sc.done.Done()
-		run.res = run.res[:0] // nothing applied
-		resp.Rejected += len(run.ops)
 	}
 	sc.done.Wait()
 	for _, b := range sc.order {

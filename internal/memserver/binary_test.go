@@ -39,21 +39,13 @@ func TestBinaryVersionSkew(t *testing.T) {
 	}
 }
 
-// TestBinaryNackBackpressure fills a bank queue (actors deliberately
-// not started, so nothing dequeues) and checks the server answers a
-// Nack frame carrying retry-after and partial accounting instead of
-// blocking.
+// TestBinaryNackBackpressure fills a bank's admission and checks the
+// server answers a Nack frame carrying retry-after and partial
+// accounting instead of blocking.
 func TestBinaryNackBackpressure(t *testing.T) {
 	cfg := testConfig()
 	cfg.QueueDepth = 2
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stuff bank 0's queue to capacity by hand.
-	for i := 0; i < cfg.QueueDepth; i++ {
-		s.actors[0].ch <- bankReq{}
-	}
+	s := runServerFullBank(t, cfg, 0)
 	c := dialBinary(t, startBinaryListener(t, s))
 
 	// LA 0 routes to bank 0 → full queue → Nack. Batch does not retry,
@@ -69,7 +61,7 @@ func TestBinaryNackBackpressure(t *testing.T) {
 	if be.Resp == nil || be.Resp.Rejected != 1 || be.Resp.Applied != 0 {
 		t.Fatalf("partial accounting wrong: %+v", be.Resp)
 	}
-	if got := s.actors[0].rejected.Load(); got != 1 {
+	if got := s.banks[0].rejected.Load(); got != 1 {
 		t.Fatalf("bank 0 rejected counter = %d, want 1", got)
 	}
 }
@@ -275,7 +267,7 @@ func TestServeBinaryAfterShutdown(t *testing.T) {
 // every pre-execution reject path through a connection handler
 // allocates nothing.
 func TestBinaryRejectPathZeroAlloc(t *testing.T) {
-	s := MustNew(testConfig()) // actors never started: rejects must not reach them
+	s := MustNew(testConfig()) // executors never started: rejects must not reach them
 	h := s.newBinConn()
 	frame := func(body []byte) { h.Begin(0, body) }
 
@@ -433,21 +425,13 @@ func TestBinaryPipelinedReadBatches(t *testing.T) {
 func TestBinaryReadNackBackpressure(t *testing.T) {
 	cfg := testConfig()
 	cfg.QueueDepth = 1
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bank 0 full; start only bank 1's actor so its share completes.
-	s.actors[0].ch <- bankReq{}
-	go s.actors[1].run()
-	defer close(s.actors[1].ch)
-	c := dialBinary(t, startBinaryListener(t, s))
+	c := dialBinary(t, startBinaryListener(t, runServerFullBank(t, cfg, 0)))
 
 	// LA 1 → bank 1 (applied), LA 0 → bank 0 (rejected).
 	if _, err := c.Batch([]BatchOp{{Line: 1, Data: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Batch([]BatchOp{{Line: 0, Read: true}, {Line: 1, Read: true}})
+	_, err := c.Batch([]BatchOp{{Line: 0, Read: true}, {Line: 1, Read: true}})
 	be, ok := err.(*BackpressureError)
 	if !ok {
 		t.Fatalf("want BackpressureError, got %v", err)

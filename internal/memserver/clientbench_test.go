@@ -1,6 +1,7 @@
 package memserver
 
 import (
+	"sync"
 	"testing"
 
 	"securityrbsg/internal/stats"
@@ -79,6 +80,76 @@ func BenchmarkBinaryClientPipelined(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "lines/s")
+}
+
+// BenchmarkBinaryClientServeUniform is serve_uniform over loopback: two
+// BinaryClient connections, each keeping 8 frames of 256 ops in flight,
+// against 64 banks of 2^12 lines under srbsg+adaptive, with the
+// workload's op mix and line ownership (uniformOp; connection c owns
+// the lines whose bank row is c mod 2). One op is one frame; the
+// connections split b.N. It is the rung above
+// BenchmarkBinaryBatchServeUniform: the same server work plus the
+// sockets and connection loops, whose reader and writer goroutines
+// leave a P idle at times for the executors' wake-ups. Each connection
+// is warmed with one window before the timer, so allocs/op counts
+// steady-state frames.
+func BenchmarkBinaryClientServeUniform(b *testing.B) {
+	const (
+		conns, window, batch = 2, 8, 256
+		banks, lines         = 64, 64 << 12
+	)
+	addr := startBinaryListener(b, runServer(b, Config{
+		Banks: banks, Lines: lines, Scheme: SchemeAdaptive,
+		Regions: 32, Interval: 100, Stages: 7, Seed: 1, QueueDepth: 256,
+	}))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := range conns {
+		cl := dialBinary(b, addr)
+		rng := stats.NewRNG(uint64(3 + c))
+		ops := make([]BatchOp, batch)
+		var resp BatchResponse
+		// frames sends n frames, keeping window of them in flight.
+		frames := func(n int) error {
+			inflight := 0
+			for i := 0; i < n || inflight > 0; {
+				if i == n || inflight == window {
+					if err := cl.RecvBatch(&resp); err != nil {
+						return err
+					}
+					inflight--
+					continue
+				}
+				for k := range ops {
+					_, ops[k] = uniformOp(rng, uint64(c), conns, banks, lines/conns)
+				}
+				if err := cl.SendBatch(ops); err != nil {
+					return err
+				}
+				i++
+				inflight++
+			}
+			return nil
+		}
+		if err := frames(window); err != nil {
+			b.Fatal(err)
+		}
+		n := (b.N + conns - 1 - c) / conns // frames c, c+conns, ... of b.N
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if err := frames(n); err != nil {
+				b.Error(err)
+			}
+		}()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	close(start)
+	wg.Wait()
 	b.StopTimer()
 	b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "lines/s")
 }

@@ -11,15 +11,17 @@ import (
 )
 
 // TestConcurrentSubmitters drives four connection handlers' Begin at
-// once over 64 banks whose queues hold one run, so runs from different
+// once over 64 banks that admit one run at a time, so runs from different
 // handlers collide and some are refused. Each handler owns the lines
 // whose bank row is its index mod 4 and keeps a shadow of them; every
 // frame's answer must account for every op, carry the shadow's value
 // on every applied read, report zeros for every refused op, and apply
 // or refuse each bank's share as a whole. After the drain the banks
 // must have served exactly the applied ops, and the refused runs must
-// match the queues' rejection counters. Run it under -race: it is the
-// submitter/actor ownership rule's test above the single-writer banks.
+// match the banks' rejection counters. Run it under -race, and at
+// several executor counts (make race runs -cpu 1,3,4): it is the
+// submitter/executor ownership rule's test above the single-writer
+// banks.
 func TestConcurrentSubmitters(t *testing.T) {
 	const (
 		handlers = 4
@@ -62,10 +64,10 @@ func TestConcurrentSubmitters(t *testing.T) {
 		rejected += tl.rejected
 		refusedRuns += tl.refusedRuns
 	}
-	for _, a := range s.actors {
-		snap := a.Snapshot()
+	for _, bs := range s.banks {
+		snap := bs.Snapshot()
 		served += snap.Stats.DemandWrites + snap.Stats.DemandReads
-		queueRejected += a.rejected.Load()
+		queueRejected += bs.rejected.Load()
 	}
 	if applied+rejected != handlers*frames*batch {
 		t.Fatalf("applied %d + rejected %d ops, want %d", applied, rejected, handlers*frames*batch)
@@ -86,17 +88,29 @@ func TestConcurrentSubmitters(t *testing.T) {
 // refused bank runs.
 type frameTally struct{ applied, rejected, refusedRuns uint64 }
 
-// submitFrames runs frames batch-op frames through one fresh connection
-// handler of s. The handler owns the lines whose bank row is h mod
-// handlers; ops draw owned lines uniformly, a quarter are reads, and
-// writes carry the three content classes with equal odds. It checks
-// each answer against its shadow of the owned lines.
+// uniformOp draws one op of serve_uniform's mix for client conn of
+// conns over banks banks: a line the client owns (one whose bank row,
+// line / banks, is conn mod conns) uniformly from its owned lines, a
+// quarter reads, and writes carrying ALL-0, ALL-1 or MIXED with equal
+// odds. It also returns the line's index among the owned lines.
+func uniformOp(rng *stats.RNG, conn, conns, banks, owned uint64) (uint64, BatchOp) {
+	i := rng.Uint64n(owned)
+	o := BatchOp{Line: ((i/banks)*conns+conn)*banks + i%banks, Data: uint8(rng.Uint64n(3))}
+	if rng.Uint64n(4) == 0 {
+		o = BatchOp{Line: o.Line, Read: true}
+	}
+	return i, o
+}
+
+// submitFrames runs frames batch-op frames of serve_uniform's mix
+// (uniformOp) through one fresh connection handler of s, as client h of
+// handlers. It checks each answer against its shadow of the owned
+// lines.
 func submitFrames(s *Server, h, handlers uint64, frames, batch int) (frameTally, error) {
 	var tl frameTally
 	banks := uint64(s.cfg.Banks)
 	owned := s.cfg.Lines / handlers
 	shadow := make([]uint8, owned) // every line starts ALL-0
-	line := func(i uint64) uint64 { return ((i/banks)*handlers+h)*banks + i%banks }
 
 	c := s.newBinConn()
 	rng := stats.NewRNG(100 + h)
@@ -106,11 +120,7 @@ func submitFrames(s *Server, h, handlers uint64, frames, batch int) (frameTally,
 	var resp BatchResponse
 	for f := range frames {
 		for k := range ops {
-			idx[k] = rng.Uint64n(owned)
-			ops[k] = BatchOp{Line: line(idx[k]), Data: uint8(rng.Uint64n(3))}
-			if rng.Uint64n(4) == 0 {
-				ops[k] = BatchOp{Line: ops[k].Line, Read: true}
-			}
+			idx[k], ops[k] = uniformOp(rng, h, handlers, banks, owned)
 		}
 		out, fatal := c.Begin(0, appendBatchReqBody(nil, WireVersion, ops))
 		if fatal || len(out) < 4+wireHdrSize {

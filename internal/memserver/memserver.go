@@ -1,36 +1,42 @@
 // Package memserver turns the batch simulator into a long-running
-// memory-controller service: a membank.Memory sharded across per-bank
-// single-writer actors behind the binary wire protocol, its one data
-// plane, with a stdlib net/http control plane (/healthz, /metrics). It
-// is also the one implementation of that wire — codec (wire.go),
-// connection server (conn.go) and client (binaryclient.go) — which
+// memory-controller service: a membank.Memory whose banks each have a
+// single writer behind the binary wire protocol, its one data plane,
+// with a stdlib net/http control plane (/healthz, /metrics). It is also
+// the one implementation of that wire — codec (wire.go), connection
+// server (conn.go) and client (binaryclient.go) — which
 // internal/memrouter serves and dials through.
 //
 // The paper deploys Security RBSG "in the memory controller, managing
 // each bank separately" (Section IV-A); memserver is that controller as
-// an online system. Every bank gets exactly one goroutine (its actor)
-// that owns the bank's wear.Controller, its scheme, and its detector —
-// so the existing non-thread-safe scheme/PCM code runs unmodified and
-// unlocked, and the paper's bank-isolation property holds by
-// construction: no request ever touches, or observes the timing of, a
-// bank other than the one it addresses.
+// an online system. Each bank keeps its own wear.Controller, scheme,
+// detector and telemetry, and exactly one goroutine ever touches them:
+// the executor that owns the bank. The server runs W = min(GOMAXPROCS,
+// Banks) executors, and executor i owns every bank b ≡ i (mod W) for
+// its whole lifetime — so the existing non-thread-safe scheme/PCM code
+// runs unmodified and unlocked, and the paper's bank-isolation property
+// holds by construction: no request ever touches a bank other than the
+// one it addresses, and every op's simulated latency depends only on
+// its own bank's history. In wall time, banks that share an executor
+// share one FIFO.
 //
-// Requests enter through bounded per-bank queues. A full queue is
-// explicit backpressure (a Nack frame), never an unbounded goroutine
-// pileup. Batches are coalesced per bank: one queue entry per touched
-// bank, preserving per-bank op order, with banks executing in parallel
-// and the batch waiting once for all of them.
+// Requests enter through bounded per-bank admission: a bank admits at
+// most QueueDepth runs not yet started, and a full bank is explicit
+// backpressure (a Nack frame), never an unbounded goroutine pileup.
+// Batches are coalesced per bank — one run per touched bank, preserving
+// per-bank op order — and each touched executor gets one message with
+// all of its banks' runs, so a batch wakes at most W goroutines and
+// waits once for all of them.
 //
 // Telemetry the batch tools compute only post-hoc is published live:
-// each actor periodically (and at drain) publishes an immutable
-// BankSnapshot through an atomic pointer, so /metrics never blocks on —
-// or races with — the simulation hot path.
+// each bank's executor periodically (and at drain) publishes an
+// immutable BankSnapshot through an atomic pointer, so /metrics never
+// blocks on — or races with — the simulation hot path.
 package memserver
 
 import (
 	"context"
 	"fmt"
-	"sync"
+	"runtime"
 	"sync/atomic"
 
 	"securityrbsg/internal/core"
@@ -74,9 +80,12 @@ type Config struct {
 	Endurance uint64
 	// LineBytes is the line size (default 256).
 	LineBytes int
-	// QueueDepth bounds each bank's request queue (default 256 entries).
+	// QueueDepth bounds each bank's admission: the runs (one per batch
+	// touching the bank) admitted and not yet started by the bank's
+	// executor (default 256). A batch whose run finds the bank full gets
+	// that bank's share refused whole, in a Nack.
 	QueueDepth int
-	// SnapshotEvery is how many ops an actor processes between telemetry
+	// SnapshotEvery is how many ops a bank executes between telemetry
 	// snapshots (default 8192; tests set 1 for exact live metrics). The
 	// wear percentiles read every line of the bank, so they refresh only
 	// every max(SnapshotEvery, lines per bank) ops; like every other
@@ -89,9 +98,9 @@ type Config struct {
 	// only; zero fields take seclevel defaults).
 	Level seclevel.Config
 	// OnLevelChange, when set, observes every applied security-level
-	// transition (srbsg+adaptive only). It runs on the bank's actor
-	// goroutine, so it must not block; memctld uses it to log level-change
-	// events.
+	// transition (srbsg+adaptive only). It runs on the executor that owns
+	// the bank, so it must not block: a blocking hook stalls every bank of
+	// that executor. memctld uses it to log level-change events.
 	OnLevelChange func(bank int, d seclevel.Decision)
 }
 
@@ -136,15 +145,15 @@ func (c *Config) normalize() error {
 	return nil
 }
 
-// Server is the memory-controller service: routing, actors, telemetry.
+// Server is the memory-controller service: routing, executors,
+// telemetry.
 type Server struct {
-	cfg       Config
-	mem       *membank.Memory
-	actors    []*actor
-	detectors []*detector.AdaptiveRBSG // nil entries when the scheme has no detector
-	adaptives []*seclevel.Adaptive     // nil entries when the scheme has no level controller
-	draining  atomic.Bool
-	started   atomic.Bool
+	cfg      Config
+	mem      *membank.Memory
+	banks    []*bankState
+	execs    []*executor
+	draining atomic.Bool
+	started  atomic.Bool
 
 	// The binary listener (binary.go) and its serving counters.
 	bin        *ConnServer
@@ -153,16 +162,14 @@ type Server struct {
 	binLineOps atomic.Uint64 // line ops applied via the binary protocol
 }
 
-// New builds a server (actors not yet running; call Start).
+// New builds a server (executors not yet running; call Start).
 func New(cfg Config) (*Server, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	s := &Server{
-		cfg:       cfg,
-		detectors: make([]*detector.AdaptiveRBSG, cfg.Banks),
-		adaptives: make([]*seclevel.Adaptive, cfg.Banks),
-	}
+	s := &Server{cfg: cfg}
+	detectors := make([]*detector.AdaptiveRBSG, cfg.Banks) // nil entries when the scheme has no detector
+	adaptives := make([]*seclevel.Adaptive, cfg.Banks)     // nil entries when the scheme has no level controller
 	s.bin = NewConnServer(s.newBinConn, &s.binRejects, "server draining")
 	factory := func(bank int, lines uint64) (wear.Scheme, error) {
 		seed := cfg.Seed + uint64(bank)
@@ -196,7 +203,7 @@ func New(cfg Config) (*Server, error) {
 				b := bank // the hook outlives the loop variable's iteration
 				ad.Controller().OnApply = func(d seclevel.Decision) { cb(b, d) }
 			}
-			s.adaptives[bank] = ad
+			adaptives[bank] = ad
 			return ad, nil
 		case SchemeRBSGDetector:
 			base, err := rbsg.New(rbsg.Config{
@@ -209,7 +216,7 @@ func New(cfg Config) (*Server, error) {
 			if err != nil {
 				return nil, err
 			}
-			s.detectors[bank] = det
+			detectors[bank] = det
 			return det, nil
 		default:
 			return nil, fmt.Errorf("memserver: unknown scheme %q", cfg.Scheme)
@@ -225,12 +232,30 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.mem = mem
-	s.actors = make([]*actor, cfg.Banks)
-	for i := range s.actors {
-		s.actors[i] = newActor(i, mem.Bank(i), s.detectors[i], s.adaptives[i], cfg.QueueDepth, cfg.SnapshotEvery)
+	s.banks = make([]*bankState, cfg.Banks)
+	s.execs = make([]*executor, min(runtime.GOMAXPROCS(0), cfg.Banks))
+	for i := range s.execs {
+		s.execs[i] = &executor{done: make(chan struct{})}
+	}
+	for b := range s.banks {
+		s.banks[b] = newBankState(b, mem.Bank(b), detectors[b], adaptives[b], cfg.SnapshotEvery)
+		e := s.execs[s.owner(b)]
+		e.banks = append(e.banks, s.banks[b])
+	}
+	for _, e := range s.execs {
+		// A queued message carries at least one run its executor has not
+		// started, and each bank admits at most QueueDepth of those, so
+		// this capacity makes admission the only way a run is refused: a
+		// send on the queue never blocks.
+		e.ch = make(chan *execBatch, cfg.QueueDepth*len(e.banks))
+		e.due = make([]*bankState, 0, len(e.banks))
 	}
 	return s, nil
 }
+
+// owner is the ownership rule: the index of the executor that runs
+// bank b.
+func (s *Server) owner(b int) int { return b % len(s.execs) }
 
 // MustNew is New that panics on error.
 func MustNew(cfg Config) *Server {
@@ -245,27 +270,28 @@ func MustNew(cfg Config) *Server {
 func (s *Server) Config() Config { return s.cfg }
 
 // Memory exposes the underlying sharded memory. Callers must not drive
-// it while actors are running — it is for post-drain inspection.
+// it while executors are running — it is for post-drain inspection.
 func (s *Server) Memory() *membank.Memory { return s.mem }
 
-// Start launches one actor goroutine per bank.
+// Start launches the executor goroutines.
 func (s *Server) Start() {
 	if s.started.Swap(true) {
 		return
 	}
-	for _, a := range s.actors {
-		go a.run()
+	for _, e := range s.execs {
+		go e.run()
 	}
 }
 
 // Draining reports whether Drain has begun.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Drain stops accepting requests, lets every queued request finish, and
-// waits for all actors to exit (or ctx to expire). The binary listener
-// must already be shut down: Drain closes the bank queues, and a
-// concurrent submit on a closed queue would be rejected only by the
-// draining flag, which an in-flight handler may have checked earlier.
+// Drain stops accepting requests, lets every admitted run finish, and
+// waits for every executor to publish its banks' final snapshots and
+// exit (or ctx to expire). The binary listener must already be shut
+// down: Drain closes the executor queues, and only the draining flag
+// keeps a submitter off a closed queue — a flag an in-flight handler
+// may have checked before Drain set it.
 func (s *Server) Drain(ctx context.Context) error {
 	if s.draining.Swap(true) {
 		return nil
@@ -273,39 +299,15 @@ func (s *Server) Drain(ctx context.Context) error {
 	if !s.started.Load() {
 		return nil
 	}
-	for _, a := range s.actors {
-		close(a.ch)
+	for _, e := range s.execs {
+		close(e.ch)
 	}
-	for _, a := range s.actors {
+	for i, e := range s.execs {
 		select {
-		case <-a.done:
+		case <-e.done:
 		case <-ctx.Done():
-			return fmt.Errorf("memserver: drain: bank %d still busy: %w", a.bank, ctx.Err())
+			return fmt.Errorf("memserver: drain: executor %d still busy: %w", i, ctx.Err())
 		}
 	}
 	return nil
 }
-
-// errBusy marks a rejected (queue-full) submission.
-var errBusy = fmt.Errorf("memserver: bank queue full")
-
-// enqueue submits run to its bank's actor without blocking, so the
-// batch path keeps all touched banks in flight at once; a full queue
-// answers errBusy, surfaced as a Nack. On success the actor owns
-// run until it calls done.Done, so the caller must have counted the run
-// in done beforehand; on an error no actor will.
-func (s *Server) enqueue(run *bankRun, done *sync.WaitGroup) error {
-	if s.draining.Load() {
-		return errDraining
-	}
-	a := s.actors[run.bank]
-	select {
-	case a.ch <- bankReq{run: run, done: done}:
-		return nil
-	default:
-		a.rejected.Add(1)
-		return errBusy
-	}
-}
-
-var errDraining = fmt.Errorf("memserver: draining")

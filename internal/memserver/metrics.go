@@ -7,7 +7,7 @@ import (
 )
 
 // handleMetrics renders Prometheus-style text metrics. Everything comes
-// from the actors' published snapshots plus a handful of submitter-side
+// from the banks' published snapshots plus a handful of submitter-side
 // atomics, so scraping never blocks the simulation hot path and keeps
 // working after a drain (the final snapshot is exact).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -50,58 +50,58 @@ func (s *Server) renderMetrics(b *strings.Builder) {
 
 	type metric struct {
 		name, help, kind string
-		value            func(a *actor, snap *BankSnapshot) uint64
+		value            func(bs *bankState, snap *BankSnapshot) uint64
 	}
 	metrics := []metric{
 		{"demand_writes_total", "Demand writes served.", "counter",
-			func(a *actor, s *BankSnapshot) uint64 { return s.Stats.DemandWrites }},
+			func(bs *bankState, s *BankSnapshot) uint64 { return s.Stats.DemandWrites }},
 		{"demand_reads_total", "Demand reads served.", "counter",
-			func(a *actor, s *BankSnapshot) uint64 { return s.Stats.DemandReads }},
+			func(bs *bankState, s *BankSnapshot) uint64 { return s.Stats.DemandReads }},
 		{"set_writes_total", "Demand writes paying the SET latency (ALL-1 or MIXED).", "counter",
-			func(a *actor, s *BankSnapshot) uint64 { return s.SetWrites }},
+			func(bs *bankState, s *BankSnapshot) uint64 { return s.SetWrites }},
 		{"reset_writes_total", "Demand writes paying only the RESET latency (ALL-0).", "counter",
-			func(a *actor, s *BankSnapshot) uint64 { return s.ResetWrites }},
+			func(bs *bankState, s *BankSnapshot) uint64 { return s.ResetWrites }},
 		{"remap_events_total", "Writes that triggered wear-leveling movements.", "counter",
-			func(a *actor, s *BankSnapshot) uint64 { return s.Stats.RemapEvents }},
+			func(bs *bankState, s *BankSnapshot) uint64 { return s.Stats.RemapEvents }},
 		{"remap_ns_total", "Simulated nanoseconds spent in remapping movements.", "counter",
-			func(a *actor, s *BankSnapshot) uint64 { return s.Stats.RemapNs }},
+			func(bs *bankState, s *BankSnapshot) uint64 { return s.Stats.RemapNs }},
 		{"device_writes_total", "Device-level writes (demand + remapping).", "counter",
-			func(a *actor, s *BankSnapshot) uint64 { return s.Stats.DeviceWrites }},
+			func(bs *bankState, s *BankSnapshot) uint64 { return s.Stats.DeviceWrites }},
 		{"device_reads_total", "Device-level reads (demand + remapping).", "counter",
-			func(a *actor, s *BankSnapshot) uint64 { return s.Stats.DeviceReads }},
+			func(bs *bankState, s *BankSnapshot) uint64 { return s.Stats.DeviceReads }},
 		{"sim_elapsed_ns_total", "Accumulated simulated device time in nanoseconds.", "counter",
-			func(a *actor, s *BankSnapshot) uint64 { return s.Stats.ElapsedNs }},
+			func(bs *bankState, s *BankSnapshot) uint64 { return s.Stats.ElapsedNs }},
 		{"failed_lines", "Physical lines worn past endurance.", "gauge",
-			func(a *actor, s *BankSnapshot) uint64 { return s.Stats.FailedLines }},
+			func(bs *bankState, s *BankSnapshot) uint64 { return s.Stats.FailedLines }},
 		{"detector_alarms_total", "Detector alarms raised (regions crossing the traffic-share threshold).", "counter",
-			func(a *actor, s *BankSnapshot) uint64 { return s.Alarms }},
+			func(bs *bankState, s *BankSnapshot) uint64 { return s.Alarms }},
 		{"detector_boosted_moves_total", "Extra gap movements issued while alarmed.", "counter",
-			func(a *actor, s *BankSnapshot) uint64 { return s.BoostedMoves }},
+			func(bs *bankState, s *BankSnapshot) uint64 { return s.BoostedMoves }},
 		{"detector_alarmed_regions", "Regions currently under alarm.", "gauge",
-			func(a *actor, s *BankSnapshot) uint64 { return uint64(s.AlarmedRegions) }},
+			func(bs *bankState, s *BankSnapshot) uint64 { return uint64(s.AlarmedRegions) }},
 		{"security_level", "DFN stage count currently in effect (srbsg+adaptive).", "gauge",
-			func(a *actor, s *BankSnapshot) uint64 { return uint64(s.SecurityLevel) }},
+			func(bs *bankState, s *BankSnapshot) uint64 { return uint64(s.SecurityLevel) }},
 		{"level_raises_total", "Security-level escalations applied by the controller.", "counter",
-			func(a *actor, s *BankSnapshot) uint64 { return s.LevelRaises }},
+			func(bs *bankState, s *BankSnapshot) uint64 { return s.LevelRaises }},
 		{"level_lowers_total", "Security-level relaxations applied by the controller.", "counter",
-			func(a *actor, s *BankSnapshot) uint64 { return s.LevelLowers }},
+			func(bs *bankState, s *BankSnapshot) uint64 { return s.LevelLowers }},
 		{"wear_max", "Highest wear count of any physical line.", "gauge",
-			func(a *actor, s *BankSnapshot) uint64 { return s.Stats.MaxWear }},
+			func(bs *bankState, s *BankSnapshot) uint64 { return s.Stats.MaxWear }},
 		{"wear_p50", "Median wear count over physical lines, refreshed every max(SnapshotEvery, lines per bank) ops and exact after drain.", "gauge",
-			func(a *actor, s *BankSnapshot) uint64 { return s.WearP50 }},
+			func(bs *bankState, s *BankSnapshot) uint64 { return s.WearP50 }},
 		{"wear_p90", "90th-percentile wear count over physical lines, refreshed every max(SnapshotEvery, lines per bank) ops and exact after drain.", "gauge",
-			func(a *actor, s *BankSnapshot) uint64 { return s.WearP90 }},
+			func(bs *bankState, s *BankSnapshot) uint64 { return s.WearP90 }},
 		{"wear_p99", "99th-percentile wear count over physical lines, refreshed every max(SnapshotEvery, lines per bank) ops and exact after drain.", "gauge",
-			func(a *actor, s *BankSnapshot) uint64 { return s.WearP99 }},
-		{"queue_depth", "Requests currently queued for the bank's actor.", "gauge",
-			func(a *actor, s *BankSnapshot) uint64 { return uint64(len(a.ch)) }},
+			func(bs *bankState, s *BankSnapshot) uint64 { return s.WearP99 }},
+		{"queue_depth", "Runs admitted for the bank and not yet started by its executor.", "gauge",
+			func(bs *bankState, s *BankSnapshot) uint64 { return uint64(bs.queued.Load()) }},
 		{"queue_rejected_total", "Submissions rejected with backpressure (Nack).", "counter",
-			func(a *actor, s *BankSnapshot) uint64 { return a.rejected.Load() }},
+			func(bs *bankState, s *BankSnapshot) uint64 { return bs.rejected.Load() }},
 	}
 	for _, m := range metrics {
 		fmt.Fprintf(b, "# HELP memctld_%s %s\n# TYPE memctld_%s %s\n", m.name, m.help, m.name, m.kind)
-		for _, a := range s.actors {
-			fmt.Fprintf(b, "memctld_%s{bank=%q} %d\n", m.name, fmt.Sprint(a.bank), m.value(a, a.Snapshot()))
+		for _, bs := range s.banks {
+			fmt.Fprintf(b, "memctld_%s{bank=%q} %d\n", m.name, fmt.Sprint(bs.id), m.value(bs, bs.Snapshot()))
 		}
 	}
 }

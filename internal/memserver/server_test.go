@@ -42,11 +42,22 @@ func runServer(t testing.TB, cfg Config) *Server {
 	return s
 }
 
+// runServerFullBank runs a server (runServer) whose bank's admission
+// count already stands at QueueDepth, as if that many runs had been
+// admitted and never started: every run for that bank is refused, while
+// the other banks serve normally.
+func runServerFullBank(t *testing.T, cfg Config, bank int) *Server {
+	t.Helper()
+	s := runServer(t, cfg)
+	s.banks[bank].queued.Store(int64(s.cfg.QueueDepth))
+	return s
+}
+
 // startServer runs a server the way memctld deploys it — the binary
 // data plane plus the HTTP control plane — and returns it with a
 // connected binary client and a control-plane client. Cleanup runs
 // LIFO, so it closes the control plane, then the binary listener, then
-// drains the actors: memctld's drain order.
+// drains the executors: memctld's drain order.
 func startServer(t *testing.T, cfg Config) (*Server, *BinaryClient, *Client) {
 	t.Helper()
 	s := runServer(t, cfg)
@@ -59,7 +70,7 @@ func startServer(t *testing.T, cfg Config) (*Server, *BinaryClient, *Client) {
 // startBinaryListener attaches a binary-protocol listener to s and
 // registers its shutdown (before any drain cleanup the caller has
 // already registered — t.Cleanup runs LIFO, and ShutdownBinary must
-// run while the actors still do).
+// run while the executors still do).
 func startBinaryListener(t testing.TB, s *Server) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -92,7 +103,7 @@ func dialBinary(t testing.TB, addr string) *BinaryClient {
 }
 
 // settledMetrics scrapes c until the published snapshots count ops
-// demand ops: an actor answers a request before it publishes the
+// demand ops: an executor answers a request before it publishes the
 // snapshot that counts it, so a scrape right after the last answer can
 // miss that request's counters.
 func settledMetrics(t *testing.T, c *Client, ops float64) map[string]float64 {
@@ -235,15 +246,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 func TestBackpressure429(t *testing.T) {
 	cfg := testConfig()
 	cfg.QueueDepth = 2
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stuff bank 0's queue to capacity by hand (actors deliberately not
-	// started, so nothing dequeues).
-	for i := 0; i < cfg.QueueDepth; i++ {
-		s.actors[0].ch <- bankReq{}
-	}
+	s := runServerFullBank(t, cfg, 0)
 	c := dialBinary(t, startBinaryListener(t, s))
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -274,18 +277,10 @@ func TestBackpressure429(t *testing.T) {
 func TestMixedBankBatchPartialRejection(t *testing.T) {
 	cfg := testConfig()
 	cfg.QueueDepth = 1
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bank 0 full; start only bank 1's actor so its share completes.
-	s.actors[0].ch <- bankReq{}
-	go s.actors[1].run()
-	defer close(s.actors[1].ch)
-	c := dialBinary(t, startBinaryListener(t, s))
+	c := dialBinary(t, startBinaryListener(t, runServerFullBank(t, cfg, 0)))
 
 	// LA 0 → bank 0 (rejected), LA 1 → bank 1 (applied).
-	_, err = c.Batch([]BatchOp{{Line: 0, Data: 1}, {Line: 1, Data: 1}})
+	_, err := c.Batch([]BatchOp{{Line: 0, Data: 1}, {Line: 1, Data: 1}})
 	be, ok := err.(*BackpressureError)
 	if !ok {
 		t.Fatalf("want BackpressureError, got %v", err)

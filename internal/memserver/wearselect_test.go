@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -146,34 +145,35 @@ func applyWear(bank *pcm.Bank, w []uint32) {
 // allocation, and it leaves the live wear array untouched.
 func TestPublishAllocs(t *testing.T) {
 	s := MustNew(Config{Banks: 1, Lines: 1 << 12, Scheme: SchemeAdaptive, Seed: 1})
-	a := s.actors[0]
-	bank := a.ctrl.Bank()
+	bs := s.banks[0]
+	bank := bs.ctrl.Bank()
 	applyWear(bank, hammerShaped(stats.NewRNG(3), 1<<12))
 	before := bank.WearSnapshot(nil)
 	_, maxWear := bank.MaxWear()
-	if n := testing.AllocsPerRun(50, func() { a.wearSel.quantiles(bank.WearCounts(), uint32(maxWear)) }); n != 0 {
+	if n := testing.AllocsPerRun(50, func() { bs.wearSel.quantiles(bank.WearCounts(), uint32(maxWear)) }); n != 0 {
 		t.Errorf("percentile selection: %v allocs/run, want 0", n)
 	}
 	for _, refresh := range []bool{true, false} {
-		if n := testing.AllocsPerRun(50, func() { a.publish(refresh) }); n != 1 {
+		if n := testing.AllocsPerRun(50, func() { bs.publish(refresh) }); n != 1 {
 			t.Errorf("publish(%v): %v allocs/run, want 1 (the snapshot)", refresh, n)
 		}
 	}
 	if !slices.Equal(bank.WearCounts(), before) {
 		t.Fatal("publish modified the bank's wear counters")
 	}
-	snap := a.Snapshot()
+	snap := bs.Snapshot()
 	if got, want := [3]uint64{snap.WearP50, snap.WearP90, snap.WearP99}, sortedQuantiles(before); got != want {
 		t.Fatalf("published percentiles %v, sort says %v", got, want)
 	}
 }
 
-// TestActorWearRefreshCadence drives one bank with single-op writes, so
-// every op boundary is a possible publish point. The O(1) counters must
-// republish every SnapshotEvery ops, while the percentiles refresh
-// exactly every max(SnapshotEvery, lines) ops — matching a sort of the
-// wear array at that instant — and carry over unchanged in between.
-// After drain the snapshot is exact whatever the phase.
+// TestActorWearRefreshCadence drives one bank with single-op frames
+// through executeBatch, so every op boundary is a possible publish
+// point. The O(1) counters must republish every SnapshotEvery ops,
+// while the percentiles refresh exactly every max(SnapshotEvery, lines)
+// ops — matching a sort of the wear array at that instant — and carry
+// over unchanged in between. After drain the snapshot is exact whatever
+// the phase.
 func TestActorWearRefreshCadence(t *testing.T) {
 	const snapEvery, lines = 16, 1024
 	s := MustNew(Config{
@@ -181,34 +181,33 @@ func TestActorWearRefreshCadence(t *testing.T) {
 		QueueDepth: 8, SnapshotEvery: snapEvery,
 	})
 	s.Start()
-	a := s.actors[0]
-	if a.wearEvery != lines {
-		t.Fatalf("wearEvery = %d, want max(%d, %d)", a.wearEvery, snapEvery, lines)
+	bs := s.banks[0]
+	if bs.wearEvery != lines {
+		t.Fatalf("wearEvery = %d, want max(%d, %d)", bs.wearEvery, snapEvery, lines)
 	}
 	rng := stats.NewRNG(9)
 	var last [3]uint64 // percentiles of the latest refresh (all zero at boot)
 	const total = 3*lines + lines/2 + 7
-	run := &bankRun{bank: 0, ops: make([]op, 1)}
-	var done sync.WaitGroup
+	sc := s.newBatchScratch()
+	sc.ops = make([]BatchOp, 1)
 	for n := uint64(1); n <= total; n++ {
 		la := rng.Uint64n(lines)
 		if rng.Uint64n(2) == 0 {
 			la = 5 // the hammered line
 		}
-		run.ops[0] = op{local: la, content: pcm.Ones}
-		done.Add(1)
-		if err := s.enqueue(run, &done); err != nil {
-			t.Fatal(err)
+		sc.ops[0] = BatchOp{Line: 2 * la, Data: uint8(pcm.Ones)} // bank 0's local line la
+		if s.executeBatch(sc); sc.resp.Applied != 1 {
+			t.Fatalf("op %d: applied %d, rejected %d", n, sc.resp.Applied, sc.resp.Rejected)
 		}
-		done.Wait()
+		resetRuns(sc)
 		if n%snapEvery != 0 {
 			continue
 		}
-		snap := waitPublished(t, a, n)
+		snap := waitPublished(t, bs, n)
 		if n%lines == 0 {
 			// Done precedes the publish, and the next write waits for
 			// this loop, so the array is quiescent here.
-			last = sortedQuantiles(a.ctrl.Bank().WearCounts())
+			last = sortedQuantiles(bs.ctrl.Bank().WearCounts())
 		}
 		if got := [3]uint64{snap.WearP50, snap.WearP90, snap.WearP99}; got != last {
 			t.Fatalf("after %d ops: percentiles %v, want %v from the refresh at op %d", n, got, last, n/lines*lines)
@@ -219,7 +218,7 @@ func TestActorWearRefreshCadence(t *testing.T) {
 	if err := s.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	snap := a.Snapshot()
+	snap := bs.Snapshot()
 	want := sortedQuantiles(s.Memory().Bank(0).Bank().WearSnapshot(nil))
 	if snap.Stats.DemandWrites != total || [3]uint64{snap.WearP50, snap.WearP90, snap.WearP99} != want {
 		t.Fatalf("drained snapshot: %d writes, percentiles %v; want %d writes, %v",
@@ -231,12 +230,12 @@ func TestActorWearRefreshCadence(t *testing.T) {
 }
 
 // waitPublished waits for the snapshot that covers the first n ops: the
-// actor completes a run before it publishes.
-func waitPublished(t *testing.T, a *actor, n uint64) *BankSnapshot {
+// executor completes a run before it publishes.
+func waitPublished(t *testing.T, bs *bankState, n uint64) *BankSnapshot {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		snap := a.Snapshot()
+		snap := bs.Snapshot()
 		if snap.Stats.DemandWrites == n {
 			return snap
 		}

@@ -23,7 +23,7 @@
 // counters and the device clock without locks. Distinct Bank instances
 // share no state, so they may be driven from different goroutines —
 // the single-writer-per-bank contract spelled out in internal/membank
-// and enforced at runtime by internal/memserver's bank actors.
+// and enforced at runtime by internal/memserver's bank executors.
 package pcm
 
 import (

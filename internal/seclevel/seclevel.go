@@ -276,8 +276,8 @@ type Controller struct {
 	dropped uint64
 
 	// OnApply, when set, observes every applied transition (after the
-	// trace records it). The memserver actors use it to emit level-change
-	// events; it runs on the calling goroutine.
+	// trace records it). The memserver executors use it to emit
+	// level-change events; it runs on the calling goroutine.
 	OnApply func(Decision)
 }
 

@@ -38,7 +38,8 @@ go run ./cmd/benchdiff -baseline "$baseline" -guard "$guards" "$tmp"
 
 # The distribution asserts need cores to scale onto: pipelining hides
 # round-trip latency only when client and server can overlap, and three
-# shards beat one only when the shard actors actually run in parallel.
+# shards beat one only when the shards' executors actually run in
+# parallel.
 # On runners with too few cores both ratios still get RECORDED via the
 # baseline — the asserts skip LOUDLY rather than fail on physics.
 cores="$(nproc 2>/dev/null || echo 1)"

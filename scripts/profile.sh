@@ -11,7 +11,8 @@
 # (bench/README.md): memctld at 64 banks x 2^12 lines under
 # srbsg+adaptive, driven by two pipelined connections that keep 8
 # frames of 256 ops in flight each, a quarter of them reads. A frame
-# then hands ~63 bank runs of ~4 ops to the actors, so the handoff
+# then makes ~63 bank runs of ~4 ops and hands them to its executors
+# (one message to each, at most GOMAXPROCS of them), so the handoff
 # shows in the profile at the weight it has in that workload.
 #
 # Knobs: PROFILE_SECONDS (default 10), PROFILE_PATTERN (uniform|attack),
