@@ -12,8 +12,10 @@
 //
 // Streams (-pattern):
 //
-//	uniform  — independent uniform lines, MIXED data: benign traffic
-//	           that spreads across banks and regions (detector stays quiet)
+//	uniform  — independent uniform lines, each write's data ALL-0, ALL-1
+//	           or MIXED with equal odds (serve_uniform's mix, so a third
+//	           of the writes pay RESET latency): benign traffic that
+//	           spreads across banks and regions (detector stays quiet)
 //	hotspot  — Zipf-distributed lines: skewed but honest traffic
 //	attack   — every worker hammers one line with ALL-1 data, the
 //	           repeated-address shape of the paper's RAA; the per-bank
@@ -203,12 +205,17 @@ type workerResult struct {
 	latencies []float64 // per-batch wall latency, microseconds
 }
 
+// mixContent is the content of a stream whose writes each draw ALL-0,
+// ALL-1 or MIXED with equal odds (fillBatch).
+const mixContent = 3
+
 // addrStream builds the per-worker address generator for the pattern:
 // the next-line function plus the data content every write carries.
 func addrStream(cfg workerConfig, rng *stats.RNG) (next func() uint64, content uint8) {
 	content = 2 // MIXED: ordinary data pays SET latency
 	switch cfg.pattern {
 	case "uniform":
+		content = mixContent
 		next = func() uint64 { return rng.Uint64n(cfg.lines) }
 	case "hotspot":
 		z := workload.NewZipf(cfg.lines, cfg.zipfS, cfg.seed)
@@ -243,13 +250,18 @@ func addrStream(cfg workerConfig, rng *stats.RNG) (next func() uint64, content u
 	return next, content
 }
 
-// fillBatch populates ops from the stream, flipping the read share.
+// fillBatch populates ops from the stream, flipping the read share. A
+// write carries content, or under mixContent a draw of its own.
 func fillBatch(ops []memserver.BatchOp, next func() uint64, content uint8, readShare float64, rng *stats.RNG) {
 	for i := range ops {
-		ops[i] = memserver.BatchOp{Line: next(), Data: content}
-		if readShare > 0 && rng.Float64() < readShare {
+		ops[i] = memserver.BatchOp{Line: next()}
+		switch {
+		case readShare > 0 && rng.Float64() < readShare:
 			ops[i].Read = true
-			ops[i].Data = 0
+		case content == mixContent:
+			ops[i].Data = uint8(rng.Uint64n(3))
+		default:
+			ops[i].Data = content
 		}
 	}
 }

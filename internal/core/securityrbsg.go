@@ -101,8 +101,11 @@ type Config struct {
 	// NoTableCache forces direct per-access Feistel evaluation even when
 	// the address width is small enough to materialize the DFN into
 	// per-round lookup tables. Translation is bit-identical either way
-	// (the differential tests depend on it); the knob exists for those
-	// tests and for ablation measurements.
+	// (the differential tests depend on it). Tables pay off when one
+	// bank's permutation stays cache-resident, as in the exact tier.
+	// memserver sets it: 64 banks' tables do not stay in cache, while a
+	// 7-stage evaluation is ~8 ns of ALU work (BenchmarkFeistelMapDirect)
+	// that touches no memory.
 	NoTableCache bool
 }
 
@@ -135,31 +138,36 @@ func (c Config) validate() error {
 	return nil
 }
 
+// noBufLA marks bufLA, dispLA and memoLA empty. It is not a valid LA,
+// so Intermediate checks the memo only after its range check.
 const noBufLA = ^uint64(0)
 
 // Scheme is a Security RBSG instance implementing wear.Scheme.
 type Scheme struct {
 	cfg       Config
-	bits      uint
 	perRegion uint64 // inner lines per sub-region n' = N/R
 	sparePA   uint64 // physical address of the outer spare line
 
 	kc, kp feistel.Permutation
 	rng    *stats.RNG
 
-	// Table-mode state (bits ≤ feistel.MaxTableBits and !NoTableCache):
-	// the DFN is materialized into lookup tables once per remapping
-	// round. dfn is the one reusable key-holding network, rekeyed in
-	// place at every round start; tables are the two rotating
-	// materialization buffers kc and kp point into — the round's redraw
-	// refills only the buffer no live mapping references, so a stale
-	// table can never serve a translation mid-round. cur indexes the
-	// buffer kc currently uses. Above the width threshold (or with
-	// NoTableCache) dfn stays nil and newPerm evaluates directly.
-	dfn    *feistel.Network
-	dfnW   feistel.Permutation // dfn, cycle-walked for odd widths
+	// The DFN rotates two key-holding networks, rekeyed in place at each
+	// round start: the redraw rekeys only the one no live mapping
+	// references, so a translation never sees the next round's keys.
+	// perms[i] is nets[i], cycle-walked for odd widths. In table mode
+	// (bits ≤ feistel.MaxTableBits and !NoTableCache) the redraw also
+	// refills tables[i] from it, and kc and kp point at the tables;
+	// otherwise tables stays nil and kc and kp evaluate perms directly.
+	// cur indexes the network (and table) kc currently uses.
+	nets   [2]*feistel.Network
+	perms  [2]feistel.Permutation
 	tables [2]*feistel.Table
 	cur    int
+
+	// The last Intermediate answer, so a write that translates, feeds a
+	// monitor and advances computes its IA once. outerMove clears it:
+	// it is the only place the LA→IA mapping changes.
+	memoLA, memoIA uint64
 
 	isRemap  []uint64 // bitset over logical addresses
 	remapped uint64   // population count of isRemap
@@ -200,31 +208,35 @@ func New(cfg Config) (*Scheme, error) {
 	}
 	s := &Scheme{
 		cfg:       cfg,
-		bits:      bits,
 		perRegion: cfg.Lines / cfg.Regions,
 		sparePA:   cfg.Regions * (cfg.Lines/cfg.Regions + 1),
 		rng:       stats.NewRNG(cfg.Seed),
 		isRemap:   make([]uint64, (cfg.Lines+63)/64),
 		bufLA:     noBufLA,
 		dispLA:    noBufLA,
+		memoLA:    noBufLA,
 		gap:       cfg.Lines,
 	}
-	if !cfg.NoTableCache && bits <= feistel.MaxTableBits {
-		width := bits
-		if width%2 != 0 {
-			width++
+	// Odd address widths run a one-bit-wider network under cycle walking.
+	width := bits + bits%2
+	for i := range s.nets {
+		n, err := feistel.New(width, make([]uint64, cfg.Stages))
+		if err != nil {
+			return nil, err
 		}
-		s.dfn = feistel.MustRandom(width, cfg.Stages, s.rng)
-		s.dfnW = s.dfn
+		s.nets[i], s.perms[i] = n, n
 		if bits%2 != 0 {
-			s.dfnW = feistel.MustNewWalker(s.dfn, cfg.Lines)
+			// Cannot fail: Lines = 2^bits < 2^width.
+			s.perms[i] = feistel.MustNewWalker(n, cfg.Lines)
 		}
-		s.tables[0] = feistel.MustNewTable(s.dfnW)
-		s.kc, s.kp = s.tables[0], s.tables[0]
-	} else {
-		k := s.newDirect()
-		s.kc, s.kp = k, k
 	}
+	s.nets[0].RekeyRandom(s.rng) // the draws a fresh construction makes
+	s.kc = s.perms[0]
+	if !cfg.NoTableCache && bits <= feistel.MaxTableBits {
+		s.tables[0] = feistel.MustNewTable(s.perms[0])
+		s.kc = s.tables[0]
+	}
+	s.kp = s.kc
 	s.regions = make([]*startgap.Region, cfg.Regions)
 	for i := range s.regions {
 		base := uint64(i) * (s.perRegion + 1)
@@ -246,37 +258,29 @@ func MustNew(cfg Config) *Scheme {
 	return s
 }
 
-// newDirect draws a fresh directly-evaluated DFN permutation over the
-// logical space. Odd address widths run a one-bit-wider network under
-// cycle walking.
-func (s *Scheme) newDirect() feistel.Permutation {
-	// Cannot fail: width and stage count are validated at construction,
-	// and Lines ≤ 2^(bits+1) by the width derivation.
-	if s.bits%2 == 0 {
-		return feistel.MustRandom(s.bits, s.cfg.Stages, s.rng)
-	}
-	return feistel.MustNewWalker(feistel.MustRandom(s.bits+1, s.cfg.Stages, s.rng), s.cfg.Lines)
-}
-
-// redrawPerm draws the next round's DFN permutation. In table mode it
-// rekeys the one reusable network in place (consuming exactly the RNG
-// draws a fresh construction would, so both modes translate
-// identically) and rematerializes into the spare table buffer — the one
-// neither kc nor kp references, so in-flight translations of the old
-// round never see a partially built or stale table. Callers must have
-// already rotated kp before invoking it.
+// redrawPerm draws the next round's DFN permutation into the spare
+// network, the one neither kc nor kp uses (callers must have already
+// rotated kp): it resizes the network to the current stage count and
+// rekeys it in place, consuming exactly the RNG draws a fresh
+// construction would, so both modes translate identically. In table
+// mode it then refills the spare table from it.
 func (s *Scheme) redrawPerm() feistel.Permutation {
-	if s.dfn == nil {
-		return s.newDirect()
-	}
-	s.dfn.RekeyRandom(s.rng)
 	s.cur = 1 - s.cur
+	n := s.nets[s.cur]
+	if n.Stages() != s.cfg.Stages {
+		n.MustSetStages(s.cfg.Stages)
+	}
+	n.RekeyRandom(s.rng)
+	p := s.perms[s.cur]
+	if s.tables[0] == nil {
+		return p
+	}
 	t := s.tables[s.cur]
 	if t == nil {
-		t = feistel.MustNewTable(s.dfnW)
+		t = feistel.MustNewTable(p)
 		s.tables[s.cur] = t
 	} else {
-		t.MustFill(s.dfnW)
+		t.MustFill(p)
 	}
 	return t
 }
@@ -344,23 +348,6 @@ func (s *Scheme) SetStages(n int) error {
 	return nil
 }
 
-// applyStages switches the DFN to n stages at a round boundary. In table
-// mode the key schedule resizes in place — dfnW (the odd-width walker)
-// wraps the same Network pointer, and the keys stay zero only until
-// redrawPerm's RekeyRandom immediately supplies the round's real keys,
-// consuming exactly one draw per stage like a fresh construction, so
-// table and direct mode remain bit-identical across level changes.
-func (s *Scheme) applyStages(n int) {
-	if n == s.cfg.Stages {
-		return
-	}
-	s.cfg.Stages = n
-	s.stageChanges++
-	if s.dfn != nil {
-		s.dfn.MustSetStages(n)
-	}
-}
-
 // Region returns inner sub-region i, for white-box tests.
 func (s *Scheme) Region(i int) *startgap.Region { return s.regions[i] }
 
@@ -380,11 +367,23 @@ func (s *Scheme) setRemapped(la uint64) {
 // Intermediate returns la's current intermediate address: ENC_Kc once
 // remapped this round, ENC_Kp before, and the spare slot (== Lines) while
 // its data is parked there mid-cycle. This is the Fig 10 translation,
-// generalized to multi-cycle rounds.
+// generalized to multi-cycle rounds. It keeps its last answer, so it
+// writes the scheme; the single-writer contract covers that, since no
+// caller shares a Scheme across goroutines.
 func (s *Scheme) Intermediate(la uint64) uint64 {
 	if la >= s.cfg.Lines {
 		panic(fmt.Errorf("core: logical address %d out of space of %d lines", la, s.cfg.Lines))
 	}
+	if la == s.memoLA {
+		return s.memoIA
+	}
+	ia := s.intermediate(la)
+	s.memoLA, s.memoIA = la, ia
+	return ia
+}
+
+// intermediate evaluates Intermediate without the memo.
+func (s *Scheme) intermediate(la uint64) uint64 {
 	if s.remappedBit(la) {
 		return s.kc.Encrypt(la)
 	}
@@ -406,7 +405,8 @@ func (s *Scheme) translateIA(ia uint64) uint64 {
 	return s.regions[ia/s.perRegion].Translate(ia % s.perRegion)
 }
 
-// Translate maps a logical address to its current physical line.
+// Translate maps a logical address to its current physical line. It
+// writes the scheme, as Intermediate does.
 func (s *Scheme) Translate(la uint64) uint64 {
 	return s.translateIA(s.Intermediate(la))
 }
@@ -459,7 +459,10 @@ func (s *Scheme) startRound() {
 	s.kp = s.kc
 	if n := s.pendingStages; n != 0 {
 		s.pendingStages = 0
-		s.applyStages(n)
+		if n != s.cfg.Stages {
+			s.cfg.Stages = n
+			s.stageChanges++
+		}
 	}
 	s.kc = s.redrawPerm()
 	for i := range s.isRemap {
@@ -471,8 +474,10 @@ func (s *Scheme) startRound() {
 }
 
 // outerMove performs one DFN remapping movement under the configured
-// migration strategy.
+// migration strategy. It clears Intermediate's memo first: round starts,
+// level changes, swaps and spare walks all happen below it.
 func (s *Scheme) outerMove(m wear.Mover) uint64 {
+	s.memoLA = noBufLA
 	if s.cfg.Migration == MigrationSwap {
 		return s.outerMoveSwap(m)
 	}

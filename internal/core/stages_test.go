@@ -125,9 +125,10 @@ func TestSetStagesSameLevelIsNotATransition(t *testing.T) {
 // TestSetStagesTwinBitIdentity is the determinism anchor for live level
 // changes: a table-cached scheme and its direct-evaluation twin receive
 // the same SetStages schedule and must agree on every translation after
-// every write. This pins the RNG economy of applyStages — the resized
-// key schedule is filled by redrawPerm's RekeyRandom with exactly one
-// draw per stage, the same sequence a fresh direct construction draws.
+// every write. This pins the RNG economy of a level change — redrawPerm
+// resizes the spare network's key schedule and fills it by RekeyRandom
+// with exactly one draw per stage, the same sequence a fresh
+// construction draws, in both modes.
 func TestSetStagesTwinBitIdentity(t *testing.T) {
 	cases := []struct {
 		name           string

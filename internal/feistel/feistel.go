@@ -86,8 +86,8 @@ func (n *Network) RekeyRandom(rng *stats.RNG) {
 // security level mid-stream rekey immediately after, so the RNG draw
 // sequence stays exactly one draw per stage — indistinguishable from a
 // fresh Random construction at the new stage count. Wrappers holding
-// the Network by pointer (Walker, the schemes' dfnW) see the change
-// without rebuilding.
+// the Network by pointer (Walker, core.Scheme's cycle-walked perms) see
+// the change without rebuilding.
 func (n *Network) SetStages(stages int) error {
 	if stages <= 0 {
 		return errors.New("feistel: need at least one stage")

@@ -11,10 +11,17 @@ import "fmt"
 // sizes every scaled geometry uses (and the paper's 2^10-line
 // sub-regions), the whole permutation fits in two small arrays, turning
 // the k-stage cube evaluation (and any cycle-walking retries on top of
-// it) into a single slice index in each direction. This is the inverse
-// of the trade Start-Gap made in hardware — algebraic mapping instead
-// of a table because SRAM was the scarce resource; in software the
-// table is cheap and the arithmetic is not.
+// it) into a single slice index in each direction.
+//
+// That trade holds only while the tables stay in cache. The exact tier
+// simulates one bank at a time, whose tables do, so it materializes
+// (core.Scheme by default, rbsg's static randomizer once at boot). A
+// server holding many banks does not: memctld's 64 banks would carry
+// ~268 MB of tables at 2^18 lines each and miss the cache on every
+// lookup, while direct evaluation is ~8 ns of ALU work that touches no
+// memory, so memserver builds its Security RBSG banks with
+// core.Config.NoTableCache — the hardware's own trade, logic instead of
+// a table.
 //
 // Above MaxTableBits the tables would dominate memory (and the O(2^B)
 // build would dominate a remapping round), so callers fall back to

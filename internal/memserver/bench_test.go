@@ -67,13 +67,17 @@ func BenchmarkBinaryBatchWriteAdaptive(b *testing.B) {
 // serve_uniform's geometry and mix: 64 banks of 2^12 lines under
 // srbsg+adaptive and 256-op frames with 25% reads, so every frame makes
 // ~63 bank runs of ~4 ops, sends them to the executors in one message
-// each and waits for them. Each
-// b.RunParallel goroutine drives its own connection handler's Begin,
-// and SetParallelism(1) runs one per P: two submitters on a 2-core
-// host, like the benchmark's two connections. The handlers are built
-// and warmed before the timer, so allocs/op counts steady-state frames.
+// each and waits for them. Each b.RunParallel goroutine drives its own
+// connection handler's Begin, and SetParallelism(1) runs one per P: two
+// submitters on a 2-core host, like the benchmark's two connections.
+// Each submitter cycles through a ring of 1,024 frames built before the
+// timer, drawn with the workload's line ownership (uniformOp), so the
+// frames span its half of the line space and the banks' per-line state
+// misses the caches as it does under serve_uniform; one fixed frame
+// would keep its ~512 lines' state in L1. Each handler runs its whole
+// ring once before the timer, so allocs/op counts steady-state frames.
 func BenchmarkBinaryBatchServeUniform(b *testing.B) {
-	const batch, banks, lines = 256, 64, 64 << 12
+	const batch, banks, lines, ring = 256, 64, 64 << 12, 1024
 	s := MustNew(Config{
 		Banks: banks, Lines: lines, Scheme: SchemeAdaptive,
 		Regions: 32, Interval: 100, Stages: 7, Seed: 1, QueueDepth: 256,
@@ -85,21 +89,26 @@ func BenchmarkBinaryBatchServeUniform(b *testing.B) {
 		s.Drain(ctx)
 	})
 	type submitter struct {
-		h    FrameHandler
-		body []byte
+		h      FrameHandler
+		bodies [][]byte
 	}
 	subs := make([]submitter, runtime.GOMAXPROCS(0))
+	conns := uint64(len(subs))
+	owned := lines / banks / conns * banks // whole bank rows per submitter
 	for k := range subs {
 		rng := stats.NewRNG(uint64(3 + k))
 		ops := make([]BatchOp, batch)
-		for i := range ops {
-			ops[i] = BatchOp{Line: rng.Uint64n(lines), Data: uint8(rng.Uint64n(3))}
-			if rng.Uint64n(4) == 0 {
-				ops[i] = BatchOp{Line: ops[i].Line, Read: true}
+		bodies := make([][]byte, ring)
+		for f := range bodies {
+			for i := range ops {
+				_, ops[i] = uniformOp(rng, uint64(k), conns, banks, owned)
 			}
+			bodies[f] = appendBatchReqBody(nil, WireVersion, ops)
 		}
-		subs[k] = submitter{h: s.newBinConn(), body: appendBatchReqBody(nil, WireVersion, ops)}
-		subs[k].h.Begin(0, subs[k].body)
+		subs[k] = submitter{h: s.newBinConn(), bodies: bodies}
+		for _, body := range bodies { // grows the handler's scratch to the ring's largest runs
+			subs[k].h.Begin(0, body)
+		}
 	}
 	var next atomic.Int32
 	b.SetParallelism(1)
@@ -107,8 +116,8 @@ func BenchmarkBinaryBatchServeUniform(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		sub := subs[next.Add(1)-1]
-		for pb.Next() {
-			out, fatal := sub.h.Begin(0, sub.body)
+		for f := 0; pb.Next(); f = (f + 1) % ring {
+			out, fatal := sub.h.Begin(0, sub.bodies[f])
 			if fatal || len(out) < 4+wireHdrSize || out[4+1] != frameBatchResp {
 				b.Errorf("fatal=%v out=% x", fatal, out[:min(len(out), 8)])
 				return

@@ -171,6 +171,8 @@ func New(cfg Config) (*Server, error) {
 	detectors := make([]*detector.AdaptiveRBSG, cfg.Banks) // nil entries when the scheme has no detector
 	adaptives := make([]*seclevel.Adaptive, cfg.Banks)     // nil entries when the scheme has no level controller
 	s.bin = NewConnServer(s.newBinConn, &s.binRejects, "server draining")
+	// Security RBSG banks evaluate their DFN per op (NoTableCache): one
+	// bank's per-round tables would not stay in cache beside the others'.
 	factory := func(bank int, lines uint64) (wear.Scheme, error) {
 		seed := cfg.Seed + uint64(bank)
 		switch cfg.Scheme {
@@ -184,14 +186,14 @@ func New(cfg Config) (*Server, error) {
 			return core.New(core.Config{
 				Lines: lines, Regions: cfg.Regions,
 				InnerInterval: cfg.Interval, OuterInterval: cfg.Interval,
-				Stages: cfg.Stages, Seed: seed,
+				Stages: cfg.Stages, Seed: seed, NoTableCache: true,
 			})
 		case SchemeAdaptive:
 			ad, err := seclevel.NewAdaptive(seclevel.AdaptiveConfig{
 				Scheme: core.Config{
 					Lines: lines, Regions: cfg.Regions,
 					InnerInterval: cfg.Interval, OuterInterval: cfg.Interval,
-					Stages: cfg.Stages, Seed: seed,
+					Stages: cfg.Stages, Seed: seed, NoTableCache: true,
 				},
 				Detector: cfg.Detector,
 				Level:    cfg.Level,

@@ -10,10 +10,14 @@
 # The shape mirrors the benchmark's serve_uniform workload
 # (bench/README.md): memctld at 64 banks x 2^12 lines under
 # srbsg+adaptive, driven by two pipelined connections that keep 8
-# frames of 256 ops in flight each, a quarter of them reads. A frame
-# then makes ~63 bank runs of ~4 ops and hands them to its executors
-# (one message to each, at most GOMAXPROCS of them), so the handoff
-# shows in the profile at the weight it has in that workload.
+# frames of 256 ops in flight each, a quarter of them reads. Each write
+# carries ALL-0, ALL-1 or MIXED data with equal odds, so a third of the
+# writes take the RESET path, as in serve_uniform (the drain summary's
+# SET/RESET split shows it); unlike serve_uniform, the two connections
+# do not split the lines between them. A frame then makes ~63 bank runs
+# of ~4 ops and hands them to its executors (one message to each, at
+# most GOMAXPROCS of them), so the handoff shows in the profile at the
+# weight it has in that workload.
 #
 # Knobs: PROFILE_SECONDS (default 10), PROFILE_PATTERN (uniform|attack),
 # PROFILE_OUT (default cpu.pprof).
