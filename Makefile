@@ -20,12 +20,12 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# rbsglint enforces the repo's five mechanized contracts: determinism,
-# bank isolation, panic policy, hot-path allocations and registry
-# hygiene (see DESIGN.md "Mechanized invariants"). It runs twice: once
-# standalone, writing rbsglint-findings.json (empty array when clean;
-# CI uploads it as an artifact), and once as go vet's vettool, which
-# carries the cross-package facts through .vetx files. staticcheck and
+# rbsglint enforces the repo's four mechanized contracts: determinism,
+# bank isolation, panic policy and hot-path allocations (see DESIGN.md
+# "Mechanized invariants"). It runs twice: once standalone, writing
+# rbsglint-findings.json (empty array when clean; CI uploads it as an
+# artifact), and once as go vet's vettool, which carries the
+# cross-package facts through .vetx files. staticcheck and
 # govulncheck run when installed (CI installs them); offline dev boxes
 # without them still get the custom suite.
 lint:

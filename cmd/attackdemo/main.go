@@ -141,10 +141,11 @@ func demoRBSG(bankCfg pcm.Config, lines, regions, interval, li uint64) {
 		}
 	}
 	fmt.Printf("  match: %v — the static randomizer cannot hide physical adjacency\n", match)
+	pa, _, _ := c.Bank().FirstFailure()
 	fmt.Printf("phase 3 — wear-out: %d writes, all landing on physical line %d\n",
-		a.WearWrites, res.FailedPA)
+		a.WearWrites, pa)
 	fmt.Printf("\nline %d FAILED after %d total attacker writes (%.2f ms of device time)\n",
-		res.FailedPA, res.Writes, float64(res.AttackNs)/1e6)
+		pa, res.Writes, float64(res.AttackNs)/1e6)
 
 	raa := attack.RAA(wear.MustNewController(bankCfg,
 		rbsg.MustNew(rbsg.Config{Lines: lines, Regions: regions, Interval: interval, Seed: 1})),
@@ -194,8 +195,9 @@ func demoSR(bankCfg pcm.Config, lines, li uint64) {
 	fmt.Printf("key detection: %d writes across %d rounds; recovered keyc⊕keyp values: %#x\n",
 		a.DetectWrites, a.RoundsSeen, a.RecoveredDs)
 	fmt.Printf("wear-out: %d writes following the pinned line across swaps\n", a.WearWrites)
+	pa, _, _ := c.Bank().FirstFailure()
 	fmt.Printf("\nline %d FAILED after %d attacker writes (%.2f ms of device time)\n",
-		res.FailedPA, res.Writes, float64(res.AttackNs)/1e6)
+		pa, res.Writes, float64(res.AttackNs)/1e6)
 }
 
 func demoSecurityRBSG(bankCfg pcm.Config, lines, regions, interval, li uint64) {
@@ -223,8 +225,8 @@ func demoSecurityRBSG(bankCfg pcm.Config, lines, regions, interval, li uint64) {
 		fmt.Printf("(the outer DFN's own movements pollute the timing channel the\n")
 		fmt.Printf("RBSG attack relies on, so its shadow model breaks down)\n")
 	}
-	if res.Failed {
-		fmt.Printf("UNEXPECTED: device failed at PA %d\n", res.FailedPA)
+	if pa, _, failed := c.Bank().FirstFailure(); failed {
+		fmt.Printf("UNEXPECTED: device failed at PA %d\n", pa)
 		os.Exit(1)
 	}
 	fmt.Printf("no line failed after %d attacker writes; even with unlimited budget,\n", res.Writes)

@@ -196,7 +196,7 @@ func (g *generator) emit(name string, write func(io.Writer) error) error {
 }
 
 // eval resolves one closed-form point through the registry's model tier
-// (see internal/experiments/register.go) — the same dispatch cmd/lifetime
+// (see internal/plugins/models.go) — the same dispatch cmd/lifetime
 // and the tournament use, so a figure can never drift from the plugin a
 // scheme name resolves to.
 func (g *generator) eval(d lifetime.Device, scheme, att string, p lifetime.SRBSGParams) (lifetime.Estimate, error) {

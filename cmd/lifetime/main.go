@@ -182,8 +182,9 @@ func runExact(lines, endurance, regions, interval, seed uint64, workers int) err
 	fmt.Printf("  device lifetime: %s (%.2g%% of ideal %s)\n",
 		analytic.HumanDuration(secs), 100*float64(res.Writes)/d.IdealWrites(),
 		analytic.HumanDuration(d.IdealSeconds()))
+	pa, _, _ := c.Bank().FirstFailure()
 	fmt.Printf("  first failed line: PA %d at %s\n",
-		res.FailedPA, analytic.HumanDuration(float64(res.AttackNs)*1e-9))
+		pa, analytic.HumanDuration(float64(res.AttackNs)*1e-9))
 	fmt.Printf("  wall clock: %s (%.3g simulated line-writes/sec)\n",
 		wall.Round(time.Millisecond), float64(simWrites)/wall.Seconds())
 

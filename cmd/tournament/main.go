@@ -12,10 +12,10 @@
 //	           [-cell-timeout D] [-quiet]
 //	tournament -list
 //
-// The matrix is whatever the plugin registry holds (internal/registry;
-// see -list): schemes and attacks register themselves by name with
-// capability flags, and only capability-compatible exact-tier pairs
-// become cells. Each cell builds a fresh simulated bank, runs the attack
+// The matrix is whatever the plugin registry holds (internal/registry,
+// filled from the table in internal/plugins; see -list): schemes and
+// attacks are named entries with capability flags, and only
+// capability-compatible exact-tier pairs become cells. Each cell builds a fresh simulated bank, runs the attack
 // to device failure (or budget/abort), and reports:
 //
 //   - lifetime: attacker writes, attack seconds, fraction of ideal

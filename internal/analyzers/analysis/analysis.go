@@ -2,12 +2,11 @@
 // the golang.org/x/tools/go/analysis surface the rbsglint suite needs.
 //
 // The repo's invariants (bit-identical simulation, single-writer bank
-// executors, panic-free data paths, alloc-free hot paths, registry
-// hygiene) are enforced by custom analyzers, but the module
-// deliberately has no third-party dependencies, so instead of importing
-// x/tools this package provides the same shape — an Analyzer with a Run
-// function over a type-checked Pass — on top of the standard library's
-// go/ast and go/types.
+// executors, panic-free data paths, alloc-free hot paths) are enforced
+// by custom analyzers, but the module deliberately has no third-party
+// dependencies, so instead of importing x/tools this package provides
+// the same shape — an Analyzer with a Run function over a type-checked
+// Pass — on top of the standard library's go/ast and go/types.
 //
 // Three things differ from x/tools by design:
 //
@@ -61,9 +60,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Dir is the package's source directory (for checks that consult
-	// the module layout, e.g. registryhygiene's register.go scan).
-	Dir string
 
 	facts *Facts
 	dirs  directiveSet
@@ -163,7 +159,6 @@ func RunFacts(pkgs []*Package, analyzers []*Analyzer, facts *Facts) ([]Diagnosti
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
-				Dir:       pkg.Dir,
 				facts:     facts,
 				dirs:      dirs,
 			}

@@ -1,8 +1,8 @@
 // Package analyzers registers the rbsglint suite: the custom static
 // checks that turn this repo's prose contracts (deterministic
 // simulation, single-writer banks, panic-free data paths, alloc-free
-// hot paths, registry hygiene) into CI failures. See DESIGN.md
-// "Mechanized invariants" for the catalogue.
+// hot paths) into CI failures. See DESIGN.md "Mechanized invariants"
+// for the catalogue.
 package analyzers
 
 import (
@@ -10,7 +10,6 @@ import (
 	"securityrbsg/internal/analyzers/bankisolation"
 	"securityrbsg/internal/analyzers/hotpathalloc"
 	"securityrbsg/internal/analyzers/panicpolicy"
-	"securityrbsg/internal/analyzers/registryhygiene"
 	"securityrbsg/internal/analyzers/simdeterminism"
 )
 
@@ -21,6 +20,5 @@ func All() []*analysis.Analyzer {
 		bankisolation.Analyzer,
 		panicpolicy.Analyzer,
 		hotpathalloc.Analyzer,
-		registryhygiene.Analyzer,
 	}
 }

@@ -7,10 +7,10 @@
 //   - RTA, the Remapping Timing Attack introduced by the paper: craft
 //     ALL-0/ALL-1 write patterns and watch per-write latency to catch the
 //     scheme's remapping movements, recovering mapping secrets one bit at
-//     a time. Variants target RBSG (rta_rbsg.go), one- and two-level
-//     Security Refresh (rta_sr.go), and two-level Security Refresh with
-//     no oracle at all (rta_sr2.go). Run against Security RBSG, the RBSG
-//     variant fails (TestSecurityRBSGResistsRTARBSG).
+//     a time. Variants target RBSG (rta_rbsg.go), one-level Security
+//     Refresh (rta_sr.go) and two-level Security Refresh (rta_sr2.go).
+//     Run against Security RBSG, the RBSG variant fails
+//     (TestSecurityRBSGResistsRTARBSG).
 //
 // Attackers interact with memory only through the Target interface —
 // logical reads and writes with observed latency — which is exactly the
@@ -104,7 +104,11 @@ type Result struct {
 	AttackNs uint64
 	// Failed reports whether the attack wore some line past endurance.
 	Failed bool
-	// FailedPA is the physical line that failed first (when Failed).
+	// FailedPA is the physical line that failed first (when Failed). RAA,
+	// BPA and AIA fill it from the controller they drive. The timing
+	// attacks (RTARBSG, RTASR, RTATwoLevelSRExact) see only their Target
+	// and a boolean Oracle, so they leave it 0: read the line from the
+	// bank's FirstFailure.
 	FailedPA uint64
 }
 
@@ -114,14 +118,6 @@ type runState struct {
 	c   *wear.Controller
 	max uint64
 	res Result
-}
-
-// failOracle builds the default device-failure oracle for a controller.
-func failOracle(c *wear.Controller) func() (uint64, bool) {
-	return func() (uint64, bool) {
-		pa, _, ok := c.Bank().FirstFailure()
-		return pa, ok
-	}
 }
 
 func (r *runState) done() bool {

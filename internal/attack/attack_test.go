@@ -259,41 +259,6 @@ func TestRTAFasterThanRAAOnSR(t *testing.T) {
 	t.Logf("RTA %d writes; RAA %d writes (failed=%v)", rtaRes.Writes, raaRes.Writes, raaRes.Failed)
 }
 
-// TestRTATwoLevelSR: the sub-region tracking attack of Section III-E
-// wears out a sub-region far faster than RAA wears out anything.
-func TestRTATwoLevelSR(t *testing.T) {
-	cfg := secref.TwoLevelConfig{
-		Lines: 1024, Regions: 8, InnerInterval: 4, OuterInterval: 8, Seed: 7,
-	}
-	s := secref.MustNewTwoLevel(cfg)
-	c := wear.MustNewController(bankCfg(2000), s)
-	a := &RTATwoLevelSR{
-		Controller: c, Scheme: s, TargetRegion: 3, DetectFraction: 0.75,
-	}
-	res, err := a.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Failed {
-		t.Fatal("two-level RTA did not fail the device")
-	}
-	// The failed line must be inside the pinned target sub-region.
-	n := s.LinesPerRegion()
-	if res.FailedPA/n != 3 {
-		t.Fatalf("failed PA %d is outside target sub-region 3", res.FailedPA)
-	}
-
-	// RAA comparison on a fresh instance.
-	s2 := secref.MustNewTwoLevel(cfg)
-	c2 := wear.MustNewController(bankCfg(2000), s2)
-	raaRes := RAA(c2, 5, pcm.Mixed, res.Writes*4)
-	if raaRes.Failed && raaRes.Writes < res.Writes {
-		t.Fatalf("RAA (%d) beat the timing attack (%d)", raaRes.Writes, res.Writes)
-	}
-	t.Logf("two-level RTA: %d writes (detect %d, hammer %d, %d rounds); RAA still alive after %d",
-		res.Writes, a.DetectWrites, a.HammerWrites, a.OuterRounds, raaRes.Writes)
-}
-
 // TestSecurityRBSGResistsRTARBSG: the RBSG timing attack, run verbatim
 // against Security RBSG, cannot pin a line — within a budget several
 // times what sufficed against RBSG, no line fails.

@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"securityrbsg/internal/pcm"
-	"securityrbsg/internal/secref"
-	"securityrbsg/internal/wear"
 )
 
 // RTASR is the Remapping Timing Attack against one-level Security Refresh
@@ -352,127 +350,4 @@ func (a *RTASR) wearLoop() error {
 			}
 		}
 	}
-}
-
-// RTATwoLevelSR is the Remapping Timing Attack against two-level Security
-// Refresh (Section III-E), reproduced at the paper's level of detail: the
-// paper costs the per-round detection of the outer key's region bits at
-// (N/2..N)·log2(R) writes but gives no step-level algorithm (the bit
-// recovery itself is demonstrated exactly by RTASR at one level). This
-// implementation issues that exact write traffic against the real
-// simulator — pattern sweeps for detection, then hammering of the logical
-// addresses currently mapping into the pinned target sub-region — using a
-// scheme oracle only to stand in for the recovered region bits. The write
-// stream, and therefore the wear and the lifetime, match the paper's
-// attack model.
-type RTATwoLevelSR struct {
-	// Controller is the memory under attack; Scheme must be its TwoLevel
-	// instance (the oracle for recovered outer-region bits).
-	Controller *wear.Controller
-	Scheme     *secref.TwoLevel
-	// TargetRegion is the sub-region to wear out.
-	TargetRegion uint64
-	// DetectFraction c in [0.5, 1]: detection costs c·N·log2(R) writes per
-	// outer round (the paper averages five random keys; the key value
-	// decides where in the range the cost lands).
-	DetectFraction float64
-	// MaxWrites bounds the attack (0 = unbounded).
-	MaxWrites uint64
-
-	res Result
-	// Diagnostics
-	DetectWrites uint64
-	HammerWrites uint64
-	OuterRounds  uint64
-}
-
-// Run executes the attack until a line fails or the budget is exhausted.
-func (a *RTATwoLevelSR) Run() (Result, error) {
-	cfg := a.Scheme.Config()
-	n := a.Scheme.LinesPerRegion()
-	logR := addressBits(cfg.Regions)
-	if a.DetectFraction == 0 {
-		a.DetectFraction = 0.75
-	}
-	detectPerRound := uint64(a.DetectFraction * float64(cfg.Lines) * float64(logR))
-	oracle := failOracle(a.Controller)
-
-	// The set of logical addresses currently mapping into the target
-	// sub-region is one aligned high-bits slice of the logical space,
-	// XOR-shifted by the outer key; the oracle supplies the shift the
-	// detection phase would recover. The scan rotates so successive
-	// stints hammer different addresses (the inner SR then pins each to
-	// a fresh line).
-	scan := uint64(0)
-	nextRegionLA := func() uint64 {
-		for k := uint64(0); k < cfg.Lines; k++ {
-			la := (scan + k) % cfg.Lines
-			if a.Scheme.Intermediate(la)/n == a.TargetRegion {
-				scan = la + 1
-				return la
-			}
-		}
-		panic("attack: outer translation lost the target sub-region") // unreachable: bijection
-	}
-
-	done := func() bool {
-		if pa, ok := oracle(); ok {
-			a.res.Failed = true
-			a.res.FailedPA = pa
-			return true
-		}
-		return a.MaxWrites > 0 && a.res.Writes >= a.MaxWrites
-	}
-
-	outerRound := a.Scheme.Outer().WritesPerRound()
-	for !done() {
-		a.OuterRounds++
-		// Detection traffic: pattern sweeps across the whole space (the
-		// real RTA's Step-3 sweeps), costed per the paper.
-		var spent uint64
-		for spent < detectPerRound && !done() {
-			la := spent % cfg.Lines
-			ns := a.Controller.Write(la, patternOf(la, uint(spent/cfg.Lines)))
-			a.res.Writes++
-			a.res.AttackNs += ns
-			spent++
-		}
-		a.DetectWrites += spent
-		// Hammer phase: cycle through the sub-region's current logical
-		// addresses, one stint at a time, for the rest of the outer
-		// round. Each stint is one inner round of writes, long enough for
-		// the inner SR to pin the address to one physical line; when the
-		// outer level moves an address away mid-stint the attacker
-		// re-resolves a fresh one.
-		stint := n * cfg.InnerInterval
-		var hammered uint64
-		for hammered+spent < outerRound && !done() {
-			la := nextRegionLA()
-			for w := uint64(0); w < stint && !done(); {
-				if a.Scheme.Intermediate(la)/n != a.TargetRegion {
-					break
-				}
-				// Intermediate(la) is frozen until the next outer step, so
-				// the stint batches in outer-epoch chunks through WriteRun
-				// (stopOnFail keeps the failure-time accounting exact; the
-				// budget clamp mirrors the per-write done() check).
-				k := a.Scheme.WritesToNextOuterStep()
-				if rem := stint - w; k > rem {
-					k = rem
-				}
-				if a.MaxWrites > 0 {
-					if rem := a.MaxWrites - a.res.Writes; k > rem {
-						k = rem
-					}
-				}
-				issued, ns := a.Controller.WriteRun(la, pcm.Ones, k, true, nil)
-				a.res.Writes += issued
-				a.res.AttackNs += ns
-				hammered += issued
-				w += issued
-			}
-		}
-		a.HammerWrites += hammered
-	}
-	return a.res, nil
 }

@@ -8,9 +8,10 @@ import (
 )
 
 // RTATwoLevelSRExact is the Remapping Timing Attack against two-level
-// Security Refresh with *no oracle at all* — the attacker sees only its
-// own writes and their latencies, upgrading RTATwoLevelSR's
-// paper-accounting reproduction to a full end-to-end demonstration.
+// Security Refresh (Section III-E) with *no oracle at all* — the
+// attacker sees only its own writes and their latencies. The paper costs
+// this attack but gives no step-level algorithm; this is one, run end to
+// end.
 //
 // Key observations that make the exact attack work:
 //

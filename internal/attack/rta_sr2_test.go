@@ -37,8 +37,8 @@ func (sp *outerSpy) Read(la uint64) (pcm.Content, uint64) {
 
 // TestRTATwoLevelSRExact runs the oracle-free two-level attack end to
 // end: every per-round high key-difference recovered from latencies must
-// match the spied truth, and the flood must kill a line far faster than
-// blind hammering.
+// match the spied truth, and the flood must kill a line inside the
+// sub-region it pinned, far faster than blind hammering.
 func TestRTATwoLevelSRExact(t *testing.T) {
 	const (
 		lines     = 1024
@@ -54,6 +54,10 @@ func TestRTATwoLevelSRExact(t *testing.T) {
 	s := secref.MustNewTwoLevel(cfg)
 	c := wear.MustNewController(bankCfg(endurance), s)
 	spy := &outerSpy{c: c, s: s}
+	// The flood starts on logical group 0, so the sub-region LA 0 maps
+	// into at boot is the one the attack pins.
+	n := uint64(lines / regions)
+	pinned := s.Intermediate(0) / n
 	a := &RTATwoLevelSRExact{
 		Target: spy,
 		Lines:  lines, Regions: regions,
@@ -67,6 +71,9 @@ func TestRTATwoLevelSRExact(t *testing.T) {
 	if !res.Failed {
 		t.Fatal("attack did not fail the device")
 	}
+	if pa, _, _ := c.Bank().FirstFailure(); pa/n != pinned {
+		t.Fatalf("failed PA %d is in sub-region %d, outside pinned sub-region %d", pa, pa/n, pinned)
+	}
 	if len(a.RecoveredHighDs) == 0 {
 		t.Fatal("no key bits recovered")
 	}
@@ -74,7 +81,7 @@ func TestRTATwoLevelSRExact(t *testing.T) {
 	// Ground truth: spy.ds[0] is the boot D (0); the attack's i-th
 	// detection sees spy.ds[i+1].
 	lowBits := uint(0)
-	for v := uint64(lines / regions); v > 1; v >>= 1 {
+	for v := n; v > 1; v >>= 1 {
 		lowBits++
 	}
 	wrong := 0

@@ -18,6 +18,10 @@ import (
 	"securityrbsg/internal/registry"
 	"securityrbsg/internal/runner"
 	"securityrbsg/internal/stats"
+
+	// Evaluate composes by registry name, so the plugin table must be
+	// linked wherever experiments is.
+	_ "securityrbsg/internal/plugins"
 )
 
 // Scale selects the device geometry for the Monte-Carlo grids.
@@ -299,9 +303,9 @@ func CompareGrid(d lifetime.Device, runs int) runner.Grid {
 
 // Evaluate computes the lifetime of one (scheme, attack, configuration)
 // triple — the single-cell evaluation behind cmd/lifetime. It resolves
-// the pair through the plugin registry's model tier (see register.go); the
-// error for an unknown pairing lists the modeled combinations. All
-// randomness derives from seed.
+// the pair through the plugin registry's model tier (see
+// internal/plugins); the error for an unknown pairing lists the modeled
+// combinations. All randomness derives from seed.
 func Evaluate(d lifetime.Device, scheme, att string, p lifetime.SRBSGParams, runs int, seed uint64) (lifetime.Estimate, error) {
 	return registry.Default.EvalModel(scheme, att, registry.Config{
 		Lines: d.Lines, Endurance: d.Endurance, Timing: d.Timing,

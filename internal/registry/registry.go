@@ -1,13 +1,12 @@
 // Package registry is the plugin registry that turns the paper's
-// scheme×attack cross-product into data. Wear-leveling schemes (core,
-// rbsg, secref, startgap, detector) and attacks (internal/attack)
-// register named constructors from their own init() functions; closed-form
-// lifetime models and the exact-tier accelerator (internal/exactsim)
-// register alongside them. Everything downstream — cmd/tournament's full
-// matrix, cmd/lifetime's single-cell evaluation, cmd/figgen's closed-form
+// scheme×attack cross-product into data. Wear-leveling schemes, attacks
+// and closed-form lifetime models are named entries with capability
+// flags; internal/plugins holds the in-tree table and registers it into
+// Default. Everything downstream — cmd/tournament's full matrix,
+// cmd/lifetime's single-cell evaluation, cmd/figgen's closed-form
 // figures — composes cells by name out of this registry instead of
 // hand-wiring each combination, so a new scenario from PAPERS.md is one
-// registration plus tests, not a new command.
+// table entry plus tests, not a new command.
 //
 // Two tiers share the same names:
 //
@@ -18,8 +17,8 @@
 //
 //   - The exact tier builds the real scheme (wear.Scheme), wires it to a
 //     simulated pcm.Bank through wear.Controller, and runs the real
-//     attack write by write (accelerated bit-identically by the
-//     registered exactsim fast path). Schemes declare the capability with
+//     attack write by write (accelerated bit-identically by
+//     exactsim.FastTarget). Schemes declare the capability with
 //     SchemeCaps.Exact; attacks with AttackCaps.Exact.
 //
 // Capability flags gate composition before any simulation state is
@@ -30,7 +29,7 @@
 // Registration contract: names are non-empty, contain no '/', ',' or
 // whitespace (they appear in cell IDs, CSV rows and checkpoint paths),
 // and are registered exactly once — a duplicate registration panics at
-// init time, because two packages claiming one name is a programming
+// init time, because two entries claiming one name is a programming
 // error no run should paper over.
 package registry
 
@@ -178,18 +177,6 @@ type Attack struct {
 // Monte-Carlo lifetime model at the configured geometry.
 type ModelFunc func(cfg Config) (lifetime.Estimate, error)
 
-// Target is the attacker's view of memory, identical to attack.Target
-// (declared here so the registry does not import the attack package it
-// is registered from): logical reads and writes with observed latency.
-type Target interface {
-	Write(la uint64, content pcm.Content) uint64
-	Read(la uint64) (pcm.Content, uint64)
-}
-
-// Accelerator wraps a controller in an accelerated attack target (the
-// exact-simulation fast path); workers caps its internal parallelism.
-type Accelerator func(c *wear.Controller, workers int) Target
-
 // Registry holds named scheme, attack and model plugins. The zero value
 // is not usable; use New. Registration is expected at init() time but is
 // safe concurrently; lookups may run from many goroutines.
@@ -198,7 +185,6 @@ type Registry struct {
 	schemes map[string]*Scheme
 	attacks map[string]*Attack
 	models  map[string]ModelFunc // keyed "scheme/attack"
-	accel   Accelerator
 }
 
 // New returns an empty registry.
@@ -210,8 +196,8 @@ func New() *Registry {
 	}
 }
 
-// Default is the process-wide registry every in-tree plugin registers
-// into (importing securityrbsg/internal/plugins pulls them all in).
+// Default is the process-wide registry. It starts empty; importing
+// securityrbsg/internal/plugins fills it with the in-tree table.
 var Default = New()
 
 // checkName panics unless name is usable as a registry key.
@@ -261,9 +247,8 @@ func (r *Registry) RegisterAttack(a Attack) {
 }
 
 // RegisterModel adds the model for one (scheme, attack) pair, panicking
-// on a duplicate. The names need not be registered yet — models and
-// implementations live in different packages and init order between them
-// is not fixed — but lookups through EvalModel require both.
+// on a duplicate. The names need not be registered yet, but lookups
+// through EvalModel require both.
 func (r *Registry) RegisterModel(scheme, attack string, fn ModelFunc) {
 	checkName("scheme", scheme)
 	checkName("attack", attack)
@@ -277,20 +262,6 @@ func (r *Registry) RegisterModel(scheme, attack string, fn ModelFunc) {
 		panic(fmt.Sprintf("registry: duplicate model registration %s", key))
 	}
 	r.models[key] = fn
-}
-
-// RegisterAccelerator installs the exact-tier target accelerator,
-// panicking if one is already installed.
-func (r *Registry) RegisterAccelerator(fn Accelerator) {
-	if fn == nil {
-		panic("registry: nil accelerator")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.accel != nil {
-		panic("registry: duplicate accelerator registration")
-	}
-	r.accel = fn
 }
 
 // Scheme resolves a scheme by name; the error lists what is registered.
@@ -407,18 +378,3 @@ func CompatibleExact(s *Scheme, a *Attack) error {
 	}
 	return nil
 }
-
-// Package-level helpers delegating to Default — what plugin init()
-// functions call.
-
-// RegisterScheme registers into the Default registry.
-func RegisterScheme(s Scheme) { Default.RegisterScheme(s) }
-
-// RegisterAttack registers into the Default registry.
-func RegisterAttack(a Attack) { Default.RegisterAttack(a) }
-
-// RegisterModel registers into the Default registry.
-func RegisterModel(scheme, attack string, fn ModelFunc) { Default.RegisterModel(scheme, attack, fn) }
-
-// RegisterAccelerator registers into the Default registry.
-func RegisterAccelerator(fn Accelerator) { Default.RegisterAccelerator(fn) }

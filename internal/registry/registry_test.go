@@ -20,8 +20,8 @@ func passthroughScheme(name string) Scheme {
 	}
 }
 
-// hammerAttack is a minimal valid exact-tier attack: write one address
-// until the bank fails.
+// hammerAttack is a minimal valid exact-tier attack: write line 3
+// until the bank fails. It leaves FailedPA to RunExact.
 func hammerAttack(name string) Attack {
 	return Attack{
 		Name: name,
@@ -29,11 +29,10 @@ func hammerAttack(name string) Attack {
 		RunExact: func(env *Env) (Result, error) {
 			var r Result
 			for !env.Controller.Bank().Failed() {
-				r.AttackNs += env.Target.Write(0, pcm.Mixed)
+				r.AttackNs += env.Target.Write(3, pcm.Mixed)
 				r.Writes++
 			}
 			r.Failed = true
-			r.FailedPA, _, _ = env.Controller.Bank().FirstFailure()
 			return r, nil
 		},
 	}
@@ -70,11 +69,6 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 	mustPanic(t, "duplicate model registration s/a", func() {
 		r.RegisterModel("s", "a", model)
 	})
-	accel := func(c *wear.Controller, workers int) Target { return c }
-	r.RegisterAccelerator(accel)
-	mustPanic(t, "duplicate accelerator registration", func() {
-		r.RegisterAccelerator(accel)
-	})
 }
 
 func TestInvalidNamesPanic(t *testing.T) {
@@ -105,7 +99,6 @@ func TestCapabilityConstructorMismatchPanics(t *testing.T) {
 		r.RegisterAttack(a)
 	})
 	mustPanic(t, "nil model", func() { r.RegisterModel("s", "a", nil) })
-	mustPanic(t, "nil accelerator", func() { r.RegisterAccelerator(nil) })
 }
 
 func TestAdjustableLevelRequiresExact(t *testing.T) {
@@ -239,8 +232,8 @@ func TestRunExactEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Result.Failed || out.Result.Writes != 6 {
-		t.Fatalf("hammering a passthrough: %+v", out.Result)
+	if !out.Result.Failed || out.Result.Writes != 6 || out.Result.FailedPA != 3 {
+		t.Fatalf("hammering line 3 of a passthrough: %+v", out.Result)
 	}
 	m := out.Metrics()
 	if m["defense_held"] != 0 || m["writes"] != 6 {
@@ -252,16 +245,5 @@ func TestRunExactEndToEnd(t *testing.T) {
 	}
 	if _, ok := m["first_alarm_write"]; ok {
 		t.Fatal("passthrough must not report a defender-side alarm")
-	}
-}
-
-// TestBuiltinNone: the registry self-registers the baseline scheme.
-func TestBuiltinNone(t *testing.T) {
-	s, err := Default.Scheme("none")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Caps.Exact || s.Caps.TimingOracle {
-		t.Fatalf("none caps: %+v", s.Caps)
 	}
 }

@@ -3,6 +3,8 @@ package registry
 import (
 	"fmt"
 
+	"securityrbsg/internal/attack"
+	"securityrbsg/internal/exactsim"
 	"securityrbsg/internal/lifetime"
 	"securityrbsg/internal/pcm"
 	"securityrbsg/internal/stats"
@@ -12,15 +14,14 @@ import (
 // Env is everything an exact-tier attack runner receives: the resolved
 // cell configuration, the plugin descriptors, the live scheme instance
 // wired to a simulated bank, and the attacker-facing target (the
-// registered accelerator's wrapper when one is installed, else the
-// controller itself).
+// controller behind exactsim's bit-identical fast paths).
 type Env struct {
 	Cfg        Config
 	Scheme     *Scheme
 	Attack     *Attack
 	Instance   wear.Scheme
 	Controller *wear.Controller
-	Target     Target
+	Target     attack.Target
 }
 
 // Result is an exact-tier attack outcome as the adapter reports it.
@@ -30,7 +31,7 @@ type Result struct {
 	// AttackNs is the attacker-observed elapsed time.
 	AttackNs uint64
 	// Failed reports whether the attacker wore a line past endurance;
-	// FailedPA is that line.
+	// FailedPA is that line, which RunExact reads from the bank.
 	Failed   bool
 	FailedPA uint64
 	// Aborted reports that the attack gave up — budget exhausted or its
@@ -104,8 +105,8 @@ func (o *ExactOutcome) Device() lifetime.Device { return o.Cfg.Device() }
 // RunExact composes and runs one exact-tier cell: resolve both plugins,
 // gate on capabilities (before any simulation state exists), resolve the
 // configuration (scheme defaults, then attack preparation), build the
-// scheme on a fresh simulated bank, wrap it in the registered accelerator
-// and execute the attack.
+// scheme on a fresh simulated bank, wrap it in exactsim.FastTarget and
+// execute the attack.
 func (r *Registry) RunExact(scheme, attack string, cfg Config) (*ExactOutcome, error) {
 	s, err := r.Scheme(scheme)
 	if err != nil {
@@ -145,14 +146,10 @@ func (r *Registry) RunExact(scheme, attack string, cfg Config) (*ExactOutcome, e
 		return nil, fmt.Errorf("registry: scheme %s: %w", s.Name, err)
 	}
 
-	env := &Env{Cfg: cfg, Scheme: s, Attack: a, Instance: inst, Controller: ctrl, Target: ctrl}
-	r.mu.RLock()
-	accel := r.accel
-	r.mu.RUnlock()
-	if accel != nil {
-		env.Target = accel(ctrl, cfg.Workers)
+	env := &Env{
+		Cfg: cfg, Scheme: s, Attack: a, Instance: inst, Controller: ctrl,
+		Target: exactsim.NewFastTarget(ctrl, cfg.Workers),
 	}
-
 	res, err := a.RunExact(env)
 	if err != nil {
 		return nil, fmt.Errorf("registry: %s vs %s: %w", a.Name, s.Name, err)
@@ -160,6 +157,9 @@ func (r *Registry) RunExact(scheme, attack string, cfg Config) (*ExactOutcome, e
 	if !res.Failed && !res.Aborted {
 		return nil, fmt.Errorf("registry: %s vs %s: attack finished after %d writes with no failure and no abort",
 			a.Name, s.Name, res.Writes)
+	}
+	if res.Failed {
+		res.FailedPA, _, _ = ctrl.Bank().FirstFailure()
 	}
 
 	out := &ExactOutcome{
