@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build fmt fmt-check vet lint test race race-sweep fuzz-smoke bench-smoke bench-test bench-record bench-gate profile serve serve-smoke adaptive-smoke router-smoke loadgen tournament-smoke tournament-nightly ci
+.PHONY: build fmt fmt-check vet lint unlinked test race race-sweep fuzz-smoke bench-smoke bench-test bench-record bench-gate profile serve serve-smoke adaptive-smoke router-smoke loadgen tournament-smoke tournament-nightly ci
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,12 @@ lint:
 	@if command -v govulncheck >/dev/null 2>&1; then \
 		govulncheck ./...; \
 	else echo "lint: govulncheck not installed; skipping"; fi
+
+# Report the internal/ functions no binary links (the 13 commands and
+# bench/rbsgbench, built with inlining off), with line counts and
+# totals. A report, not a gate: it fails only when a build fails.
+unlinked:
+	./scripts/unlinked.sh
 
 test: build vet
 	$(GO) test ./...
@@ -133,4 +139,4 @@ tournament-nightly:
 		-ckpt .tournament-ckpt -resume \
 		-out tournament.csv -meta runmeta.tournament.json
 
-ci: fmt-check test lint race race-sweep fuzz-smoke bench-smoke bench-test bench-gate serve-smoke adaptive-smoke router-smoke tournament-smoke
+ci: fmt-check test lint unlinked race race-sweep fuzz-smoke bench-smoke bench-test bench-gate serve-smoke adaptive-smoke router-smoke tournament-smoke

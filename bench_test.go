@@ -262,7 +262,7 @@ func BenchmarkRTAEndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := rbsg.MustNew(rbsg.Config{Lines: 256, Regions: 8, Interval: 4, Seed: 5})
 		c := wear.MustNewController(pcm.Config{
-			LineBytes: 256, Endurance: 500, Timing: pcm.DefaultTiming,
+			Endurance: 500, Timing: pcm.DefaultTiming,
 		}, s)
 		a := &attack.RTARBSG{
 			Target: c, Lines: 256, Regions: 8, Interval: 4, Li: 17, SeqLen: 6,
@@ -325,7 +325,7 @@ func BenchmarkControllerWrite(b *testing.B) {
 		OuterInterval: 128, Stages: 7, Seed: 1,
 	})
 	c := wear.MustNewController(pcm.Config{
-		LineBytes: 256, Endurance: 1 << 40, Timing: pcm.DefaultTiming,
+		Endurance: 1 << 40, Timing: pcm.DefaultTiming,
 	}, s)
 	for i := 0; i < b.N; i++ {
 		c.Write(uint64(i)&(1<<16-1), pcm.Mixed)
@@ -415,7 +415,7 @@ func BenchmarkLifetimeRAAScaled(b *testing.B) {
 // in O(1). A regression here means WriteN lost its constant-time path.
 func BenchmarkBankWriteN(b *testing.B) {
 	bank := pcm.MustNewBank(pcm.Config{
-		Lines: 1 << 10, LineBytes: 256, Endurance: 1 << 40, Timing: pcm.DefaultTiming,
+		Lines: 1 << 10, Endurance: 1 << 40, Timing: pcm.DefaultTiming,
 	})
 	for i := 0; i < b.N; i++ {
 		bank.WriteN(uint64(i)&(1<<10-1), pcm.Mixed, 1000)
@@ -440,7 +440,7 @@ func exactEpochRun(b *testing.B, fast bool) attack.Result {
 	const lines, regions, interval, endurance = 1 << 18, 32, 100, 10_000_000
 	s := rbsg.MustNew(rbsg.Config{Lines: lines, Regions: regions, Interval: interval, Seed: 42})
 	c := wear.MustNewController(pcm.Config{
-		LineBytes: 256, Endurance: endurance, Timing: pcm.DefaultTiming,
+		Endurance: endurance, Timing: pcm.DefaultTiming,
 	}, s)
 	var target attack.Target = exactEpochTarget{c}
 	if fast {
@@ -514,7 +514,7 @@ func BenchmarkAblation_MigrationSpareWear(b *testing.B) {
 			OuterInterval: 5, Stages: 7, Migration: core.MigrationMove, Seed: 15,
 		})
 		c := wear.MustNewController(pcm.Config{
-			LineBytes: 256, Endurance: 1 << 30, Timing: pcm.DefaultTiming,
+			Endurance: 1 << 30, Timing: pcm.DefaultTiming,
 		}, s)
 		for s.Rounds() < 10 {
 			c.Write(0, pcm.Mixed)
@@ -534,7 +534,7 @@ func BenchmarkAblation_MigrationSpareWear(b *testing.B) {
 // remapping-rate boost.
 func BenchmarkAblation_DetectorVsBPA(b *testing.B) {
 	const endurance = 3000
-	bankCfg := pcm.Config{LineBytes: 256, Endurance: endurance, Timing: pcm.DefaultTiming}
+	bankCfg := pcm.Config{Endurance: endurance, Timing: pcm.DefaultTiming}
 	mkBase := func() *rbsg.Scheme {
 		return rbsg.MustNew(rbsg.Config{Lines: 256, Regions: 8, Interval: 8, Seed: 7})
 	}
@@ -559,7 +559,7 @@ func BenchmarkAblation_DetectorVsBPA(b *testing.B) {
 // is leveled away, an informed adversary is not.
 func BenchmarkAblation_TableWLvsAIA(b *testing.B) {
 	const endurance = 3000
-	bankCfg := pcm.Config{LineBytes: 256, Endurance: endurance, Timing: pcm.DefaultTiming}
+	bankCfg := pcm.Config{Endurance: endurance, Timing: pcm.DefaultTiming}
 	mk := func() *wear.Controller {
 		return wear.MustNewController(bankCfg,
 			tablewl.MustNew(tablewl.Config{Lines: 64, Interval: 8, HotThreshold: 4}))

@@ -36,7 +36,7 @@ func main() {
 	li := flag.Uint64("li", 17, "target logical address")
 	flag.Parse()
 
-	bankCfg := pcm.Config{LineBytes: 256, Endurance: *endurance, Timing: pcm.DefaultTiming}
+	bankCfg := pcm.Config{Endurance: *endurance, Timing: pcm.DefaultTiming}
 
 	switch *target {
 	case "rbsg":

@@ -148,7 +148,7 @@ func runExact(lines, endurance, regions, interval, seed uint64, workers int) err
 		return err
 	}
 	c := wear.MustNewController(pcm.Config{
-		LineBytes: 256, Endurance: endurance, Timing: pcm.DefaultTiming,
+		Endurance: endurance, Timing: pcm.DefaultTiming,
 	}, s)
 	per := lines / regions
 	// The paper's sequence length n_seq = ceil(E/((n+1)·ψ)), plus one

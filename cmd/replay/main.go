@@ -56,7 +56,7 @@ func main() {
 		fatal(err)
 	}
 	ctrl, err := wear.NewController(pcm.Config{
-		LineBytes: 256, Endurance: *endurance, Timing: pcm.DefaultTiming,
+		Endurance: *endurance, Timing: pcm.DefaultTiming,
 	}, scheme)
 	if err != nil {
 		fatal(err)

@@ -1,14 +1,12 @@
 // Package analytic holds the closed-form models from the paper that are
 // not simulations: the hardware-overhead accounting of Section V-C-3, the
 // security condition that sizes the Dynamic Feistel Network (Section IV-B
-// / V-C-1), and the remapping-latency table of Fig 4.
+// / V-C-1), and the duration conversions the lifetime reports use.
 package analytic
 
 import (
 	"fmt"
 	"math"
-
-	"securityrbsg/internal/pcm"
 )
 
 // Log2 returns ceil(log2(n)) for n >= 1 (0 for n <= 1).
@@ -70,16 +68,6 @@ func ComputeOverhead(p OverheadParams) Overhead {
 	}
 }
 
-// String formats the overhead like the paper's prose (≈2 KB registers,
-// spare lines, 0.5 MB SRAM, gate count).
-func (o Overhead) String() string {
-	return fmt.Sprintf("registers=%.1fKB sparePCM=%dB sram=%.2fMB gates=%d",
-		float64(o.RegisterBits)/8/1024,
-		o.SparePCMBytes,
-		float64(o.SRAMBits)/8/1024/1024,
-		o.Gates)
-}
-
 // MinStages returns the smallest DFN stage count that keeps the key ahead
 // of RTA detection for an outer remapping interval ψo over a B-bit
 // address space.
@@ -109,43 +97,8 @@ func DetectionOutrunsKeys(stages int, addressBits uint, outerInterval uint64) bo
 	return uint64(stages)*uint64(addressBits) < outerInterval
 }
 
-// RemapLatencies is the Fig 4 table: the latency of one remapping
-// movement as a function of the data being moved.
-type RemapLatencies struct {
-	// MoveZeros / MoveOnes: Start-Gap style copy (read + write) of an
-	// ALL-0 / ALL-1 line — 250 / 1125 ns at default timing.
-	MoveZeros, MoveOnes uint64
-	// SwapZeros / SwapMixed / SwapOnes: Security Refresh pair swap
-	// (2 reads + 2 writes) of two ALL-0 lines, one of each, or two ALL-1
-	// lines — 500 / 1375 / 2250 ns at default timing.
-	SwapZeros, SwapMixed, SwapOnes uint64
-}
-
-// Fig4 computes the remapping-latency table for a device timing.
-func Fig4(t pcm.Timing) RemapLatencies {
-	return RemapLatencies{
-		MoveZeros: t.ReadNs + t.ResetNs,
-		MoveOnes:  t.ReadNs + t.SetNs,
-		SwapZeros: 2 * (t.ReadNs + t.ResetNs),
-		SwapMixed: 2*t.ReadNs + t.ResetNs + t.SetNs,
-		SwapOnes:  2 * (t.ReadNs + t.SetNs),
-	}
-}
-
-// WriteOverheadBound returns the steady-state fraction of device writes
-// that are wear-leveling movements rather than demand writes, for a
-// scheme performing `writesPerMove` device writes every `interval` demand
-// writes (Start-Gap: 1 write per move; SR: 2 writes per swap step on
-// average every other step). The paper requires this to stay below 1%.
-func WriteOverheadBound(writesPerMove float64, interval uint64) float64 {
-	return writesPerMove / float64(interval)
-}
-
 // SecondsToDays converts a duration for reporting.
 func SecondsToDays(s float64) float64 { return s / 86400 }
-
-// SecondsToMonths converts a duration using the paper's 30-day month.
-func SecondsToMonths(s float64) float64 { return s / (86400 * 30) }
 
 // SecondsToYears converts a duration.
 func SecondsToYears(s float64) float64 { return s / (86400 * 365) }

@@ -223,22 +223,6 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	return true
 }
 
-// ExportPackageFact attaches fact to the package under analysis.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	p.facts.set(factKey{pkg: p.Pkg.Path(), obj: "", typ: factType(fact)}, fact)
-}
-
-// ImportPackageFact copies the package fact of path into fact,
-// reporting whether one was found.
-func (p *Pass) ImportPackageFact(path string, fact Fact) bool {
-	stored, ok := p.facts.get(factKey{pkg: path, obj: "", typ: factType(fact)})
-	if !ok {
-		return false
-	}
-	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
-	return true
-}
-
 // SeenPackage reports whether path was analyzed in this run (its facts,
 // possibly none, are available).
 func (p *Pass) SeenPackage(path string) bool { return p.facts.SeenPackage(path) }

@@ -11,7 +11,7 @@ import (
 )
 
 func bankCfg(endurance uint64) pcm.Config {
-	return pcm.Config{LineBytes: 256, Endurance: endurance, Timing: pcm.DefaultTiming}
+	return pcm.Config{Endurance: endurance, Timing: pcm.DefaultTiming}
 }
 
 func TestRAAKillsBaselineInEnduranceWrites(t *testing.T) {

@@ -16,7 +16,7 @@ import (
 func Example() {
 	scheme := rbsg.MustNew(rbsg.Config{Lines: 256, Regions: 8, Interval: 4, Seed: 5})
 	ctrl := wear.MustNewController(pcm.Config{
-		LineBytes: 256, Endurance: 500,
+		Endurance: 500,
 	}, scheme)
 
 	a := &attack.RTARBSG{
@@ -39,7 +39,7 @@ func Example() {
 // hammered address kills its line in exactly endurance+1 writes.
 func ExampleRAA() {
 	ctrl := wear.MustNewController(pcm.Config{
-		LineBytes: 256, Endurance: 1000,
+		Endurance: 1000,
 	}, wear.NewPassthrough(64))
 	res := attack.RAA(ctrl, 7, pcm.Mixed, 0)
 	fmt.Printf("failed=%v after %d writes\n", res.Failed, res.Writes)
@@ -59,7 +59,7 @@ func ExampleSweepZeros() {
 		panic(err)
 	}
 	ctrl := wear.MustNewController(pcm.Config{
-		LineBytes: 256, Endurance: 1 << 30, Timing: pcm.DefaultTiming,
+		Endurance: 1 << 30, Timing: pcm.DefaultTiming,
 	}, scheme)
 
 	fmt.Println("1. The device asymmetry (Fig 1 / Section II-C):")

@@ -25,7 +25,6 @@ func Example() {
 		panic(err)
 	}
 	ctrl, err := wear.NewController(pcm.Config{
-		LineBytes: 256,
 		Endurance: 1_000_000,
 	}, scheme)
 	if err != nil {
@@ -55,15 +54,6 @@ func Example() {
 	// write overhead: 12.49% (remap device writes per demand write)
 }
 
-// ExampleSuggestedConfig shows the paper's recommended 1 GB configuration.
-func ExampleSuggestedConfig() {
-	cfg := core.SuggestedConfig(1 << 22)
-	fmt.Printf("regions=%d inner=%d outer=%d stages=%d\n",
-		cfg.Regions, cfg.InnerInterval, cfg.OuterInterval, cfg.Stages)
-	// Output:
-	// regions=512 inner=64 outer=128 stages=7
-}
-
 // ExampleScheme_Translate demonstrates that the mapping is dynamic: after
 // enough writes for a remapping round, logical lines move.
 func ExampleScheme_Translate() {
@@ -72,7 +62,7 @@ func ExampleScheme_Translate() {
 		Stages: 7, Seed: 3,
 	})
 	ctrl := wear.MustNewController(pcm.Config{
-		LineBytes: 256, Endurance: 1 << 30,
+		Endurance: 1 << 30,
 	}, scheme)
 
 	before := scheme.Translate(7)

@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"securityrbsg/internal/schemetest"
-	"securityrbsg/internal/wear"
 )
 
 // TestRandomConfigsStayConsistent fuzzes the configuration space: any
@@ -59,7 +58,7 @@ func TestIntermediateAlwaysBijective(t *testing.T) {
 		for i := 0; i < int(burst)%512; i++ {
 			s.NoteWrite(uint64(i)%256, m)
 		}
-		return wear.CheckBijection(s) == nil
+		return schemetest.CheckBijection(s) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -109,19 +109,6 @@ type Config struct {
 	NoTableCache bool
 }
 
-// SuggestedConfig returns the paper's recommended configuration for a bank
-// of the given logical size: 512 sub-regions, inner interval 64, outer
-// interval 128, 7 DFN stages.
-func SuggestedConfig(lines uint64) Config {
-	return Config{
-		Lines:         lines,
-		Regions:       512,
-		InnerInterval: 64,
-		OuterInterval: 128,
-		Stages:        7,
-	}
-}
-
 func (c Config) validate() error {
 	if c.Lines == 0 || c.Lines&(c.Lines-1) != 0 {
 		return fmt.Errorf("core: lines must be a power of two, got %d", c.Lines)

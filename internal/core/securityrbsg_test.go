@@ -48,16 +48,9 @@ func TestMetadata(t *testing.T) {
 	}
 }
 
-func TestSuggestedConfig(t *testing.T) {
-	c := SuggestedConfig(1 << 22)
-	if c.Regions != 512 || c.InnerInterval != 64 || c.OuterInterval != 128 || c.Stages != 7 {
-		t.Fatalf("suggested config drifted: %+v", c)
-	}
-}
-
 func TestInitialBijection(t *testing.T) {
 	for seed := uint64(0); seed < 4; seed++ {
-		if err := wear.CheckBijection(small(t, seed)); err != nil {
+		if err := schemetest.CheckBijection(small(t, seed)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,7 +86,7 @@ func TestBijectionAfterEveryMove(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		s.NoteWrite(uint64(i)%256, m)
 		if i%7 == 0 {
-			if err := wear.CheckBijection(s); err != nil {
+			if err := schemetest.CheckBijection(s); err != nil {
 				t.Fatalf("after write %d: %v", i+1, err)
 			}
 		}
@@ -235,7 +228,7 @@ func TestSpareHotspotUnderMigrationMove(t *testing.T) {
 		OuterInterval: 5, Stages: 4, Migration: MigrationMove, Seed: 15,
 	})
 	c := wear.MustNewController(pcm.Config{
-		LineBytes: 256, Endurance: 1 << 30, Timing: pcm.DefaultTiming,
+		Endurance: 1 << 30, Timing: pcm.DefaultTiming,
 	}, s)
 	for s.Rounds() < 10 {
 		c.Write(0, pcm.Mixed)
@@ -258,7 +251,7 @@ func TestOddWidthLines(t *testing.T) {
 		Lines: 512, Regions: 8, InnerInterval: 2,
 		OuterInterval: 3, Stages: 3, Seed: 9,
 	})
-	if err := wear.CheckBijection(s); err != nil {
+	if err := schemetest.CheckBijection(s); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := schemetest.Exercise(s, 6*520*3, 11, 10); err != nil {

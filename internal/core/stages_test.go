@@ -5,7 +5,6 @@ import (
 
 	"securityrbsg/internal/pcm"
 	"securityrbsg/internal/schemetest"
-	"securityrbsg/internal/wear"
 )
 
 // The adjustable security level: SetStages requests are deferred to the
@@ -72,7 +71,7 @@ func TestSetStagesDeferredToRoundBoundary(t *testing.T) {
 	start := s.Rounds()
 	for s.Rounds() < start+2 {
 		s.NoteWrite(1, m)
-		if err := wear.CheckBijection(s); err != nil {
+		if err := schemetest.CheckBijection(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,7 +166,7 @@ func TestSetStagesTwinBitIdentity(t *testing.T) {
 			if a.StageChanges() != uint64(len(levels)) {
 				t.Fatalf("only %d transitions exercised", a.StageChanges())
 			}
-			if err := wear.CheckBijection(a); err != nil {
+			if err := schemetest.CheckBijection(a); err != nil {
 				t.Fatal(err)
 			}
 		})

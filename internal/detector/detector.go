@@ -111,13 +111,6 @@ func (a *AdaptiveRBSG) FirstAlarmWrite() (write uint64, ok bool) { return a.mon.
 // not mutate it.
 func (a *AdaptiveRBSG) RateWindow() *RateWindow { return a.mon.RateWindow() }
 
-// RecentAlarmRate aggregates the last n closed windows: threshold
-// crossings, writes observed, and crossings per window. See
-// RateWindow.Rate.
-func (a *AdaptiveRBSG) RecentAlarmRate(n int) (alarms, writes uint64, rate float64) {
-	return a.mon.RecentAlarmRate(n)
-}
-
 // NoteWrite books the write, runs the base scheme's wear leveling, and —
 // for alarmed regions — issues Boost−1 additional gap movements per
 // interval, multiplying the region's remapping rate.

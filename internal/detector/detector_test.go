@@ -97,7 +97,7 @@ func TestDataIntegrityUnderBoost(t *testing.T) {
 // attacker needs more trials to kill a line.
 func TestDetectorShrinksLVFUnderBPA(t *testing.T) {
 	const endurance = 3000
-	bankCfg := pcm.Config{LineBytes: 256, Endurance: endurance, Timing: pcm.DefaultTiming}
+	bankCfg := pcm.Config{Endurance: endurance, Timing: pcm.DefaultTiming}
 
 	plain := wear.MustNewController(bankCfg, base(7))
 	plainRes := attack.BPA(plain, base(7).LineVulnerabilityFactor(), pcm.Mixed, 1, 80_000_000)

@@ -67,26 +67,6 @@ func (w *RateWindow) Len() int { return w.size }
 // Windows returns the total number of windows ever recorded.
 func (w *RateWindow) Windows() uint64 { return w.total }
 
-// Recent returns the last n window records, oldest first (all held
-// records when n exceeds Len).
-func (w *RateWindow) Recent(n int) []WindowStat {
-	if n > w.size {
-		n = w.size
-	}
-	if n <= 0 {
-		return nil
-	}
-	out := make([]WindowStat, n)
-	start := w.head - n
-	if start < 0 {
-		start += len(w.ring)
-	}
-	for i := 0; i < n; i++ {
-		out[i] = w.ring[(start+i)%len(w.ring)]
-	}
-	return out
-}
-
 // Rate aggregates the last n windows (all held windows when n exceeds
 // Len): total threshold crossings, total writes observed, and the alarm
 // rate in crossings per window. A rate of 0 means quiet; ≥ 1 means at

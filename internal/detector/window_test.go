@@ -7,6 +7,26 @@ import (
 	"securityrbsg/internal/stats"
 )
 
+// recent returns the last n window records of w, oldest first (all held
+// records when n exceeds Len).
+func recent(w *RateWindow, n int) []WindowStat {
+	if n > w.size {
+		n = w.size
+	}
+	if n <= 0 {
+		return nil
+	}
+	out := make([]WindowStat, n)
+	start := w.head - n
+	if start < 0 {
+		start += len(w.ring)
+	}
+	for i := 0; i < n; i++ {
+		out[i] = w.ring[(start+i)%len(w.ring)]
+	}
+	return out
+}
+
 func TestRateWindowValidation(t *testing.T) {
 	if _, err := NewRateWindow(0); err == nil {
 		t.Fatal("zero capacity must fail")
@@ -33,13 +53,13 @@ func TestRateWindowRingEviction(t *testing.T) {
 	if w.Windows() != 10 {
 		t.Fatalf("Windows() = %d, want 10", w.Windows())
 	}
-	recent := w.Recent(10)
-	if len(recent) != 4 {
-		t.Fatalf("Recent returned %d entries, want 4", len(recent))
+	held := recent(w, 10)
+	if len(held) != 4 {
+		t.Fatalf("recent returned %d entries, want 4", len(held))
 	}
-	for i, st := range recent {
+	for i, st := range held {
 		if want := uint64(6 + i); st.Index != want || st.Alarms != want {
-			t.Fatalf("recent[%d] = %+v, want index/alarms %d (oldest first)", i, st, want)
+			t.Fatalf("held[%d] = %+v, want index/alarms %d (oldest first)", i, st, want)
 		}
 	}
 	// Last 2 windows: alarms 8+9 over 2 windows, 200 writes.
@@ -60,8 +80,8 @@ func TestRateWindowPartialFill(t *testing.T) {
 	if alarms != 1 || writes != 100 || rate != 0.5 {
 		t.Fatalf("Rate(8) = (%d, %d, %.2f), want (1, 100, 0.50)", alarms, writes, rate)
 	}
-	if got := w.Recent(0); got != nil {
-		t.Fatalf("Recent(0) = %v, want nil", got)
+	if got := recent(w, 0); got != nil {
+		t.Fatalf("recent(0) = %v, want nil", got)
 	}
 }
 
@@ -73,13 +93,13 @@ func TestAdaptiveRollingRate(t *testing.T) {
 	a := adaptive(t, 8, Config{RateWindows: 8})
 	m := schemetest.NewTokenMover(a)
 
-	if _, _, rate := a.RecentAlarmRate(8); rate != 0 {
+	if _, _, rate := a.mon.RecentAlarmRate(8); rate != 0 {
 		t.Fatal("fresh detector reports a nonzero rate")
 	}
 	for i := 0; i < 20000; i++ {
 		a.NoteWrite(13, m)
 	}
-	alarms, writes, rate := a.RecentAlarmRate(8)
+	alarms, writes, rate := a.mon.RecentAlarmRate(8)
 	if rate < 1 {
 		t.Fatalf("hammer: rate = %.2f (alarms %d over %d writes), want ≥ 1 crossing/window", rate, alarms, writes)
 	}
@@ -89,7 +109,7 @@ func TestAdaptiveRollingRate(t *testing.T) {
 	for i := 0; i < 40000; i++ {
 		a.NoteWrite(rng.Uint64n(256), m)
 	}
-	if _, _, rate := a.RecentAlarmRate(8); rate != 0 {
+	if _, _, rate := a.mon.RecentAlarmRate(8); rate != 0 {
 		t.Fatalf("benign tail: rolling rate = %.2f, want 0", rate)
 	}
 	if a.Alarms() != cumulative {
@@ -97,7 +117,7 @@ func TestAdaptiveRollingRate(t *testing.T) {
 	}
 	// The ring retains full windows: every recorded window observed
 	// exactly Config.Window writes.
-	for _, st := range a.RateWindow().Recent(8) {
+	for _, st := range recent(a.RateWindow(), 8) {
 		if st.Writes != a.mon.cfg.Window {
 			t.Fatalf("window %d recorded %d writes, want %d", st.Index, st.Writes, a.mon.cfg.Window)
 		}
@@ -117,7 +137,7 @@ func TestAdaptiveRateSustainedUnderAttack(t *testing.T) {
 	if a.Alarms() != 1 {
 		t.Fatalf("fresh alarms = %d, want 1 (cooldown keeps re-upping)", a.Alarms())
 	}
-	if _, _, rate := a.RecentAlarmRate(4); rate < 1 {
+	if _, _, rate := a.mon.RecentAlarmRate(4); rate < 1 {
 		t.Fatalf("sustained hammer: rolling rate = %.2f, want ≥ 1", rate)
 	}
 }
@@ -169,7 +189,7 @@ func TestMonitorMirrorsAdaptiveAlarms(t *testing.T) {
 		t.Fatalf("first-alarm latency diverged: monitor (%d,%v) vs adaptive (%d,%v)", mw, mok, aw, aok)
 	}
 	ma, _, mr := mon.RecentAlarmRate(4)
-	aa, _, ar := a.RecentAlarmRate(4)
+	aa, _, ar := a.mon.RecentAlarmRate(4)
 	if ma != aa || mr != ar {
 		t.Fatalf("rolling rate diverged: monitor (%d, %.2f) vs adaptive (%d, %.2f)", ma, mr, aa, ar)
 	}

@@ -60,8 +60,7 @@ type FastTarget struct {
 	// entries [r·n′, (r+1)·n′) are region r's logical addresses in
 	// ascending order — exactly the order a naive ascending sweep issues
 	// them to that region. Built once; the randomizer never rekeys.
-	buckets      []uint32
-	minEndurance uint64
+	buckets []uint32
 }
 
 // NewFastTarget wraps c. workers caps Sweep's parallelism (<= 0 means
@@ -105,8 +104,8 @@ func (t *FastTarget) WriteRun(la uint64, content pcm.Content, n uint64, stopOnFa
 	return t.ctrl.WriteRun(la, content, n, stopOnFail, onEvent)
 }
 
-// ensureBuckets builds the per-region address index and caches the
-// bank's weakest per-line endurance. O(N + P), once per FastTarget.
+// ensureBuckets builds the per-region address index. O(N), once per
+// FastTarget.
 func (t *FastTarget) ensureBuckets() {
 	if t.buckets != nil {
 		return
@@ -126,14 +125,6 @@ func (t *FastTarget) ensureBuckets() {
 		t.buckets[next[r]] = uint32(la)
 		next[r]++
 	}
-	bank := t.ctrl.Bank()
-	min := ^uint64(0)
-	for pa := uint64(0); pa < bank.Lines(); pa++ {
-		if e := bank.LineEndurance(pa); e < min {
-			min = e
-		}
-	}
-	t.minEndurance = min
 }
 
 // sweepContent is the attack's sweep pattern: ALL-0, or keyed by address
@@ -163,8 +154,8 @@ func sweepContent(la uint64, bit int) pcm.Content {
 //     injective, so a physical slot receives at most one demand write
 //     per sub-epoch — at most m+1 in total — plus at most m movement
 //     writes: added wear ≤ 2m+1 per line. If even the currently
-//     most-worn line is at least 2·mMax+2 writes under the weakest
-//     line's budget, no line can fail, and every observable — wear
+//     most-worn line is at least 2·mMax+2 writes under the bank's
+//     endurance, no line can fail, and every observable — wear
 //     array, content, device clock, scheme registers, controller books,
 //     total latency — is independent of worker count and interleaving.
 //
@@ -193,7 +184,7 @@ func (t *FastTarget) Sweep(bit int) (writes, ns uint64, ok bool) {
 			mMax = m
 		}
 	}
-	if _, maxWear := bank.MaxWear(); maxWear+2*mMax+2 > t.minEndurance {
+	if _, maxWear := bank.MaxWear(); maxWear+2*mMax+2 > bank.Config().Endurance {
 		return 0, 0, false // a line could fail mid-sweep: stay exact, go naive
 	}
 

@@ -25,7 +25,7 @@ import (
 )
 
 func bankCfg(endurance uint64) pcm.Config {
-	return pcm.Config{LineBytes: 256, Endurance: endurance, Timing: pcm.DefaultTiming}
+	return pcm.Config{Endurance: endurance, Timing: pcm.DefaultTiming}
 }
 
 // noFF strips the wear.FastForwarder capability from a scheme: a

@@ -7,9 +7,8 @@ import (
 )
 
 // This file holds the secondary lifetime models: BPA against RBSG (the
-// attack that motivated Security Refresh), the focused sub-region attack
-// against Multi-Way SR (Section III-E's closing paragraph), and the
-// endurance-variation penalty (process variation, the [12] extension).
+// attack that motivated Security Refresh) and the focused sub-region
+// attack against Multi-Way SR (Section III-E's closing paragraph).
 
 // BPAOnRBSG models the Birthday Paradox Attack against RBSG: each
 // randomly chosen logical address is hammered for one Line Vulnerability
@@ -52,37 +51,5 @@ func FocusedOnMultiWay(d Device, regions, interval uint64) Estimate {
 		Writes:          writes,
 		Seconds:         Seconds(writes, perWrite),
 		FractionOfIdeal: writes / d.IdealWrites(),
-	}
-}
-
-// VariationZ returns the expected standardized extreme (the z-score of
-// the weakest of `lines` i.i.d. normal endurance draws): the usual
-// asymptotic sqrt(2·ln N) with the log-log correction.
-func VariationZ(lines uint64) float64 {
-	if lines < 2 {
-		return 0
-	}
-	n := float64(lines)
-	l := math.Sqrt(2 * math.Log(n))
-	return l - (math.Log(math.Log(n))+math.Log(4*math.Pi))/(2*l)
-}
-
-// IdealWithVariation returns the ideal (perfectly uniform wear) lifetime
-// when per-line endurance varies as N(E, (σE)²): the device now dies at
-// the weakest line's budget, E·(1 − z·σ), shrinking the whole budget by
-// the same factor. Schemes cannot beat this without wear-rate leveling
-// (tracking actual remaining endurance, [12]) — which is exactly that
-// extension's motivation.
-func IdealWithVariation(d Device, sigma float64) Estimate {
-	factor := 1 - VariationZ(d.Lines)*sigma
-	if factor < 0.1 {
-		factor = 0.1 // the clamp NewVariedBank applies
-	}
-	writes := d.IdealWrites() * factor
-	return Estimate{
-		Scheme: "ideal", Attack: "uniform",
-		Writes:          writes,
-		Seconds:         Seconds(writes, float64(d.Timing.SetNs)),
-		FractionOfIdeal: factor,
 	}
 }

@@ -1,7 +1,6 @@
 package lifetime_test
 
 import (
-	"math"
 	"testing"
 
 	"securityrbsg/internal/attack"
@@ -24,7 +23,7 @@ func TestBPAOnRBSGMatchesExactSim(t *testing.T) {
 	for seed := uint64(0); seed < runs; seed++ {
 		s := rbsg.MustNew(rbsg.Config{Lines: 256, Regions: 8, Interval: 2, Seed: seed})
 		c := wear.MustNewController(pcm.Config{
-			LineBytes: 256, Endurance: 3000, Timing: pcm.DefaultTiming,
+			Endurance: 3000, Timing: pcm.DefaultTiming,
 		}, s)
 		res := attack.BPA(c, s.LineVulnerabilityFactor(), pcm.Mixed, seed+10, 0)
 		if !res.Failed {
@@ -66,7 +65,7 @@ func TestFocusedOnMultiWayMatchesExactSim(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := wear.MustNewController(pcm.Config{
-			LineBytes: 256, Endurance: 3000, Timing: pcm.DefaultTiming,
+			Endurance: 3000, Timing: pcm.DefaultTiming,
 		}, s)
 		// Flood sub-region 2: hammer each of its lines for one inner
 		// round in turn.
@@ -91,50 +90,5 @@ func TestFocusedOnMultiWayMatchesExactSim(t *testing.T) {
 	// The focused attack caps the device at roughly 1/regions of ideal.
 	if model.FractionOfIdeal > 0.25 {
 		t.Fatalf("focused attack should trap wear in one sub-region: %v", model.FractionOfIdeal)
-	}
-}
-
-// TestVariationZ sanity: grows with N and sits near the textbook values.
-func TestVariationZ(t *testing.T) {
-	if lifetime.VariationZ(1) != 0 {
-		t.Fatal("degenerate case")
-	}
-	z1k := lifetime.VariationZ(1024)
-	z4m := lifetime.VariationZ(1 << 22)
-	if !(z1k > 2.5 && z1k < 3.5) {
-		t.Fatalf("z(1024) = %v, want ≈3.2", z1k)
-	}
-	if z4m <= z1k || z4m > 6 {
-		t.Fatalf("z(4M) = %v", z4m)
-	}
-}
-
-// TestIdealWithVariationMatchesVariedBank: the closed form tracks a real
-// varied bank driven with perfectly uniform traffic.
-func TestIdealWithVariationMatchesVariedBank(t *testing.T) {
-	const lines, endurance, sigma = 1024, 500, 0.2
-	d := lifetime.Device{Lines: lines, Endurance: endurance, Timing: pcm.DefaultTiming}
-	model := lifetime.IdealWithVariation(d, sigma)
-
-	var sim float64
-	const runs = 3
-	for seed := uint64(0); seed < runs; seed++ {
-		b, err := pcm.NewVariedBank(pcm.Config{Lines: lines, Endurance: endurance}, sigma, seed+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var n uint64
-		for !b.Failed() {
-			b.Write(n%lines, pcm.Mixed)
-			n++
-		}
-		sim += float64(n)
-	}
-	sim /= runs
-	if ratio := model.Writes / sim; math.Abs(ratio-1) > 0.25 {
-		t.Fatalf("model %v writes vs sim %v (ratio %.2f)", model.Writes, sim, ratio)
-	}
-	if model.FractionOfIdeal >= 1 {
-		t.Fatal("variation must cost lifetime")
 	}
 }

@@ -86,7 +86,7 @@ func TestRAAOnRBSGMatchesExactSim(t *testing.T) {
 	model := lifetime.RAAOnRBSG(d, p)
 
 	s := rbsg.MustNew(rbsg.Config{Lines: 256, Regions: 8, Interval: 4, Seed: 1})
-	c := wear.MustNewController(pcm.Config{LineBytes: 256, Endurance: 2000, Timing: pcm.DefaultTiming}, s)
+	c := wear.MustNewController(pcm.Config{Endurance: 2000, Timing: pcm.DefaultTiming}, s)
 	res := attack.RAA(c, 3, pcm.Mixed, 0)
 	if !res.Failed {
 		t.Fatal("sim did not fail")
@@ -151,7 +151,7 @@ func TestRAAOnTwoLevelSRMatchesExactSim(t *testing.T) {
 		s := secref.MustNewTwoLevel(secref.TwoLevelConfig{
 			Lines: 1 << 10, Regions: 8, InnerInterval: 4, OuterInterval: 8, Seed: seed,
 		})
-		c := wear.MustNewController(pcm.Config{LineBytes: 256, Endurance: 3000, Timing: pcm.DefaultTiming}, s)
+		c := wear.MustNewController(pcm.Config{Endurance: 3000, Timing: pcm.DefaultTiming}, s)
 		res := attack.RAA(c, 5, pcm.Mixed, 0)
 		if !res.Failed {
 			t.Fatal("sim did not fail")
@@ -231,7 +231,7 @@ func TestRAAOnSecurityRBSGMatchesExactSim(t *testing.T) {
 			Lines: 256, Regions: 8, InnerInterval: 4,
 			OuterInterval: 8, Stages: 7, Seed: seed + 100,
 		})
-		c := wear.MustNewController(pcm.Config{LineBytes: 256, Endurance: 5000, Timing: pcm.DefaultTiming}, s)
+		c := wear.MustNewController(pcm.Config{Endurance: 5000, Timing: pcm.DefaultTiming}, s)
 		res := attack.RAA(c, 3, pcm.Mixed, 0)
 		if !res.Failed {
 			t.Fatal("sim did not fail")

@@ -29,7 +29,7 @@ func TestRTAOnRBSGModelVsRealAttack(t *testing.T) {
 
 	s := rbsg.MustNew(rbsg.Config{Lines: lines, Regions: regions, Interval: interval, Seed: 5})
 	c := wear.MustNewController(pcm.Config{
-		LineBytes: 256, Endurance: endurance, Timing: pcm.DefaultTiming,
+		Endurance: endurance, Timing: pcm.DefaultTiming,
 	}, s)
 	a := &attack.RTARBSG{
 		Target: c, Lines: lines, Regions: regions, Interval: interval,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"securityrbsg/internal/pcm"
+	"securityrbsg/internal/schemetest"
 	"securityrbsg/internal/stats"
 )
 
@@ -49,7 +50,7 @@ func TestParallelDistinctBanks(t *testing.T) {
 		if got := m.Bank(b).DemandWrites(); got != uint64(writes) {
 			t.Errorf("bank %d: %d demand writes, want %d", b, got, writes)
 		}
-		if err := m.Bank(b).CheckBijection(); err != nil {
+		if err := schemetest.CheckBijection(m.Bank(b).Scheme()); err != nil {
 			t.Errorf("bank %d mapping corrupted: %v", b, err)
 		}
 	}

@@ -32,8 +32,6 @@
 //     banks) executor goroutines, executor i serving every bank
 //     b ≡ i (mod W). A goroutine may serve several banks; no bank is
 //     ever served by two.
-//   - The whole-memory inspectors (Failed, TotalDemandWrites, MaxWear)
-//     read every bank and must only run while no bank is being driven.
 //
 // TestParallelDistinctBanks pins the first two points under the race
 // detector: hammering all banks from parallel goroutines, one goroutine
@@ -117,35 +115,4 @@ func (m *Memory) Write(la uint64, content pcm.Content) uint64 {
 func (m *Memory) Read(la uint64) (pcm.Content, uint64) {
 	b, local := m.Route(la)
 	return m.banks[b].Read(local)
-}
-
-// Failed reports whether any bank has a failed line, and where.
-func (m *Memory) Failed() (bank int, pa uint64, failed bool) {
-	for i, c := range m.banks {
-		if p, _, ok := c.Bank().FirstFailure(); ok {
-			return i, p, true
-		}
-	}
-	return 0, 0, false
-}
-
-// TotalDemandWrites sums demand writes across banks.
-func (m *Memory) TotalDemandWrites() uint64 {
-	var n uint64
-	for _, c := range m.banks {
-		n += c.DemandWrites()
-	}
-	return n
-}
-
-// MaxWear returns the most-worn line anywhere: its bank, physical
-// address and wear count.
-func (m *Memory) MaxWear() (bank int, pa uint64, wearCount uint64) {
-	for i, c := range m.banks {
-		p, w := c.Bank().MaxWear()
-		if w > wearCount {
-			bank, pa, wearCount = i, p, w
-		}
-	}
-	return
 }

@@ -215,7 +215,7 @@ func TestWireAdaptiveEscalatesBeforeRTARecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bctrl := wear.MustNewController(pcm.Config{LineBytes: 256, Endurance: 500, Timing: pcm.DefaultTiming}, base)
+	bctrl := wear.MustNewController(pcm.Config{Endurance: 500, Timing: pcm.DefaultTiming}, base)
 	ba := &attack.RTARBSG{
 		Target: bctrl,
 		Lines:  lines, Regions: regions, Interval: interval,

@@ -78,8 +78,6 @@ type Config struct {
 	// Endurance is per-line write endurance (default 2^30 so a demo
 	// server does not wear out mid-run; lower it to study failures).
 	Endurance uint64
-	// LineBytes is the line size (default 256).
-	LineBytes int
 	// QueueDepth bounds each bank's admission: the runs (one per batch
 	// touching the bank) admitted and not yet started by the bank's
 	// executor (default 256). A batch whose run finds the bank full gets
@@ -132,9 +130,6 @@ func (c *Config) normalize() error {
 	}
 	if c.Endurance == 0 {
 		c.Endurance = 1 << 30
-	}
-	if c.LineBytes <= 0 {
-		c.LineBytes = 256
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
@@ -225,7 +220,6 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	bankCfg := pcm.Config{
-		LineBytes: cfg.LineBytes,
 		Endurance: cfg.Endurance,
 		Timing:    pcm.DefaultTiming,
 	}

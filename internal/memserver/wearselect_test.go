@@ -32,7 +32,7 @@ func hammerShaped(rng *stats.RNG, n int) []uint32 {
 		w[i] = uint32(rng.Uint64n(51))
 	}
 	if n > 0 {
-		w[rng.Intn(n)] = 800_000 + uint32(rng.Uint64n(1000))
+		w[rng.Uint64n(uint64(n))] = 800_000 + uint32(rng.Uint64n(1000))
 	}
 	return w
 }

@@ -71,23 +71,3 @@ func First(errs []error) error {
 	}
 	return nil
 }
-
-// Map runs f over [0, n) in parallel and collects the results in index
-// order — the deterministic gather for Monte-Carlo sweeps.
-func Map[T any](n, workers int, f func(i int) T) []T {
-	out := make([]T, n)
-	ForEach(n, workers, func(i int) { out[i] = f(i) })
-	return out
-}
-
-// MapErr is Map for fallible work; it returns the first error by index
-// (not by completion time), keeping failures deterministic too.
-func MapErr[T any](n, workers int, f func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	errs := ForEachErr(n, workers, func(i int) error {
-		var err error
-		out[i], err = f(i)
-		return err
-	})
-	return out, First(errs)
-}

@@ -26,43 +26,6 @@ func TestForEachEmpty(t *testing.T) {
 	}
 }
 
-func TestMapDeterministicOrder(t *testing.T) {
-	got := Map(50, 8, func(i int) int { return i * i })
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("index %d: got %d", i, v)
-		}
-	}
-	// Parallel result must equal sequential result exactly.
-	seq := Map(50, 1, func(i int) int { return i * i })
-	for i := range seq {
-		if got[i] != seq[i] {
-			t.Fatal("parallel and sequential outputs differ")
-		}
-	}
-}
-
-func TestMapErrReturnsFirstByIndex(t *testing.T) {
-	errA := errors.New("a")
-	errB := errors.New("b")
-	_, err := MapErr(10, 4, func(i int) (int, error) {
-		switch i {
-		case 7:
-			return 0, errB
-		case 3:
-			return 0, errA
-		}
-		return i, nil
-	})
-	if err != errA {
-		t.Fatalf("got %v, want the lowest-index error", err)
-	}
-	vals, err := MapErr(5, 2, func(i int) (int, error) { return i + 1, nil })
-	if err != nil || vals[4] != 5 {
-		t.Fatalf("clean MapErr: %v %v", vals, err)
-	}
-}
-
 func TestForEachErrIndexAddressedSlots(t *testing.T) {
 	errA := errors.New("a")
 	errB := errors.New("b")

@@ -4,22 +4,6 @@ import (
 	"testing"
 )
 
-// twinBanks builds two banks with the same configuration (and, via the
-// same seed, the same per-line endurance draws) for loop-vs-batch
-// equivalence checks.
-func twinBanks(t *testing.T, cfg Config, sigma float64, seed uint64) (*Bank, *Bank) {
-	t.Helper()
-	a, err := NewVariedBank(cfg, sigma, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewVariedBank(cfg, sigma, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a, b
-}
-
 // assertBanksEqual compares every observable of two banks.
 func assertBanksEqual(t *testing.T, name string, loop, batch *Bank) {
 	t.Helper()
@@ -59,13 +43,6 @@ func assertBanksEqual(t *testing.T, name string, loop, batch *Bank) {
 }
 
 func TestWriteNMatchesLoop(t *testing.T) {
-	cases := []struct {
-		name  string
-		sigma float64
-	}{
-		{name: "uniform", sigma: 0},
-		{name: "varied", sigma: 0.25},
-	}
 	// A batch plan that crosses endurance (50) mid-batch on line 3,
 	// exactly at a batch boundary on line 5, and keeps hammering a failed
 	// line (1) past its budget.
@@ -84,23 +61,21 @@ func TestWriteNMatchesLoop(t *testing.T) {
 		{1, Ones, 10}, // already failed: pure wear+time
 		{0, Zeros, 0}, // empty batch is a no-op
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Lines: 8, Endurance: 50}
-			loop, batch := twinBanks(t, cfg, tc.sigma, 42)
-			for _, p := range plan {
-				var loopNs uint64
-				for i := uint64(0); i < p.n; i++ {
-					loopNs += loop.Write(p.pa, p.c)
-				}
-				batchNs := batch.WriteN(p.pa, p.c, p.n)
-				if loopNs != batchNs {
-					t.Fatalf("batch (%d,%v,%d): latency %d vs %d", p.pa, p.c, p.n, loopNs, batchNs)
-				}
+	t.Run("uniform", func(t *testing.T) {
+		cfg := Config{Lines: 8, Endurance: 50}
+		loop, batch := MustNewBank(cfg), MustNewBank(cfg)
+		for _, p := range plan {
+			var loopNs uint64
+			for i := uint64(0); i < p.n; i++ {
+				loopNs += loop.Write(p.pa, p.c)
 			}
-			assertBanksEqual(t, tc.name, loop, batch)
-		})
-	}
+			batchNs := batch.WriteN(p.pa, p.c, p.n)
+			if loopNs != batchNs {
+				t.Fatalf("batch (%d,%v,%d): latency %d vs %d", p.pa, p.c, p.n, loopNs, batchNs)
+			}
+		}
+		assertBanksEqual(t, "uniform", loop, batch)
+	})
 }
 
 func TestWriteNFirstFailureTimeIsExact(t *testing.T) {
@@ -188,7 +163,7 @@ func TestWearSnapshotDecoupled(t *testing.T) {
 
 func TestShardMatchesSerial(t *testing.T) {
 	cfg := Config{Lines: 12, Endurance: 20}
-	serial, sharded := twinBanks(t, cfg, 0.3, 7)
+	serial, sharded := MustNewBank(cfg), MustNewBank(cfg)
 
 	// Reference: serial run over two halves, first [0,6) then [6,12).
 	ops := func(b interface {
@@ -201,7 +176,7 @@ func TestShardMatchesSerial(t *testing.T) {
 		b.Write(lo+1, Zeros)
 		b.Move(lo+0, lo+2)
 		b.Swap(lo+1, lo+3)
-		for i := uint64(0); i < 25; i++ { // fails line lo+4 (endurance ~20)
+		for i := uint64(0); i < 25; i++ { // fails line lo+4 (endurance 20)
 			b.Write(lo+4, Mixed)
 		}
 		b.Read(lo + 5)

@@ -33,8 +33,7 @@ import (
 
 // Content classifies the data stored in (or written to) a line. The timing
 // model only needs to know whether the line contains any SET bits, so data
-// is tracked as a three-valued class; exact byte tracking can be layered on
-// top via ClassOf when a test needs it.
+// is tracked as a three-valued class rather than as bytes.
 type Content uint8
 
 const (
@@ -59,30 +58,6 @@ func (c Content) String() string {
 		return "MIXED"
 	default:
 		return fmt.Sprintf("Content(%d)", uint8(c))
-	}
-}
-
-// ClassOf classifies a byte slice into a Content value.
-func ClassOf(data []byte) Content {
-	allZero, allOne := true, true
-	for _, b := range data {
-		if b != 0x00 {
-			allZero = false
-		}
-		if b != 0xff {
-			allOne = false
-		}
-		if !allZero && !allOne {
-			return Mixed
-		}
-	}
-	switch {
-	case allZero:
-		return Zeros
-	case allOne:
-		return Ones
-	default:
-		return Mixed
 	}
 }
 
@@ -113,10 +88,6 @@ type Config struct {
 	// cover both the logical space and any spare (gap) lines the
 	// wear-leveling scheme needs.
 	Lines uint64
-	// LineBytes is the line size; the paper uses 256 B (the last-level
-	// cache line size). It only affects capacity reporting and the
-	// hardware-overhead math, not timing.
-	LineBytes int
 	// Endurance is the number of writes a line tolerates before it becomes
 	// a stuck-at fault. The paper assumes 10^8.
 	Endurance uint64
@@ -124,24 +95,9 @@ type Config struct {
 	Timing Timing
 }
 
-// PaperConfig returns the paper's evaluation configuration: a 1 GB bank of
-// 256 B lines (2^22 lines) with 10^8 endurance, before adding any spare
-// lines required by a scheme.
-func PaperConfig() Config {
-	return Config{
-		Lines:     1 << 22,
-		LineBytes: 256,
-		Endurance: 1e8,
-		Timing:    DefaultTiming,
-	}
-}
-
 func (c *Config) normalize() error {
 	if c.Lines == 0 {
 		return errors.New("pcm: config needs at least one line")
-	}
-	if c.LineBytes <= 0 {
-		c.LineBytes = 256
 	}
 	if c.Endurance == 0 {
 		return errors.New("pcm: endurance must be positive")
@@ -163,9 +119,6 @@ type Bank struct {
 	cfg     Config
 	wear    []uint32
 	content []Content
-	// endurances holds per-line budgets under process variation
-	// (NewVariedBank); nil means the uniform cfg.Endurance applies.
-	endurances []uint32
 
 	failedLines uint64 // number of lines past endurance
 	firstFailPA uint64
@@ -182,6 +135,14 @@ type Bank struct {
 	// scan it replaced — figure fingerprints depend on MaxWearPA.
 	maxWearVal uint32
 	maxWearPA  uint64
+
+	// The pad makes a Bank exactly three 64-byte cache lines on 64-bit
+	// platforms, so the counters above never share a line with the next
+	// heap object, often another bank that another goroutine drives
+	// (memctld's executors, the tournament's workers). Unpadded, the
+	// two-worker tournament ran slower with a long tail (DESIGN.md,
+	// "Performance engineering"). TestBankFillsCacheLines checks the size.
+	_ [24]byte
 }
 
 // noteWear folds one line's new wear value into the running maximum,
@@ -261,7 +222,7 @@ func (b *Bank) Write(pa uint64, c Content) uint64 {
 	w := uint64(b.wear[pa]) + 1
 	b.wear[pa] = uint32(w)
 	b.noteWear(pa, uint32(w))
-	endurance := b.budget(pa)
+	endurance := b.cfg.Endurance
 	if w > endurance {
 		if w == endurance+1 {
 			b.failedLines++
@@ -304,7 +265,7 @@ func (b *Bank) WriteN(pa uint64, c Content, n uint64) uint64 {
 	w1 := w0 + n
 	b.wear[pa] = uint32(w1)
 	b.noteWear(pa, uint32(w1))
-	endurance := b.budget(pa)
+	endurance := b.cfg.Endurance
 	if w0 <= endurance && w1 > endurance {
 		// The (endurance+1−w0)-th write of this batch is the crossing one.
 		b.failedLines++
@@ -350,10 +311,10 @@ func (b *Bank) Wear(pa uint64) uint64 {
 
 // WritesToFailure returns how many more writes line pa takes up to and
 // including the one that fails it: the j-th write from now carries its
-// wear past its endurance budget. It returns 0 once the line has failed.
+// wear past the endurance. It returns 0 once the line has failed.
 func (b *Bank) WritesToFailure(pa uint64) uint64 {
 	b.check(pa)
-	e, w := b.budget(pa), uint64(b.wear[pa])
+	e, w := b.cfg.Endurance, uint64(b.wear[pa])
 	if w > e {
 		return 0
 	}
@@ -409,15 +370,3 @@ func (b *Bank) TotalWrites() uint64 { return b.totalWrites }
 
 // TotalReads returns the number of line reads performed.
 func (b *Bank) TotalReads() uint64 { return b.totalReads }
-
-// CapacityBytes returns the bank capacity in bytes.
-func (b *Bank) CapacityBytes() uint64 {
-	return b.cfg.Lines * uint64(b.cfg.LineBytes)
-}
-
-// IdealLifetimeNs returns the lifetime of the bank under perfectly uniform
-// wear with generic (SET-latency) writes: Endurance × Lines × SetNs. Every
-// figure in the paper plots scheme lifetimes against this line.
-func (b *Bank) IdealLifetimeNs() uint64 {
-	return b.cfg.Endurance * b.cfg.Lines * b.cfg.Timing.SetNs
-}

@@ -3,29 +3,11 @@ package pcm
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func testBank(lines, endurance uint64) *Bank {
 	return MustNewBank(Config{Lines: lines, Endurance: endurance})
-}
-
-func TestClassOf(t *testing.T) {
-	cases := []struct {
-		data []byte
-		want Content
-	}{
-		{[]byte{}, Zeros},
-		{[]byte{0, 0, 0}, Zeros},
-		{[]byte{0xff, 0xff}, Ones},
-		{[]byte{0xff, 0x00}, Mixed},
-		{[]byte{0x01}, Mixed},
-		{[]byte{0xfe}, Mixed},
-	}
-	for _, c := range cases {
-		if got := ClassOf(c.data); got != c.want {
-			t.Errorf("ClassOf(%v) = %v, want %v", c.data, got, c.want)
-		}
-	}
 }
 
 func TestContentString(t *testing.T) {
@@ -174,27 +156,8 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("zero endurance must fail")
 	}
 	b := MustNewBank(Config{Lines: 4, Endurance: 10})
-	if b.Config().LineBytes != 256 {
-		t.Error("line size should default to 256")
-	}
 	if b.Config().Timing != DefaultTiming {
 		t.Error("timing should default")
-	}
-}
-
-func TestPaperConfig(t *testing.T) {
-	cfg := PaperConfig()
-	if cfg.Lines != 1<<22 || cfg.LineBytes != 256 || cfg.Endurance != 1e8 {
-		t.Fatalf("paper config drifted: %+v", cfg)
-	}
-	b := MustNewBank(cfg)
-	if b.CapacityBytes() != 1<<30 {
-		t.Fatalf("capacity = %d, want 1 GB", b.CapacityBytes())
-	}
-	// Ideal lifetime: 10^8 × 2^22 × 1000 ns ≈ 4855 days.
-	days := float64(b.IdealLifetimeNs()) * 1e-9 / 86400
-	if days < 4800 || days > 4900 {
-		t.Fatalf("ideal lifetime = %.0f days, want ≈4855", days)
 	}
 }
 
@@ -218,6 +181,60 @@ func TestWearNeverDecreases(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWritesToFailure: the count names exactly the write that fails the
+// line, and reads 0 once it has failed.
+func TestWritesToFailure(t *testing.T) {
+	b := testBank(64, 1000)
+	for i, pa := range []uint64{0, 17, 63} {
+		b.WriteN(pa, Ones, 3)
+		j := b.WritesToFailure(pa)
+		if j != 1000+1-3 {
+			t.Fatalf("line %d: WritesToFailure = %d with endurance 1000 after 3 writes", pa, j)
+		}
+		b.WriteN(pa, Ones, j-1)
+		if b.FailedLines() != uint64(i) || b.WritesToFailure(pa) != 1 {
+			t.Fatalf("line %d: failed early or miscounted (%d left)", pa, b.WritesToFailure(pa))
+		}
+		b.Write(pa, Ones)
+		if b.FailedLines() != uint64(i+1) || b.WritesToFailure(pa) != 0 {
+			t.Fatalf("line %d: the counted write did not fail it (%d left)", pa, b.WritesToFailure(pa))
+		}
+	}
+}
+
+func TestEnergyAccounting(t *testing.T) {
+	b := testBank(4, 100)
+	b.Write(0, Zeros)
+	b.Write(1, Ones)
+	b.Write(2, Mixed)
+	b.Read(0)
+	c := b.OpCounts()
+	if c.Reads != 1 || c.ResetWrites != 1 || c.SetWrites != 2 {
+		t.Fatalf("op counts %+v", c)
+	}
+	m := EnergyModel{ReadPJ: 1, ResetPJ: 10, SetPJ: 100}
+	want := (1 + 10 + 200) * 1e-6
+	if got := b.EnergyMicrojoules(m); got < want*0.999 || got > want*1.001 {
+		t.Fatalf("energy %v µJ, want ≈%v", got, want)
+	}
+	// The default model makes a SET-heavy workload costlier than a
+	// RESET-only one of the same length.
+	if DefaultEnergy.Energy(OpCounts{SetWrites: 100}) <= DefaultEnergy.Energy(OpCounts{ResetWrites: 100}) {
+		t.Fatal("SET-heavy traffic should cost more energy")
+	}
+}
+
+// TestBankFillsCacheLines: a Bank is a whole number of 64-byte cache
+// lines (see its trailing pad).
+func TestBankFillsCacheLines(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pad is sized for 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(Bank{}); n%64 != 0 {
+		t.Fatalf("Bank is %d bytes, want a multiple of 64: resize its pad", n)
 	}
 }
 

@@ -80,9 +80,6 @@ func (s *Shard) Write(pa uint64, c Content) uint64 {
 	b.wear[pa] = uint32(w)
 	s.noteWear(pa, uint32(w))
 	endurance := b.cfg.Endurance
-	if b.endurances != nil {
-		endurance = uint64(b.endurances[pa])
-	}
 	if w > endurance {
 		if w == endurance+1 {
 			s.failedLines++

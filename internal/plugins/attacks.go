@@ -49,7 +49,7 @@ var attacks = []registry.Attack{
 	{
 		Name: "aia",
 		Doc:  "Address Inference Attack: pin one physical line via a mapping oracle",
-		Caps: registry.AttackCaps{Exact: true, NeedsSchemeOracle: true},
+		Caps: registry.AttackCaps{Exact: true},
 		RunExact: func(env *registry.Env) (registry.Result, error) {
 			return fromResult(attack.AIA(env.Controller, 0, pcm.Mixed, env.Cfg.MaxWrites)), nil
 		},

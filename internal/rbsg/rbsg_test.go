@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"securityrbsg/internal/schemetest"
-	"securityrbsg/internal/wear"
 )
 
 func cfg() Config {
@@ -56,7 +55,7 @@ func TestBijection(t *testing.T) {
 	for seed := uint64(0); seed < 4; seed++ {
 		c := cfg()
 		c.Seed = seed
-		if err := wear.CheckBijection(MustNew(c)); err != nil {
+		if err := schemetest.CheckBijection(MustNew(c)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -66,7 +65,7 @@ func TestMatrixRandomizer(t *testing.T) {
 	c := cfg()
 	c.UseMatrix = true
 	s := MustNew(c)
-	if err := wear.CheckBijection(s); err != nil {
+	if err := schemetest.CheckBijection(s); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := schemetest.Exercise(s, 5000, 100, 2); err != nil {
@@ -77,7 +76,7 @@ func TestMatrixRandomizer(t *testing.T) {
 func TestOddWidthUsesWalker(t *testing.T) {
 	c := Config{Lines: 512, Regions: 8, Interval: 2, Seed: 3} // 9 bits
 	s := MustNew(c)
-	if err := wear.CheckBijection(s); err != nil {
+	if err := schemetest.CheckBijection(s); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := schemetest.Exercise(s, 4000, 100, 4); err != nil {

@@ -97,14 +97,6 @@ func (c Config) Device() lifetime.Device {
 	return lifetime.Device{Lines: c.Lines, Endurance: c.Endurance, Timing: c.timing()}
 }
 
-// runs returns the trial count, at least 1.
-func (c Config) runs() int {
-	if c.Runs <= 0 {
-		return 1
-	}
-	return c.Runs
-}
-
 // SchemeCaps are a scheme plugin's declared capabilities.
 type SchemeCaps struct {
 	// Exact: New builds a real wear.Scheme for write-by-write simulation.
@@ -146,10 +138,6 @@ type AttackCaps struct {
 	// NeedsTimingOracle: the attack reads mapping secrets out of
 	// per-request latency and requires SchemeCaps.TimingOracle.
 	NeedsTimingOracle bool
-	// NeedsSchemeOracle: the attack assumes insider knowledge of the
-	// current logical→physical mapping (the paper's Address Inference
-	// adversary) and queries the scheme instance directly.
-	NeedsSchemeOracle bool
 	// ExactTargets, when non-empty, names the only schemes this attack's
 	// shadow model is wired for; other pairings are rejected. Attacks
 	// with generic write streams (RAA, BPA) leave it empty.

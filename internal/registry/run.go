@@ -140,7 +140,7 @@ func (r *Registry) RunExact(scheme, attack string, cfg Config) (*ExactOutcome, e
 		return nil, fmt.Errorf("registry: scheme %s: %w", s.Name, err)
 	}
 	ctrl, err := wear.NewController(pcm.Config{
-		LineBytes: 256, Endurance: cfg.Endurance, Timing: cfg.timing(),
+		Endurance: cfg.Endurance, Timing: cfg.timing(),
 	}, inst)
 	if err != nil {
 		return nil, fmt.Errorf("registry: scheme %s: %w", s.Name, err)

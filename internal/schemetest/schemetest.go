@@ -8,7 +8,8 @@
 // data never diverge) and it is exactly the property the paper's Fig 9
 // pseudocode would violate on multi-cycle key permutations; the core
 // package's tests lean on this harness to validate the corrected
-// remapping walk.
+// remapping walk. CheckBijection is the cheaper, mapping-only check the
+// scheme tests share.
 package schemetest
 
 import (
@@ -81,6 +82,26 @@ func Verify(s wear.Scheme, m *TokenMover) error {
 			return fmt.Errorf("%s: LA %d translates to PA %d, but that line holds %s",
 				s.Name(), la, pa, tokenName(m.Tokens[pa]))
 		}
+	}
+	return nil
+}
+
+// CheckBijection verifies that s.Translate is an injection from the
+// logical space into the physical space, returning an error describing
+// the first collision or out-of-range address. It is O(logical lines).
+func CheckBijection(s wear.Scheme) error {
+	seen := make(map[uint64]uint64, s.LogicalLines())
+	for la := uint64(0); la < s.LogicalLines(); la++ {
+		pa := s.Translate(la)
+		if pa >= s.PhysicalLines() {
+			return fmt.Errorf("%s: LA %d translates to PA %d beyond physical space %d",
+				s.Name(), la, pa, s.PhysicalLines())
+		}
+		if prev, dup := seen[pa]; dup {
+			return fmt.Errorf("%s: LA %d and LA %d both translate to PA %d",
+				s.Name(), prev, la, pa)
+		}
+		seen[pa] = la
 	}
 	return nil
 }

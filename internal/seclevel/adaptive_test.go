@@ -8,6 +8,7 @@ import (
 	"securityrbsg/internal/detector"
 	"securityrbsg/internal/pcm"
 	"securityrbsg/internal/registry"
+	"securityrbsg/internal/schemetest"
 	"securityrbsg/internal/seclevel"
 	"securityrbsg/internal/wear"
 
@@ -34,7 +35,7 @@ func smallLoop(t *testing.T, seed uint64) (*seclevel.Adaptive, *wear.Controller)
 		t.Fatal(err)
 	}
 	ctrl := wear.MustNewController(pcm.Config{
-		LineBytes: 256, Endurance: 1_000_000, Timing: pcm.DefaultTiming,
+		Endurance: 1_000_000, Timing: pcm.DefaultTiming,
 	}, a)
 	return a, ctrl
 }
@@ -70,7 +71,7 @@ func TestAdaptiveEscalatesUnderHammer(t *testing.T) {
 		t.Fatalf("first raise at write %d, outside the driven stream", first)
 	}
 	// The level change is a real remapping change, not just bookkeeping.
-	if err := ctrl.CheckBijection(); err != nil {
+	if err := schemetest.CheckBijection(ctrl.Scheme()); err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("first alarm at write %d, first raise at %d, final level %d\n%s",
@@ -93,7 +94,7 @@ func TestAdaptiveStaysDownUnderBenign(t *testing.T) {
 		t.Fatalf("benign traffic settled at level %d, want MinLevel 3\n%s",
 			a.Level(), a.Controller().TraceString())
 	}
-	if err := ctrl.CheckBijection(); err != nil {
+	if err := schemetest.CheckBijection(ctrl.Scheme()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -189,10 +190,10 @@ func TestAdaptiveBatchedMatchesNaive(t *testing.T) {
 		t.Fatalf("scenario exercised raises=%d lowers=%d — want both directions",
 			na.Controller().Raises(), na.Controller().Lowers())
 	}
-	if err := nctrl.CheckBijection(); err != nil {
+	if err := schemetest.CheckBijection(nctrl.Scheme()); err != nil {
 		t.Fatal(err)
 	}
-	if err := bctrl.CheckBijection(); err != nil {
+	if err := schemetest.CheckBijection(bctrl.Scheme()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -215,7 +216,7 @@ func TestAdaptiveWriteRunZeroAlloc(t *testing.T) {
 	}
 	a := inst.(*seclevel.Adaptive)
 	ctrl := wear.MustNewController(pcm.Config{
-		LineBytes: 256, Endurance: 100_000_000, Timing: pcm.DefaultTiming,
+		Endurance: 100_000_000, Timing: pcm.DefaultTiming,
 	}, a)
 	ctrl.WriteRun(7, pcm.Ones, a.WritesPerRound(), false, nil) // warm-up round
 	rounds := a.Rounds()

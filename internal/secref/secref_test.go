@@ -5,7 +5,6 @@ import (
 
 	"securityrbsg/internal/schemetest"
 	"securityrbsg/internal/stats"
-	"securityrbsg/internal/wear"
 )
 
 func TestOneLevelValidation(t *testing.T) {
@@ -114,13 +113,14 @@ func TestOneLevelBijectionAlways(t *testing.T) {
 	m := schemetest.NewTokenMover(s)
 	for i := 0; i < 500; i++ {
 		s.Step(m)
-		if err := wear.CheckBijection(asScheme{s}); err != nil {
+		if err := schemetest.CheckBijection(asScheme{s}); err != nil {
 			t.Fatalf("after step %d: %v", i+1, err)
 		}
 	}
 }
 
-// asScheme adapts OneLevel (whose NoteWrite ignores la) for CheckBijection.
+// asScheme adapts OneLevel (whose NoteWrite ignores la) for
+// schemetest.CheckBijection.
 type asScheme struct{ *OneLevel }
 
 func TestKeysRotateEachRound(t *testing.T) {
@@ -165,7 +165,7 @@ func twoLevel(t *testing.T) *TwoLevel {
 }
 
 func TestTwoLevelBijection(t *testing.T) {
-	if err := wear.CheckBijection(twoLevel(t)); err != nil {
+	if err := schemetest.CheckBijection(twoLevel(t)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -207,19 +207,12 @@ func TestTwoLevelLevelsAreIndependent(t *testing.T) {
 	}
 }
 
-func TestSuggestedTwoLevelConfig(t *testing.T) {
-	c := SuggestedTwoLevelConfig(1 << 22)
-	if c.Regions != 512 || c.InnerInterval != 64 || c.OuterInterval != 128 {
-		t.Fatalf("suggested config drifted: %+v", c)
-	}
-}
-
 func TestMultiWay(t *testing.T) {
 	s, err := NewMultiWay(256, 8, 3, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wear.CheckBijection(s); err != nil {
+	if err := schemetest.CheckBijection(s); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := schemetest.Exercise(s, 20000, 37, 12); err != nil {

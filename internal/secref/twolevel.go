@@ -36,13 +36,6 @@ func (c TwoLevelConfig) validate() error {
 	return nil
 }
 
-// SuggestedTwoLevelConfig returns the paper's suggested two-level SR
-// configuration for a bank of the given size: 512 sub-regions, inner
-// interval 64, outer interval 128.
-func SuggestedTwoLevelConfig(lines uint64) TwoLevelConfig {
-	return TwoLevelConfig{Lines: lines, Regions: 512, InnerInterval: 64, OuterInterval: 128}
-}
-
 // TwoLevel is the hierarchical Security Refresh scheme: an outer SR domain
 // over the whole logical space produces intermediate addresses, which are
 // split across R inner SR domains producing physical addresses. The levels

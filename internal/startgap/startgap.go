@@ -61,9 +61,6 @@ func (r *Region) Lines() uint64 { return r.n }
 // PhysicalLines returns n+1 (the extra GapLine).
 func (r *Region) PhysicalLines() uint64 { return r.n + 1 }
 
-// Base returns the physical address of the region's slot 0.
-func (r *Region) Base() uint64 { return r.base }
-
 // Interval returns the remapping interval ψ.
 func (r *Region) Interval() uint64 { return r.interval }
 

@@ -162,7 +162,7 @@ func TestSingleImplementsScheme(t *testing.T) {
 	if s.Name() != "start-gap" || s.LogicalLines() != 4 || s.PhysicalLines() != 5 {
 		t.Fatal("scheme metadata")
 	}
-	if err := wear.CheckBijection(s); err != nil {
+	if err := schemetest.CheckBijection(s); err != nil {
 		t.Fatal(err)
 	}
 }

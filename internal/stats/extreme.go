@@ -95,22 +95,3 @@ func VisitsToMaxLoad(n int, m int) float64 {
 	}
 	return (lo + hi) / 2 * float64(n)
 }
-
-// MaxLoadAfterVisits returns the expected maximum bin load after V uniform
-// random visits over n bins — the smallest m such that the expected number
-// of bins with load >= m drops below ln 2.
-func MaxLoadAfterVisits(n int, visits float64) int {
-	if n <= 0 || visits <= 0 {
-		return 0
-	}
-	lambda := visits / float64(n)
-	target := math.Ln2 / float64(n)
-	m := int(lambda) + 1
-	for PoissonTail(lambda, m) >= target {
-		m++
-		if m > int(visits)+1 {
-			break
-		}
-	}
-	return m - 1
-}

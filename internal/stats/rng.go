@@ -52,14 +52,6 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	}
 }
 
-// Intn returns a uniform int in [0, n).
-func (r *RNG) Intn(n int) int {
-	if n <= 0 {
-		panic("stats: Intn with n <= 0")
-	}
-	return int(r.Uint64n(uint64(n)))
-}
-
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -74,17 +66,6 @@ func (r *RNG) Bits(b uint) uint64 {
 		return r.Uint64()
 	}
 	return r.Uint64() & ((1 << b) - 1)
-}
-
-// Perm fills out with a uniform random permutation of [0, len(out)).
-func (r *RNG) Perm(out []int) {
-	for i := range out {
-		out[i] = i
-	}
-	for i := len(out) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		out[i], out[j] = out[j], out[i]
-	}
 }
 
 // Source adapts an RNG to math/rand's Source64 interface (the methods

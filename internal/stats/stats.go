@@ -1,97 +1,9 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
-
-// Summary holds basic descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Std    float64
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes descriptive statistics. It returns a zero Summary for
-// an empty sample.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if len(xs) > 1 {
-		s.Std = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	m := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		s.Median = sorted[m]
-	} else {
-		s.Median = (sorted[m-1] + sorted[m]) / 2
-	}
-	return s
-}
-
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g med=%.4g max=%.4g",
-		s.N, s.Mean, s.Std, s.Min, s.Median, s.Max)
-}
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs. All values must be positive.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
-}
-
-// MaxUint32 returns the maximum element of xs (0 for empty input).
-func MaxUint32(xs []uint32) uint32 {
-	var m uint32
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
 
 // NormalizedCumulative returns the normalized accumulated distribution of
 // writes across the address space — the quantity plotted in Fig 16 of the
@@ -206,25 +118,4 @@ func (h *Histogram) Add(x float64) {
 		}
 		h.Buckets[i]++
 	}
-}
-
-// Quantile returns an approximate q-quantile (q in [0,1]) from the bucket
-// midpoints. Out-of-range mass is clamped to the bounds.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.Count == 0 {
-		return h.Lo
-	}
-	target := q * float64(h.Count)
-	acc := float64(h.Under)
-	if acc >= target {
-		return h.Lo
-	}
-	w := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	for i, b := range h.Buckets {
-		acc += float64(b)
-		if acc >= target {
-			return h.Lo + (float64(i)+0.5)*w
-		}
-	}
-	return h.Hi
 }

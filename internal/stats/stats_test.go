@@ -80,48 +80,6 @@ func TestRNGBits(t *testing.T) {
 	}
 }
 
-func TestRNGPerm(t *testing.T) {
-	r := NewRNG(5)
-	out := make([]int, 64)
-	r.Perm(out)
-	seen := make(map[int]bool)
-	for _, v := range out {
-		if v < 0 || v >= len(out) || seen[v] {
-			t.Fatalf("not a permutation: %v", out)
-		}
-		seen[v] = true
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Fatalf("bad summary: %+v", s)
-	}
-	if math.Abs(s.Std-math.Sqrt(2.5)) > 1e-12 {
-		t.Fatalf("std = %v, want sqrt(2.5)", s.Std)
-	}
-	if got := Summarize(nil); got.N != 0 {
-		t.Fatalf("empty summary: %+v", got)
-	}
-	even := Summarize([]float64{4, 1, 3, 2})
-	if even.Median != 2.5 {
-		t.Fatalf("even median = %v, want 2.5", even.Median)
-	}
-}
-
-func TestMeanAndGeoMean(t *testing.T) {
-	if Mean([]float64{2, 4}) != 3 {
-		t.Fatal("mean")
-	}
-	if g := GeoMean([]float64{1, 4}); math.Abs(g-2) > 1e-12 {
-		t.Fatalf("geomean = %v", g)
-	}
-	if Mean(nil) != 0 || GeoMean(nil) != 0 {
-		t.Fatal("empty inputs should give 0")
-	}
-}
-
 func TestNormalizedCumulative(t *testing.T) {
 	counts := []uint32{1, 1, 1, 1}
 	y := NormalizedCumulative(counts, []int{1, 2, 4})
@@ -155,9 +113,6 @@ func TestHistogram(t *testing.T) {
 	h.Add(11)
 	if h.Under != 1 || h.Over != 1 || h.Count != 12 {
 		t.Fatalf("bad counts: %+v", h)
-	}
-	if q := h.Quantile(0.5); q < 3 || q > 7 {
-		t.Fatalf("median %v out of plausible range", q)
 	}
 }
 
@@ -254,16 +209,36 @@ func TestVisitsToMaxLoadEdges(t *testing.T) {
 	}
 }
 
+// maxLoadAfterVisits returns the expected maximum bin load after V
+// uniform random visits over n bins — the smallest m such that the
+// expected number of bins with load >= m drops below ln 2. It is the
+// forward scan VisitsToMaxLoad must invert.
+func maxLoadAfterVisits(n int, visits float64) int {
+	if n <= 0 || visits <= 0 {
+		return 0
+	}
+	lambda := visits / float64(n)
+	target := math.Ln2 / float64(n)
+	m := int(lambda) + 1
+	for PoissonTail(lambda, m) >= target {
+		m++
+		if m > int(visits)+1 {
+			break
+		}
+	}
+	return m - 1
+}
+
 func TestMaxLoadAfterVisitsInvertsSolver(t *testing.T) {
 	const bins = 2048
 	for _, m := range []int{5, 20, 80} {
 		v := VisitsToMaxLoad(bins, m)
-		got := MaxLoadAfterVisits(bins, v)
+		got := maxLoadAfterVisits(bins, v)
 		if got < m-1 || got > m+1 {
-			t.Errorf("MaxLoadAfterVisits(%d, %v) = %d, want ≈%d", bins, v, got, m)
+			t.Errorf("maxLoadAfterVisits(%d, %v) = %d, want ≈%d", bins, v, got, m)
 		}
 	}
-	if MaxLoadAfterVisits(10, 0) != 0 {
+	if maxLoadAfterVisits(10, 0) != 0 {
 		t.Error("zero visits → zero load")
 	}
 }

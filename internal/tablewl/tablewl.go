@@ -161,15 +161,3 @@ func (s *Scheme) level(m wear.Mover) uint64 {
 	s.swaps++
 	return ns
 }
-
-// TableBits returns the SRAM cost of the indirection state: two tables of
-// N entries × log2 N bits plus N write counters — the "great space and
-// time overhead" that motivated algebraic schemes (Section II-A).
-func (s *Scheme) TableBits() uint64 {
-	b := uint64(0)
-	for v := s.cfg.Lines - 1; v > 0; v >>= 1 {
-		b++
-	}
-	const counterBits = 32
-	return s.cfg.Lines * (2*b + counterBits)
-}

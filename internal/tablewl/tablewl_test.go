@@ -5,7 +5,6 @@ import (
 
 	"securityrbsg/internal/schemetest"
 	"securityrbsg/internal/stats"
-	"securityrbsg/internal/wear"
 )
 
 func TestValidation(t *testing.T) {
@@ -27,7 +26,7 @@ func TestInitialIdentity(t *testing.T) {
 			t.Fatal("initial mapping must be the identity")
 		}
 	}
-	if err := wear.CheckBijection(s); err != nil {
+	if err := schemetest.CheckBijection(s); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -106,11 +105,23 @@ func TestHotThresholdGatesNoopActions(t *testing.T) {
 	}
 }
 
+// tableBits returns the SRAM cost of the indirection state: two tables of
+// N entries × log2 N bits plus N write counters — the "great space and
+// time overhead" that motivated algebraic schemes (Section II-A).
+func tableBits(s *Scheme) uint64 {
+	b := uint64(0)
+	for v := s.cfg.Lines - 1; v > 0; v >>= 1 {
+		b++
+	}
+	const counterBits = 32
+	return s.cfg.Lines * (2*b + counterBits)
+}
+
 func TestTableBits(t *testing.T) {
 	s := MustNew(Config{Lines: 1 << 22, Interval: 64})
 	// 2 tables × 22 bits + 32-bit counter per line = 76 bits × 4M lines
 	// ≈ 38 MB — the paper's "great space overhead" versus RBSG's ~100 B.
-	if got := s.TableBits(); got != (1<<22)*(2*22+32) {
+	if got := tableBits(s); got != (1<<22)*(2*22+32) {
 		t.Fatalf("table bits = %d", got)
 	}
 }

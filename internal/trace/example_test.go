@@ -25,7 +25,7 @@ func Example() {
 
 	scheme, _ := startgap.NewSingle(64, 4)
 	ctrl, _ := wear.NewController(pcm.Config{
-		LineBytes: 256, Endurance: 1000,
+		Endurance: 1000,
 	}, scheme)
 	r, _ := trace.NewReader(&buf)
 	st, err := trace.Replay(ctrl, r)

@@ -129,7 +129,7 @@ func TestReplayDeterminism(t *testing.T) {
 	run := func() ([]uint32, ReplayStats) {
 		s, _ := startgap.NewSingle(256, 16)
 		c := wear.MustNewController(pcm.Config{
-			LineBytes: 256, Endurance: 1 << 30, Timing: pcm.DefaultTiming,
+			Endurance: 1 << 30, Timing: pcm.DefaultTiming,
 		}, s)
 		r, err := NewReader(bytes.NewReader(raw))
 		if err != nil {
@@ -164,7 +164,7 @@ func TestReplayStopsOnFailure(t *testing.T) {
 	}
 	w.Flush()
 	c := wear.MustNewController(pcm.Config{
-		LineBytes: 256, Endurance: 10, Timing: pcm.DefaultTiming,
+		Endurance: 10, Timing: pcm.DefaultTiming,
 	}, wear.NewPassthrough(8))
 	r, _ := NewReader(&buf)
 	st, err := Replay(c, r)
@@ -185,7 +185,7 @@ func TestReplayRejectsOversizedTrace(t *testing.T) {
 	w.Add(Op{Write: true, Line: 0, Content: pcm.Mixed})
 	w.Flush()
 	c := wear.MustNewController(pcm.Config{
-		LineBytes: 256, Endurance: 10, Timing: pcm.DefaultTiming,
+		Endurance: 10, Timing: pcm.DefaultTiming,
 	}, wear.NewPassthrough(8))
 	r, _ := NewReader(&buf)
 	if _, err := Replay(c, r); err == nil {

@@ -61,7 +61,7 @@ func Example_leveling() {
 			panic(err)
 		}
 		ctrl := wear.MustNewController(pcm.Config{
-			LineBytes: 256, Endurance: endurance, Timing: pcm.DefaultTiming,
+			Endurance: endurance, Timing: pcm.DefaultTiming,
 		}, scheme)
 		z := workload.NewZipf(lines, 1.2, 7)
 		rng := stats.NewRNG(3)

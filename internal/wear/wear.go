@@ -150,29 +150,3 @@ func (c *Controller) WriteOverhead() float64 {
 	}
 	return float64(total-c.demandWrites) / float64(c.demandWrites)
 }
-
-// CheckBijection verifies that Translate currently maps the logical space
-// injectively into the physical space, returning an error describing the
-// first collision found. Experiments call it in tests; it is O(physical).
-func (c *Controller) CheckBijection() error {
-	return CheckBijection(c.scheme)
-}
-
-// CheckBijection verifies that s.Translate is an injection from the
-// logical space into the physical space.
-func CheckBijection(s Scheme) error {
-	seen := make(map[uint64]uint64, s.LogicalLines())
-	for la := uint64(0); la < s.LogicalLines(); la++ {
-		pa := s.Translate(la)
-		if pa >= s.PhysicalLines() {
-			return fmt.Errorf("%s: LA %d translates to PA %d beyond physical space %d",
-				s.Name(), la, pa, s.PhysicalLines())
-		}
-		if prev, dup := seen[pa]; dup {
-			return fmt.Errorf("%s: LA %d and LA %d both translate to PA %d",
-				s.Name(), prev, la, pa)
-		}
-		seen[pa] = la
-	}
-	return nil
-}

@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"securityrbsg/internal/pcm"
+	"securityrbsg/internal/schemetest"
 	"securityrbsg/internal/startgap"
 	"securityrbsg/internal/wear"
 )
 
 func cfg() pcm.Config {
-	return pcm.Config{LineBytes: 256, Endurance: 1000, Timing: pcm.DefaultTiming}
+	return pcm.Config{Endurance: 1000, Timing: pcm.DefaultTiming}
 }
 
 func controller(t *testing.T) *wear.Controller {
@@ -107,13 +108,13 @@ func TestPracticalOverheadBelowOnePercent(t *testing.T) {
 
 func TestCheckBijection(t *testing.T) {
 	c := controller(t)
-	if err := c.CheckBijection(); err != nil {
+	if err := schemetest.CheckBijection(c.Scheme()); err != nil {
 		t.Fatal(err)
 	}
-	if err := wear.CheckBijection(badScheme{}); err == nil {
+	if err := schemetest.CheckBijection(badScheme{}); err == nil {
 		t.Fatal("colliding scheme must fail the check")
 	}
-	if err := wear.CheckBijection(oobScheme{}); err == nil {
+	if err := schemetest.CheckBijection(oobScheme{}); err == nil {
 		t.Fatal("out-of-bounds scheme must fail the check")
 	}
 }
@@ -142,7 +143,7 @@ func TestPassthrough(t *testing.T) {
 	if p.Translate(7) != 7 || p.NoteWrite(7, nil) != 0 {
 		t.Fatal("passthrough must be inert")
 	}
-	if err := wear.CheckBijection(p); err != nil {
+	if err := schemetest.CheckBijection(p); err != nil {
 		t.Fatal(err)
 	}
 }
