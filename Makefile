@@ -127,7 +127,9 @@ router-smoke:
 # Full registered scheme×attack matrix at smoke scale (2^10 lines)
 # through cmd/tournament: every playable registry cell must complete,
 # the CSV must match its pinned SHA-256, and a checkpointed rerun must
-# emit a byte-identical CSV.
+# emit a byte-identical CSV. One more play at the sim_tournament
+# benchmark's geometry (2^14 lines, endurance 10^5) must match its
+# pinned SHA-256 too.
 tournament-smoke:
 	./scripts/tournament_smoke.sh
 

@@ -87,13 +87,13 @@ func demoTwoLevelSR(bankCfg pcm.Config, lines, regions, interval uint64) {
 		lines, regions, interval, outer, bankCfg.Endurance)
 	fmt.Printf("\nper round, the attacker recovered the outer key's sub-region bits from\n")
 	fmt.Printf("majority-voted swap latencies and flooded the tracked logical group:\n")
-	show := len(a.RecoveredHighDs)
-	if show > 8 {
-		show = 8
+	var first []uint64
+	for _, r := range a.RecoveredHighDs[:min(len(a.RecoveredHighDs), 8)] {
+		first = append(first, r.D)
 	}
-	fmt.Printf("  first recovered key differences (high bits): %v ...\n", a.RecoveredHighDs[:show])
+	fmt.Printf("  first recovered key differences (high bits): %v ...\n", first)
 	fmt.Printf("  rounds: %d, detection writes: %d, flood writes: %d\n",
-		a.Rounds, a.DetectWrites, a.FloodWrites)
+		a.Rounds, a.DetectWrites, a.WearWrites)
 	pa, _, _ := c.Bank().FirstFailure()
 	fmt.Printf("\nline %d (sub-region %d) FAILED after %d attacker writes (%.1f ms)\n",
 		pa, pa/(lines/regions), res.Writes, float64(res.AttackNs)/1e6)
@@ -127,9 +127,9 @@ func demoRBSG(bankCfg pcm.Config, lines, regions, interval, li uint64) {
 		os.Exit(1)
 	}
 	fmt.Printf("\nphase 1 — alignment: %d writes to pin Li=%d's physical slot\n",
-		a.AlignmentWrites, li)
+		a.AlignWrites, li)
 	fmt.Printf("phase 2 — sequence detection: %d writes recovered the %d logical\n",
-		a.DetectionWrites, a.SeqLen)
+		a.DetectWrites, a.SeqLen)
 	fmt.Printf("addresses physically preceding Li (via %d-bit sweeps + move latencies):\n", 8)
 	fmt.Printf("  recovered: %v\n", a.Sequence())
 	truth := groundTruth(s, li, int(a.SeqLen))

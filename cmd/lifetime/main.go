@@ -18,21 +18,21 @@
 // -workers goroutines with deterministic per-cell seeds, so the table is
 // identical no matter how it is sharded.
 //
-// -exact replaces the closed-form estimate with the real thing: it runs
-// the Remapping Timing Attack write by write against RBSG on a simulated
-// bank of -lines lines and -endurance endurance — tractable at full paper
-// scale (2^22 lines, 10^8 endurance) thanks to the exact-simulation
-// acceleration layer (internal/exactsim: batched write runs, epoch
-// fast-forward and parallel sub-region sweep kernels, all bit-identical
-// to the naive loop) — and cross-checks the measured writes-to-failure
-// against the Fig 11 model within its documented error band.
+// -exact replaces the closed-form estimate with the real thing: it plays
+// the registry's rbsg/rta cell, the Remapping Timing Attack write by write
+// against RBSG on a simulated bank of -lines lines and -endurance
+// endurance — tractable at full paper scale (2^22 lines, 10^8
+// endurance) thanks to the exact-simulation acceleration layer
+// (internal/exactsim: batched write runs, epoch fast-forward and parallel
+// sub-region sweep kernels, all bit-identical to the naive loop) — and
+// cross-checks the measured writes-to-failure against the Fig 11 model
+// within its documented error band.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"os/signal"
 	"syscall"
@@ -40,14 +40,12 @@ import (
 	"time"
 
 	"securityrbsg/internal/analytic"
-	"securityrbsg/internal/attack"
-	"securityrbsg/internal/exactsim"
 	"securityrbsg/internal/experiments"
 	"securityrbsg/internal/lifetime"
-	"securityrbsg/internal/pcm"
-	"securityrbsg/internal/rbsg"
+	"securityrbsg/internal/registry"
 	"securityrbsg/internal/runner"
-	"securityrbsg/internal/wear"
+
+	_ "securityrbsg/internal/plugins"
 )
 
 func main() {
@@ -125,68 +123,49 @@ func flagSet(name string) bool {
 	return set
 }
 
-// runExact executes the Remapping Timing Attack against RBSG write by
-// write on a simulated bank — every wear count, latency and failure time
-// exact — and cross-checks the measured writes-to-failure against the
-// closed-form Fig 11 model. The model's documented agreement band against
-// the real attack is a factor of three either way (it accounts per-bit
-// reads slightly more conservatively than the implementation; see
-// internal/lifetime's model-vs-attack test), so a ratio outside [1/3, 3]
-// is an error.
+// runExact plays the registry's rbsg/rta cell — the Remapping Timing
+// Attack against RBSG, write by write on a simulated bank, every wear
+// count, latency and failure time exact — and cross-checks the measured
+// writes-to-failure against the closed-form Fig 11 model. The model's
+// documented agreement band against the real attack is a factor of three
+// either way (it accounts per-bit reads slightly more conservatively
+// than the implementation; see internal/lifetime's model-vs-attack
+// test), so a ratio outside [1/3, 3] is an error.
 func runExact(lines, endurance, regions, interval, seed uint64, workers int) error {
-	if lines == 0 || lines&(lines-1) != 0 {
-		return fmt.Errorf("-lines must be a power of two, got %d", lines)
-	}
 	if regions == 0 || lines%regions != 0 {
 		return fmt.Errorf("-regions %d must divide -lines %d", regions, lines)
 	}
 	d := lifetime.ScaledDevice(lines, endurance)
 	model := lifetime.RTAOnRBSG(d, lifetime.RBSGParams{Regions: regions, Interval: interval})
 
-	s, err := rbsg.New(rbsg.Config{Lines: lines, Regions: regions, Interval: interval, Seed: seed})
-	if err != nil {
-		return err
-	}
-	c := wear.MustNewController(pcm.Config{
-		Endurance: endurance, Timing: pcm.DefaultTiming,
-	}, s)
-	per := lines / regions
-	// The paper's sequence length n_seq = ceil(E/((n+1)·ψ)), plus one
-	// spare predecessor so the wear phase cannot run out on rounding.
-	seqLen := uint64(math.Ceil(float64(endurance)/float64((per+1)*interval))) + 1
-	a := &attack.RTARBSG{
-		Target: exactsim.NewFastTarget(c, workers),
-		Lines:  lines, Regions: regions, Interval: interval,
-		Li: 17, SeqLen: seqLen,
-		Oracle: func() bool { return c.Bank().Failed() },
-	}
-
 	fmt.Printf("exact RTA on RBSG: N=2^%d lines, E=%.3g, R=%d, ψ=%d, seed=%d\n",
 		d.AddressBits(), float64(endurance), regions, interval, seed)
 	//rbsglint:allow simdeterminism -- wall clock measures the simulator's own speed for the throughput report; no simulation state reads it
 	start := time.Now()
-	res, err := a.Run()
+	out, err := registry.Default.RunExact("rbsg", "rta", registry.Config{
+		Lines: lines, Endurance: endurance,
+		Regions: regions, InnerInterval: interval,
+		Seed: seed, Workers: workers,
+	})
 	//rbsglint:allow simdeterminism -- wall clock measures the simulator's own speed for the throughput report; no simulation state reads it
 	wall := time.Since(start)
 	if err != nil {
-		return fmt.Errorf("attack: %w", err)
+		return err
 	}
+	res := out.Result
 	if !res.Failed {
 		return fmt.Errorf("attack issued %d writes without failing the device", res.Writes)
 	}
 
-	simWrites := c.Bank().TotalWrites()
 	secs := float64(res.AttackNs) * 1e-9
 	fmt.Printf("  attacker writes to first failure: %.6g (align %d, detect %d, wear %d)\n",
-		float64(res.Writes), a.AlignmentWrites, a.DetectionWrites, a.WearWrites)
+		float64(res.Writes), res.AlignWrites, res.DetectWrites, res.WearWrites)
 	fmt.Printf("  device lifetime: %s (%.2g%% of ideal %s)\n",
 		analytic.HumanDuration(secs), 100*float64(res.Writes)/d.IdealWrites(),
 		analytic.HumanDuration(d.IdealSeconds()))
-	pa, _, _ := c.Bank().FirstFailure()
-	fmt.Printf("  first failed line: PA %d at %s\n",
-		pa, analytic.HumanDuration(float64(res.AttackNs)*1e-9))
+	fmt.Printf("  first failed line: PA %d at %s\n", res.FailedPA, analytic.HumanDuration(secs))
 	fmt.Printf("  wall clock: %s (%.3g simulated line-writes/sec)\n",
-		wall.Round(time.Millisecond), float64(simWrites)/wall.Seconds())
+		wall.Round(time.Millisecond), float64(out.Stats.DeviceWrites)/wall.Seconds())
 
 	ratio := model.Writes / float64(res.Writes)
 	fmt.Printf("  model cross-check: %.6g writes predicted, ratio %.2f\n", model.Writes, ratio)

@@ -88,8 +88,8 @@ func (f *Facts) get(k factKey) (Fact, bool) {
 
 // factRecord is the serialized form of one fact.
 type factRecord struct {
-	Obj  string // "" for a package fact
-	Fact Fact   // concrete type must be gob-registered
+	Obj  string
+	Fact Fact // concrete type must be gob-registered
 }
 
 // ObjectFact is one exported fact with its owning object, as returned

@@ -25,8 +25,6 @@ func TestFactsRoundTrip(t *testing.T) {
 		&tripFact{Free: true})
 	src.set(factKey{pkg: "m/a", obj: "Buffer.Grow", typ: factType(&tripFact{})},
 		&tripFact{Why: "make"})
-	src.set(factKey{pkg: "m/a", obj: "", typ: factType(&tripFact{})},
-		&tripFact{Why: "package fact"})
 	src.set(factKey{pkg: "m/other", obj: "Stay", typ: factType(&tripFact{})},
 		&tripFact{Free: true})
 

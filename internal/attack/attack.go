@@ -12,6 +12,13 @@
 //     Run against Security RBSG, the RBSG variant fails
 //     (TestSecurityRBSGResistsRTARBSG).
 //
+// The three RTA variants share one write path (rta.go): it issues their
+// writes singly, as batched runs or as full sweeps, checks the Oracle
+// and the write budget, and books the Result. Each variant keeps only
+// its shadow model of the victim and its phases; the two Security
+// Refresh variants also share the shadow of the refresh step schedule
+// and the swap-latency classifier.
+//
 // Attackers interact with memory only through the Target interface —
 // logical reads and writes with observed latency — which is exactly the
 // paper's threat model (compromised OS, caches bypassed, scheme public,
@@ -37,51 +44,13 @@ type Target interface {
 // a run of identical writes to one address in bulk, bit-identical to n
 // single writes. onEvent fires for every write whose observed latency
 // differs from an unremarkable write's — exactly the anomalies the RTA
-// watches — so batching loses nothing of the side channel. Attacks that
-// detect this capability evaluate their Oracle and MaxWrites budget at
-// batch boundaries instead of before every write; the batch helpers
-// below keep that exact for the device-failure oracle (the only oracle
-// the repo's experiments use) via stopOnFail.
+// watches — so batching loses nothing of the side channel. The timing
+// attacks detect this capability and evaluate their Oracle and MaxWrites
+// budget at batch boundaries instead of before every write, which
+// stopOnFail keeps exact for the device-failure oracle (see engine).
 type BatchTarget interface {
 	Target
 	WriteRun(la uint64, content pcm.Content, n uint64, stopOnFail bool, onEvent func(i, ns uint64) bool) (issued, totalNs uint64)
-}
-
-// lastEvent is the onEvent sink the RTA helpers hand to
-// BatchTarget.WriteRun. They need only the batch's final anomaly — the
-// naive loop reads the LAST write's extra latency, not a mid-run one
-// (against schemes whose real movements the attack's shadow mispredicts,
-// those differ) — so it keeps just the latest event. It lives on the
-// attacker and binds its callback once: a closure built per batch
-// escapes through the interface and costs heap allocations every epoch.
-type lastEvent struct {
-	i, ns uint64
-	seen  bool
-	fn    func(i, ns uint64) bool
-}
-
-// sink clears the record for a new batch and returns the bound callback.
-func (e *lastEvent) sink() func(i, ns uint64) bool {
-	e.seen = false
-	if e.fn == nil {
-		e.fn = e.note
-	}
-	return e.fn
-}
-
-func (e *lastEvent) note(i, ns uint64) bool {
-	e.i, e.ns, e.seen = i, ns, true
-	return true
-}
-
-// lastExtra returns the extra latency over base of a batch's final write
-// (got writes issued): the recorded anomaly's if it landed on that write,
-// else 0.
-func (e *lastEvent) lastExtra(got, base uint64) uint64 {
-	if e.seen && e.i == got-1 {
-		return e.ns - base
-	}
-	return 0
 }
 
 // SweepTarget is an optional Target capability: execute one full
@@ -190,11 +159,7 @@ func BPA(c *wear.Controller, hammerWrites uint64, content pcm.Content, seed, max
 // writes issued and the observed time.
 func SweepPattern(t Target, lines uint64, bit uint) (writes, ns uint64) {
 	for la := uint64(0); la < lines; la++ {
-		c := pcm.Zeros
-		if la>>bit&1 == 1 {
-			c = pcm.Ones
-		}
-		ns += t.Write(la, c)
+		ns += t.Write(la, patternOf(la, bit))
 		writes++
 	}
 	return writes, ns

@@ -127,7 +127,7 @@ func TestRTARBSGRecoversSequence(t *testing.T) {
 		t.Fatal("attack did not wear out the target line")
 	}
 	t.Logf("RTA: %d writes (align %d, detect %d, wear %d), failed PA %d",
-		res.Writes, a.AlignmentWrites, a.DetectionWrites, a.WearWrites, res.FailedPA)
+		res.Writes, a.AlignWrites, a.DetectWrites, a.WearWrites, res.FailedPA)
 }
 
 // TestRTAFasterThanRAAOnRBSG is the paper's headline: RTA concentrates
@@ -306,47 +306,68 @@ func TestSecurityRBSGOutlivesRBSGUnderRAA(t *testing.T) {
 		rbRes.Writes, sbRes.Writes, float64(sbRes.Writes)/float64(rbRes.Writes))
 }
 
-// TestRTAWriteNZeroAlloc pins the batched hammer helpers of the RBSG and
-// Security Refresh timing attacks at zero allocations per call on a
-// wear.Controller: each call is one inter-movement epoch, and an
-// exact-tier cell makes millions of them.
+// TestRTAWriteNZeroAlloc pins the engine's batched write step at zero
+// allocations per call on a wear.Controller, under each timing attack's
+// shadow: each call is one inter-movement epoch, and an exact-tier cell
+// makes millions of them.
 func TestRTAWriteNZeroAlloc(t *testing.T) {
 	const lines, regions, interval = 1 << 10, 8, 16
+	zeroAllocs := func(t *testing.T, step func() error) {
+		t.Helper()
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := step(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%v allocs per batch, want 0", allocs)
+		}
+	}
 	t.Run("rbsg", func(t *testing.T) {
 		c := wear.MustNewController(bankCfg(1<<40),
 			rbsg.MustNew(rbsg.Config{Lines: lines, Regions: regions, Interval: interval, Seed: 3}))
 		a := &RTARBSG{
-			Target: c, Lines: lines, Regions: regions, Interval: interval,
-			Timing: pcm.DefaultTiming, Li: 17,
+			Target: c, Lines: lines, Regions: regions, Interval: interval, Li: 17,
 			Oracle: func() bool { return c.Bank().Failed() },
 		}
-		// Boot-state shadow, as Run sets it up.
-		a.n = lines / regions
-		a.sGap = a.n
-		a.rel = make([]int64, a.n+1)
-		allocs := testing.AllocsPerRun(200, func() {
-			if _, _, _, err := a.writeN(a.Li, pcm.Ones, a.Interval-a.cnt); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Fatalf("RTARBSG.writeN: %v allocs per batch, want 0", allocs)
+		if err := a.start(); err != nil {
+			t.Fatal(err)
 		}
+		zeroAllocs(t, func() error {
+			_, _, _, err := a.hammer(a.Li, pcm.Ones, a.Interval-a.cnt)
+			return err
+		})
 	})
 	t.Run("sr", func(t *testing.T) {
 		c := wear.MustNewController(bankCfg(1<<40), secref.MustNewOneLevel(lines, interval, 0, nil))
 		a := &RTASR{
-			Target: c, Lines: lines, Interval: interval,
-			Timing: pcm.DefaultTiming, Li: 17,
+			Target: c, Lines: lines, Interval: interval, Li: 17,
 			Oracle: func() bool { return c.Bank().Failed() },
 		}
-		allocs := testing.AllocsPerRun(200, func() {
-			if _, _, _, _, err := a.writeN(0, pcm.Ones, a.Interval-a.cnt); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Fatalf("RTASR.writeN: %v allocs per batch, want 0", allocs)
+		if err := a.start(); err != nil {
+			t.Fatal(err)
 		}
+		zeroAllocs(t, func() error {
+			_, _, err := a.step(0, pcm.Ones, a.sched.left())
+			return err
+		})
+	})
+	t.Run("two-level-sr", func(t *testing.T) {
+		s := secref.MustNewTwoLevel(secref.TwoLevelConfig{
+			Lines: lines, Regions: regions, InnerInterval: interval / 4, OuterInterval: interval, Seed: 3,
+		})
+		c := wear.MustNewController(bankCfg(1<<40), s)
+		a := &RTATwoLevelSRExact{
+			Target: c, Lines: lines, Regions: regions,
+			InnerInterval: interval / 4, OuterInterval: interval,
+			Oracle: func() bool { return c.Bank().Failed() },
+		}
+		if err := a.start(); err != nil {
+			t.Fatal(err)
+		}
+		zeroAllocs(t, func() error {
+			_, _, err := a.step(0, pcm.Ones, a.sched.left())
+			return err
+		})
 	})
 }

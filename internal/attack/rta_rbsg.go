@@ -56,43 +56,51 @@ type RTARBSG struct {
 	// stops the attack when it returns true (e.g. device failed).
 	MaxWrites uint64
 	Oracle    func() bool
-	// WearContent is the data hammered in the wear-out phase (Ones keeps
-	// the paper's cost accounting; Zeros is 8× faster on the wire).
-	WearContent pcm.Content
 
+	// Phases splits the writes by phase (diagnostics filled in by Run).
+	Phases
+
+	engine
 	// --- shadow state ---
-	n        uint64  // lines per region
-	cnt      uint64  // region write counter mod ψ
-	sGap     uint64  // shadow Gap register
-	sStart   uint64  // shadow Start register
-	rel      []int64 // slot -> relative offset k (line is L(i-k)), -1 unknown
-	liSlot   uint64  // Li's slot at alignment (the pinned target slot)
-	aligned  bool
+	n        uint64   // lines per region
+	cnt      uint64   // region write counter mod ψ
+	sGap     uint64   // shadow Gap register
+	sStart   uint64   // shadow Start register
+	rel      []int64  // slot -> relative offset k (line is L(i-k)), -1 unknown
+	liSlot   uint64   // Li's slot at alignment (the pinned target slot)
 	seqBits  []uint64 // recovered LA bits per offset (index 0 unused)
 	seqKnown []uint64 // bitmask of recovered bit positions per offset
-	ev       lastEvent
-
-	res Result
-	// Diagnostics filled in by Run.
-	AlignmentWrites uint64
-	DetectionWrites uint64
-	WearWrites      uint64
 }
 
 const relUnknown = int64(-1)
 
-// errStopped aborts phases when the oracle or budget fires.
-var errStopped = errors.New("attack stopped")
-
 // Run executes the full attack and reports the result. Sequence recovery
 // diagnostics remain available on the receiver afterwards.
 func (a *RTARBSG) Run() (Result, error) {
-	if a.Lines == 0 || a.Regions == 0 || a.Lines%a.Regions != 0 || a.Interval == 0 {
-		return Result{}, fmt.Errorf("attack: bad RBSG parameters N=%d R=%d ψ=%d", a.Lines, a.Regions, a.Interval)
+	if err := a.start(); err != nil {
+		return Result{}, err
 	}
-	if a.Timing == (pcm.Timing{}) {
-		a.Timing = pcm.DefaultTiming
+	err := a.align()
+	if err == nil {
+		a.AlignWrites = a.res.Writes
+		err = a.detectSequence()
 	}
+	if err == nil {
+		a.DetectWrites = a.res.Writes - a.AlignWrites
+		err = a.wearOut()
+		a.WearWrites = a.res.Writes - a.AlignWrites - a.DetectWrites
+	}
+	return a.result(err)
+}
+
+// start checks the configuration and boots the engine and the shadow
+// region (Start=0, Gap=n).
+func (a *RTARBSG) start() error {
+	if err := checkGeometry(a.Lines, a.Regions, a.Interval); err != nil {
+		return err
+	}
+	a.engine = newEngine(a.Target, a.Lines, a.Timing, a.MaxWrites, a.Oracle)
+	a.Phases = Phases{}
 	a.n = a.Lines / a.Regions
 	if a.SeqLen == 0 || a.SeqLen > a.n-1 {
 		a.SeqLen = a.n - 1
@@ -106,141 +114,32 @@ func (a *RTARBSG) Run() (Result, error) {
 	for i := range a.rel {
 		a.rel[i] = relUnknown
 	}
-
-	if err := a.align(); err != nil {
-		return a.res, a.finish(err)
-	}
-	before := a.res.Writes
-	a.AlignmentWrites = before
-	if err := a.detectSequence(); err != nil {
-		return a.res, a.finish(err)
-	}
-	a.DetectionWrites = a.res.Writes - before
-	before = a.res.Writes
-	err := a.wearOut()
-	a.WearWrites = a.res.Writes - before
-	return a.res, a.finish(err)
+	return nil
 }
 
-// finish normalizes the sentinel stop error.
-func (a *RTARBSG) finish(err error) error {
-	if errors.Is(err, errStopped) {
-		return nil
-	}
-	return err
-}
-
-// write issues one attacker write and returns the latency beyond the
-// demand write itself (the remapping side channel).
-func (a *RTARBSG) write(la uint64, c pcm.Content) (extraNs uint64, err error) {
-	if a.Oracle != nil && a.Oracle() {
-		a.res.Failed = true
-		return 0, errStopped
-	}
-	if a.MaxWrites > 0 && a.res.Writes >= a.MaxWrites {
-		return 0, errStopped
-	}
-	ns := a.Target.Write(la, c)
-	a.res.Writes++
-	a.res.AttackNs += ns
-	return ns - a.Timing.WriteNs(c), nil
-}
-
-// tickRegion advances the shadow by one write to the target region and
-// applies the shadow gap movement when the interval elapses. It returns
-// whether a movement fired and which slot it vacated.
-func (a *RTARBSG) tickRegion() (moved bool, srcSlot uint64) {
-	a.cnt++
-	if a.cnt < a.Interval {
-		return false, 0
-	}
-	a.cnt = 0
-	return true, a.shadowMove()
-}
-
-// tickN advances the shadow by k region writes at once, where at most the
-// k-th can reach the interval (k ≤ Interval − cnt) — the O(1) equivalent
-// of k tickRegion calls within one inter-movement epoch.
-func (a *RTARBSG) tickN(k uint64) (moved bool, srcSlot uint64) {
+// advance moves the shadow k region writes on, where at most the k-th
+// can reach the interval (k ≤ Interval − cnt). It returns whether a
+// movement fired and which slot it vacated.
+func (a *RTARBSG) advance(k uint64) (moved bool, srcSlot uint64) {
 	a.cnt += k
 	if a.cnt < a.Interval {
 		return false, 0
 	}
 	if a.cnt > a.Interval {
-		panic(fmt.Errorf("attack: tickN(%d) crossed a shadow movement", k))
+		panic(fmt.Errorf("attack: %d writes crossed a shadow movement", k))
 	}
 	a.cnt = 0
 	return true, a.shadowMove()
 }
 
-// writeN issues k consecutive writes of c to la (1 ≤ k ≤ the writes
-// remaining until the next shadow movement, so only the k-th write can
-// carry a movement) and advances the shadow in lock-step. It returns the
-// last write's extra latency and the movement it fired, if any.
-//
-// When the target implements BatchTarget the run is batched and the
-// Oracle/MaxWrites checks the naive loop makes before every write happen
-// at batch boundaries instead. This is exact for the device-failure
-// oracle: WriteRun's stopOnFail truncates the batch immediately after the
-// bank's first failure — precisely the write after which the naive loop's
-// next precheck would have stopped — and the budget clamp truncates at
-// the same write the per-write budget check would. Other oracles observe
-// batch-boundary granularity (documented on RTARBSG.Oracle).
-func (a *RTARBSG) writeN(la uint64, c pcm.Content, k uint64) (extra uint64, moved bool, srcSlot uint64, err error) {
-	bt, batched := a.Target.(BatchTarget)
-	if !batched || k < 2 {
-		for j := uint64(0); j < k; j++ {
-			e, werr := a.write(la, c)
-			if werr != nil {
-				return 0, false, 0, werr
-			}
-			extra = e
-			if m, s := a.tickRegion(); m {
-				moved, srcSlot = true, s
-			}
-		}
-		return extra, moved, srcSlot, nil
-	}
-	if a.Oracle != nil && a.Oracle() {
-		a.res.Failed = true
-		return 0, false, 0, errStopped
-	}
-	want := k
-	if a.MaxWrites > 0 {
-		if a.res.Writes >= a.MaxWrites {
-			return 0, false, 0, errStopped
-		}
-		if rem := a.MaxWrites - a.res.Writes; want > rem {
-			want = rem
-		}
-	}
-	var issued uint64
-	for issued < want {
-		got, ns := bt.WriteRun(la, c, want-issued, a.Oracle != nil, a.ev.sink())
-		issued += got
-		a.res.Writes += got
-		a.res.AttackNs += ns
-		extra = a.ev.lastExtra(got, a.Timing.WriteNs(c))
-		if issued == want {
-			break
-		}
-		// stopOnFail truncated the run at the bank's first failure; the
-		// naive loop's next per-write precheck would now observe it.
-		if a.Oracle() {
-			a.res.Failed = true
-			err = errStopped
-			break
-		}
-		// The oracle does not consider the failure fatal: resume the
-		// batch (a bank first-fails at most once, so stopOnFail cannot
-		// truncate again).
-	}
-	if m, s := a.tickN(issued); m {
-		moved, srcSlot = true, s
-	}
-	if err == nil && issued < k {
-		err = errStopped // budget exhausted mid-epoch, like the naive precheck
-	}
+// hammer issues k writes of c to la through the engine (1 ≤ k ≤ the
+// writes left until the next shadow movement, so only the k-th write
+// can carry a movement) and advances the shadow by the writes issued.
+// It returns the last write's extra latency and the movement it fired,
+// if any.
+func (a *RTARBSG) hammer(la uint64, c pcm.Content, k uint64) (extra uint64, moved bool, srcSlot uint64, err error) {
+	issued, extra, err := a.writeRun(la, c, k)
+	moved, srcSlot = a.advance(issued)
 	return extra, moved, srcSlot, err
 }
 
@@ -264,64 +163,34 @@ func (a *RTARBSG) shadowMove() (srcSlot uint64) {
 	return src
 }
 
-// sweep writes a full pass over the logical space — content ALL-0, or
-// keyed by address bit when bit >= 0 — ticking the shadow by exactly N/R
-// region writes (a bijective randomizer routes exactly that many sweep
-// writes into every region). Movement latencies during the sweep are not
-// attributable to a region, so the shadow only advances; no bits are read.
-func (a *RTARBSG) sweep(bit int) error {
-	// Batched path: a SweepTarget executes the whole pass at once (e.g.
-	// exactsim's parallel sub-region kernel). Only taken when the budget
-	// covers the full sweep — otherwise the naive loop must truncate
-	// mid-pass — and the Oracle check moves to the sweep boundary, which
-	// is exact for the device-failure oracle because the target declines
-	// (ok=false) whenever a line could fail mid-sweep.
-	if st, ok := a.Target.(SweepTarget); ok &&
-		(a.MaxWrites == 0 || a.res.Writes+a.Lines <= a.MaxWrites) {
-		if a.Oracle != nil && a.Oracle() {
-			a.res.Failed = true
-			return errStopped
-		}
-		if w, ns, done := st.Sweep(bit); done {
-			a.res.Writes += w
-			a.res.AttackNs += ns
-			for i := uint64(0); i < a.n; i++ {
-				a.tickRegion()
-			}
-			return nil
-		}
-	}
-	for la := uint64(0); la < a.Lines; la++ {
-		c := pcm.Zeros
-		if bit >= 0 && la>>uint(bit)&1 == 1 {
-			c = pcm.Ones
-		}
-		if _, err := a.write(la, c); err != nil {
-			return err
-		}
+// pass writes a full sweep over the logical space — content ALL-0, or
+// keyed by address bit when bit >= 0 — and advances the shadow by
+// exactly N/R region writes (a bijective randomizer routes exactly that
+// many sweep writes into every region). Movement latencies during the
+// sweep are not attributable to a region, so no bits are read.
+func (a *RTARBSG) pass(bit int) error {
+	if _, err := a.sweep(bit); err != nil {
+		return err
 	}
 	for i := uint64(0); i < a.n; i++ {
-		a.tickRegion()
+		a.advance(1)
 	}
 	return nil
 }
 
 // align is phase 1: pin down Li's physical slot.
 func (a *RTARBSG) align() error {
-	if err := a.sweep(-1); err != nil { // Step 1: ALL-0 everywhere
+	if err := a.pass(-1); err != nil { // Step 1: ALL-0 everywhere
 		return err
 	}
 	// Steps 2–3: hammer Li with ALL-1 until a movement costs read+SET.
-	setMove := a.Timing.ReadNs + a.Timing.SetNs
+	setMove := a.timing.ReadNs + a.timing.SetNs
 	deadline := 2 * (a.n + 1) * a.Interval // two full rotations must see Li
 	for i := uint64(0); i < deadline; {
 		// One inter-movement epoch per iteration: only the k-th write can
-		// fire a movement, so the whole epoch batches into one writeN.
-		k := a.Interval - a.cnt
-		if k > deadline-i {
-			k = deadline - i
-		}
-		extra, moved, src, err := a.writeN(a.Li, pcm.Ones, k)
+		// fire a movement, so the whole epoch batches into one hammer.
+		k := min(a.Interval-a.cnt, deadline-i)
+		extra, moved, src, err := a.hammer(a.Li, pcm.Ones, k)
 		if err != nil {
 			return err
 		}
@@ -338,7 +207,6 @@ func (a *RTARBSG) align() error {
 			a.liSlot = 0
 		}
 		a.initRel()
-		a.aligned = true
 		return nil
 	}
 	return errors.New("attack: alignment failed — no SET-latency movement observed")
@@ -370,21 +238,13 @@ func (a *RTARBSG) initRel() {
 	}
 }
 
-// patternOf returns the sweep content of la for address bit j.
-func patternOf(la uint64, j uint) pcm.Content {
-	if la>>j&1 == 1 {
-		return pcm.Ones
-	}
-	return pcm.Zeros
-}
-
 // detectSequence is phase 2: recover every address bit of the SeqLen
 // predecessors of Li.
 func (a *RTARBSG) detectSequence() error {
 	bits := addressBits(a.Lines)
-	setMove := a.Timing.ReadNs + a.Timing.SetNs
+	setMove := a.timing.ReadNs + a.timing.SetNs
 	for j := uint(0); j < bits; j++ {
-		if err := a.sweep(int(j)); err != nil { // Step 4: pattern keyed by bit j
+		if err := a.pass(int(j)); err != nil { // Step 4: pattern keyed by bit j
 			return err
 		}
 		// Step 5: hammer Li (with Li's own pattern so contents stay
@@ -395,11 +255,8 @@ func (a *RTARBSG) detectSequence() error {
 		seen := uint64(0)
 		deadline := 2 * (a.n + 1) * a.Interval
 		for w := uint64(0); w < deadline && seen < need; {
-			k := a.Interval - a.cnt
-			if k > deadline-w {
-				k = deadline - w
-			}
-			extra, moved, src, err := a.writeN(a.Li, liContent, k)
+			k := min(a.Interval-a.cnt, deadline-w)
+			extra, moved, src, err := a.hammer(a.Li, liContent, k)
 			if err != nil {
 				return err
 			}
@@ -451,9 +308,6 @@ func (a *RTARBSG) Sequence() []uint64 {
 // occupies Li's pinned slot, tracking the rotation, until the oracle fires
 // or the budget or recovered sequence is exhausted.
 func (a *RTARBSG) wearOut() error {
-	if a.WearContent == 0 {
-		a.WearContent = pcm.Ones
-	}
 	// Pin the physical slot Li occupies *now* (detection rotations have
 	// moved it since alignment), so the wear phase starts at offset 0 and
 	// consumes the recovered sequence from the top.
@@ -490,18 +344,9 @@ func (a *RTARBSG) wearOut() error {
 			return fmt.Errorf("attack: recovered sequence exhausted (need offset %d, have %d)", k, a.SeqLen)
 		}
 		// la is frozen until the next shadow movement (rel only changes at
-		// movements), so the rest of the epoch batches into one writeN.
-		if _, _, _, err := a.writeN(la, a.WearContent, a.Interval-a.cnt); err != nil {
+		// movements), so the rest of the epoch batches into one hammer.
+		if _, _, _, err := a.hammer(la, pcm.Ones, a.Interval-a.cnt); err != nil {
 			return err
 		}
 	}
-}
-
-// addressBits returns log2(n) for a power-of-two n.
-func addressBits(n uint64) uint {
-	b := uint(0)
-	for v := n; v > 1; v >>= 1 {
-		b++
-	}
-	return b
 }

@@ -41,198 +41,185 @@ type RTASR struct {
 	MaxWrites uint64
 	Oracle    func() bool
 
-	// shadow state
-	crp        uint64 // shadow CRP in [0, N]; N+... wraps handled
-	cnt        uint64 // writes since last step
-	roundKnown bool   // D recovered for the current round
-	d          uint64 // keyc XOR keyp of the current round
-	ev         lastEvent
-
-	res Result
-	// Diagnostics
-	AlignWrites  uint64
-	DetectWrites uint64
-	WearWrites   uint64
-	RoundsSeen   uint64
+	// Phases splits the writes by phase (diagnostics filled in by Run).
+	Phases
+	// RoundsSeen counts the refresh rounds begun while the attack ran.
+	RoundsSeen uint64
 	// RecoveredDs records every recovered per-round key difference, for
 	// tests to check against ground truth.
 	RecoveredDs []uint64
+
+	srShadow
+	d uint64 // keyc XOR keyp of the current round
 }
 
 // Run executes the attack.
 func (a *RTASR) Run() (Result, error) {
-	if a.Lines == 0 || a.Lines&(a.Lines-1) != 0 || a.Interval == 0 {
-		return Result{}, fmt.Errorf("attack: bad SR parameters N=%d ψ=%d", a.Lines, a.Interval)
+	if err := a.start(); err != nil {
+		return Result{}, err
 	}
-	if a.Timing == (pcm.Timing{}) {
-		a.Timing = pcm.DefaultTiming
+	err := a.align()
+	if err == nil {
+		a.AlignWrites = a.res.Writes
+		err = a.wearLoop()
+	}
+	a.RoundsSeen = a.sched.rounds
+	return a.result(err)
+}
+
+// start checks the configuration and boots the engine and the step
+// schedule.
+func (a *RTASR) start() error {
+	if err := checkGeometry(a.Lines, 1, a.Interval); err != nil {
+		return err
 	}
 	if a.Li == 0 || a.Li >= a.Lines {
-		return Result{}, fmt.Errorf("attack: Li must be in [1, N), got %d", a.Li)
+		return fmt.Errorf("attack: Li must be in [1, N), got %d", a.Li)
 	}
-	a.crp = a.Lines // boot state: previous round complete
-
-	if err := a.align(); err != nil {
-		return a.res, a.finish(err)
-	}
-	a.AlignWrites = a.res.Writes
-	err := a.wearLoop()
-	return a.res, a.finish(err)
+	a.srShadow = newSRShadow(newEngine(a.Target, a.Lines, a.Timing, a.MaxWrites, a.Oracle), a.Lines, a.Interval)
+	a.Phases, a.RoundsSeen, a.RecoveredDs = Phases{}, 0, nil
+	return nil
 }
 
-func (a *RTASR) finish(err error) error {
-	if errors.Is(err, errStopped) {
-		return nil
-	}
-	return err
+// srSchedule is the attacker's shadow of a Security Refresh level's step
+// schedule, exact from its own write count alone: a refresh step every
+// interval writes processes the address under the CRP, and the CRP
+// wrapping past the last address starts a new round (the keys rotate
+// just before it processes address 0).
+type srSchedule struct {
+	lines, interval uint64
+	cnt             uint64 // writes since the last step
+	crp             uint64 // next address to process; lines = round complete
+	rounds          uint64 // rounds begun since boot
 }
 
-func (a *RTASR) write(la uint64, c pcm.Content) (extraNs uint64, err error) {
-	if a.Oracle != nil && a.Oracle() {
-		a.res.Failed = true
-		return 0, errStopped
-	}
-	if a.MaxWrites > 0 && a.res.Writes >= a.MaxWrites {
-		return 0, errStopped
-	}
-	ns := a.Target.Write(la, c)
-	a.res.Writes++
-	a.res.AttackNs += ns
-	return ns - a.Timing.WriteNs(c), nil
+// srStep is a refresh step as the schedule predicts it.
+type srStep struct {
+	fired    bool   // the run's last write fired a step
+	la       uint64 // the address the step processed (the CRP before it)
+	newRound bool   // the step began a new round
 }
 
-// tick advances the shadow by one write; it returns whether a refresh step
-// fired and the logical address it processed (the CRP value before the
-// advance). newRound reports that the step began a fresh round (keys
-// rotated just before processing address 0).
-func (a *RTASR) tick() (stepped bool, la uint64, newRound bool) {
-	return a.tickN(1)
+// left returns the writes until the next step: the longest run whose
+// only possible step is its last write.
+func (s *srSchedule) left() uint64 { return s.interval - s.cnt }
+
+// advance moves the schedule k writes on, where at most the k-th can
+// fire a step (k ≤ left()).
+func (s *srSchedule) advance(k uint64) (st srStep) {
+	s.cnt += k
+	if s.cnt < s.interval {
+		return st
+	}
+	if s.cnt > s.interval {
+		panic(fmt.Errorf("attack: %d writes crossed a refresh step", k))
+	}
+	s.cnt = 0
+	if s.crp == s.lines {
+		s.crp = 0
+		s.rounds++
+		st.newRound = true
+	}
+	st.fired, st.la = true, s.crp
+	s.crp++
+	return st
 }
 
-// tickN advances the shadow by k writes at once, where at most the k-th
-// can reach the interval (k ≤ Interval − cnt).
-func (a *RTASR) tickN(k uint64) (stepped bool, la uint64, newRound bool) {
-	a.cnt += k
-	if a.cnt < a.Interval {
-		return false, 0, false
-	}
-	if a.cnt > a.Interval {
-		panic(fmt.Errorf("attack: tickN(%d) crossed a refresh step", k))
-	}
-	a.cnt = 0
-	if a.crp == a.Lines {
-		a.crp = 0
-		newRound = true
-		a.roundKnown = false
-		a.RoundsSeen++
-	}
-	la = a.crp
-	a.crp++
-	return true, la, newRound
+// srShadow is the engine with a Security Refresh step schedule as its
+// shadow: RTASR's one level, or RTATwoLevelSRExact's outer level.
+type srShadow struct {
+	engine
+	sched srSchedule
 }
 
-// writeN issues k consecutive writes of c to la (1 ≤ k ≤ Interval − cnt,
-// so only the k-th write can carry a refresh step) and advances the
-// shadow in lock-step, returning the last write's extra latency and the
-// step it fired, if any. Batch-boundary Oracle/budget semantics are the
-// same as RTARBSG.writeN's (exact for the device-failure oracle).
-func (a *RTASR) writeN(la uint64, c pcm.Content, k uint64) (extra uint64, stepped bool, stepLA uint64, newRound bool, err error) {
-	bt, batched := a.Target.(BatchTarget)
-	if !batched || k < 2 {
-		for j := uint64(0); j < k; j++ {
-			e, werr := a.write(la, c)
-			if werr != nil {
-				return 0, false, 0, false, werr
-			}
-			extra = e
-			if s, sla, nr := a.tick(); s {
-				stepped, stepLA, newRound = true, sla, nr
-			}
-		}
-		return extra, stepped, stepLA, newRound, nil
+func newSRShadow(e engine, lines, interval uint64) srShadow {
+	// Boot state: the previous round is complete, so the first step
+	// re-keys.
+	return srShadow{engine: e, sched: srSchedule{lines: lines, interval: interval, crp: lines}}
+}
+
+// step issues k writes of c to la (1 ≤ k ≤ sched.left()) and advances
+// the schedule by the writes issued. It returns the last write's extra
+// latency and the step the k-th write fired, if any.
+func (s *srShadow) step(la uint64, c pcm.Content, k uint64) (extra uint64, st srStep, err error) {
+	issued, extra, err := s.writeRun(la, c, k)
+	return extra, s.sched.advance(issued), err
+}
+
+// swapKind is what a refresh step's extra latency says about the lines
+// it swapped. A swap reads both lines and writes each into the other's
+// place, so after a pattern sweep its cost names their contents:
+// 2·read + 2·RESET (both ALL-0), 2·read + 2·SET (both ALL-1) or
+// 2·read + SET + RESET (they differ). Any other latency — no swap, or
+// another movement on the same write — is swapNone.
+type swapKind int
+
+const (
+	swapNone swapKind = iota
+	swapZeros
+	swapOnes
+	swapMixed
+)
+
+func classifySwap(t pcm.Timing, extra uint64) swapKind {
+	switch extra {
+	case 2*t.ReadNs + t.SetNs + t.ResetNs:
+		return swapMixed
+	case 2 * (t.ReadNs + t.ResetNs):
+		return swapZeros
+	case 2 * (t.ReadNs + t.SetNs):
+		return swapOnes
 	}
-	if a.Oracle != nil && a.Oracle() {
-		a.res.Failed = true
-		return 0, false, 0, false, errStopped
-	}
-	want := k
-	if a.MaxWrites > 0 {
-		if a.res.Writes >= a.MaxWrites {
-			return 0, false, 0, false, errStopped
-		}
-		if rem := a.MaxWrites - a.res.Writes; want > rem {
-			want = rem
-		}
-	}
-	var issued uint64
-	for issued < want {
-		got, ns := bt.WriteRun(la, c, want-issued, a.Oracle != nil, a.ev.sink())
-		issued += got
-		a.res.Writes += got
-		a.res.AttackNs += ns
-		extra = a.ev.lastExtra(got, a.Timing.WriteNs(c))
-		if issued == want {
-			break
-		}
-		if a.Oracle() {
-			a.res.Failed = true
-			err = errStopped
-			break
-		}
-	}
-	stepped, stepLA, newRound = a.tickN(issued)
-	if err == nil && issued < k {
-		err = errStopped // budget exhausted, like the naive precheck
-	}
-	return extra, stepped, stepLA, newRound, err
+	return swapNone
 }
 
 // align is Steps 1–2: zero everything, then hammer address 0 with ALL-1
 // until the step that swaps it (read×2 + SET + RESET) is observed, which
 // pins the shadow CRP to 1 in a fresh round.
 func (a *RTASR) align() error {
-	for la := uint64(0); la < a.Lines; la++ {
-		if _, err := a.write(la, pcm.Zeros); err != nil {
-			return err
-		}
-		a.tick()
+	n, err := a.sweep(-1)
+	for ; n > 0; n-- {
+		a.sched.advance(1)
 	}
-	swapWithOnes := 2*a.Timing.ReadNs + a.Timing.SetNs + a.Timing.ResetNs
+	if err != nil {
+		return err
+	}
+	swapWithOnes := 2*a.timing.ReadNs + a.timing.SetNs + a.timing.ResetNs
 	deadline := 3 * a.Lines * a.Interval
 	for i := uint64(0); i < deadline; {
 		// One inter-step epoch per iteration: only the k-th write can
-		// fire a refresh step, so the epoch batches into one writeN.
-		k := a.Interval - a.cnt
-		if k > deadline-i {
-			k = deadline - i
-		}
-		extra, stepped, la, _, err := a.writeN(0, pcm.Ones, k)
+		// fire a refresh step, so the epoch batches into one step call.
+		k := min(a.sched.left(), deadline-i)
+		extra, st, err := a.step(0, pcm.Ones, k)
 		if err != nil {
 			return err
 		}
 		i += k
-		if !stepped {
-			continue
-		}
-		if la == 0 && extra >= swapWithOnes {
+		if st.fired && st.la == 0 && extra >= swapWithOnes {
 			// Address 0 just swapped with its (ALL-0) pair; the shadow
 			// CRP is confirmed at 1. Reset its content for detection.
-			if _, err := a.write(0, pcm.Zeros); err != nil {
-				return err
-			}
-			a.tick()
-			return nil
+			_, _, err := a.step(0, pcm.Zeros, 1)
+			return err
 		}
 	}
 	return errors.New("attack: SR alignment failed — never observed address 0's swap")
 }
 
-// detectD recovers D = keyc XOR keyp for the current round, one bit per
-// pattern sweep (Steps 3–5). It must finish before the round ends; the
-// caller restarts it on a round boundary. Returns errRoundEnded if the
-// round rolled over mid-detection.
+// errRoundEnded reports that the round rolled over mid-detection; the
+// caller restarts detectD in the new round.
 var errRoundEnded = errors.New("round ended during detection")
 
+// detect runs detectD until one run completes within a round.
+func (a *RTASR) detect() error {
+	for {
+		if err := a.detectD(); !errors.Is(err, errRoundEnded) {
+			return err
+		}
+	}
+}
+
+// detectD recovers D = keyc XOR keyp for the current round, one bit per
+// pattern sweep (Steps 3–5). It must finish before the round ends.
 func (a *RTASR) detectD() error {
 	bits := addressBits(a.Lines)
 	start := a.res.Writes
@@ -240,45 +227,40 @@ func (a *RTASR) detectD() error {
 	for j := uint(0); j < bits; j++ {
 		// Step 3: pattern keyed by logical address bit j.
 		for la := uint64(0); la < a.Lines; la++ {
-			if _, err := a.write(la, patternOf(la, j)); err != nil {
+			_, st, err := a.step(la, patternOf(la, j), 1)
+			if err != nil {
 				return err
 			}
-			if _, _, nr := a.tick(); nr {
+			if st.newRound {
 				return errRoundEnded
 			}
 		}
 		// Step 4: hammer address 0 (pattern ALL-0) until a step swaps.
 		// classified only changes on stepped writes, which batch to the
 		// end of each inter-step epoch.
-		classified := false
-		for !classified {
-			extra, stepped, _, nr, err := a.writeN(0, pcm.Zeros, a.Interval-a.cnt)
+		for classified := false; !classified; {
+			extra, st, err := a.step(0, pcm.Zeros, a.sched.left())
 			if err != nil {
 				return err
 			}
-			if nr {
+			if st.newRound {
 				return errRoundEnded
 			}
-			if !stepped || extra == 0 {
+			if !st.fired || extra == 0 {
 				continue // no step, or the step's pair was already done
 			}
-			mixedSwap := 2*a.Timing.ReadNs + a.Timing.SetNs + a.Timing.ResetNs
-			sameSwapLo := 2 * (a.Timing.ReadNs + a.Timing.ResetNs)
-			sameSwapHi := 2 * (a.Timing.ReadNs + a.Timing.SetNs)
-			switch extra {
-			case mixedSwap:
+			switch classifySwap(a.timing, extra) {
+			case swapMixed:
 				d |= 1 << j
 				classified = true
-			case sameSwapLo, sameSwapHi:
+			case swapZeros, swapOnes:
 				classified = true
-			default:
-				// Overlapping latencies (shouldn't happen in one-level
-				// SR); keep waiting for a clean observation.
 			}
+			// Any other latency (shouldn't happen in one-level SR): keep
+			// waiting for a clean observation.
 		}
 	}
 	a.d = d
-	a.roundKnown = true
 	a.RecoveredDs = append(a.RecoveredDs, d)
 	a.DetectWrites += a.res.Writes - start
 	return nil
@@ -288,14 +270,8 @@ func (a *RTASR) detectD() error {
 // pinned physical line through swaps and rounds, re-detecting D each round.
 func (a *RTASR) wearLoop() error {
 	// Recover D for the current round first.
-	for {
-		err := a.detectD()
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, errRoundEnded) {
-			return err
-		}
+	if err := a.detect(); err != nil {
+		return err
 	}
 	// Pin the physical line currently under Li.
 	occ := a.Li
@@ -313,12 +289,12 @@ func (a *RTASR) wearLoop() error {
 			// Hammer occ until the swap step passes (it may already have
 			// passed if detection consumed steps beyond it). The shadow CRP
 			// only changes on stepped writes, so each epoch batches whole.
-			for a.crp <= swapAt {
-				_, _, _, nr, err := a.writeN(occ, pcm.Ones, a.Interval-a.cnt)
+			for a.sched.crp <= swapAt {
+				_, st, err := a.step(occ, pcm.Ones, a.sched.left())
 				if err != nil {
 					return err
 				}
-				if nr {
+				if st.newRound {
 					ended = true
 					break
 				}
@@ -331,23 +307,17 @@ func (a *RTASR) wearLoop() error {
 		// swapped at most once per round, so it stays on the pinned
 		// physical line.
 		for !ended {
-			_, _, _, nr, err := a.writeN(occ, pcm.Ones, a.Interval-a.cnt)
+			_, st, err := a.step(occ, pcm.Ones, a.sched.left())
 			if err != nil {
 				return err
 			}
-			ended = nr
+			ended = st.newRound
 		}
 		// Round rolled over: recover the fresh D, then continue on the
 		// same physical line (its occupant is unchanged at round start).
 		a.WearWrites = a.res.Writes - a.AlignWrites - a.DetectWrites
-		for {
-			err := a.detectD()
-			if err == nil {
-				break
-			}
-			if !errors.Is(err, errRoundEnded) {
-				return err
-			}
+		if err := a.detect(); err != nil {
+			return err
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package attack
 
 import (
-	"errors"
 	"fmt"
 
 	"securityrbsg/internal/pcm"
@@ -52,75 +51,78 @@ type RTATwoLevelSRExact struct {
 	Lines, Regions, InnerInterval, OuterInterval uint64
 	// Timing is the public device timing.
 	Timing pcm.Timing
-	// Group is the initial logical group to flood (its physical
-	// sub-region this round becomes the pinned target). Defaults to 0.
-	Group uint64
-	// VotesPerBit is how many classified outer-step observations to
-	// gather per key bit (default 9; must be odd).
-	VotesPerBit int
 	// MaxWrites bounds the attack (0 = unbounded); Oracle stops it when
 	// true (device failed).
 	MaxWrites uint64
 	Oracle    func() bool
-	// Debug, when set, receives diagnostic trace lines.
-	Debug func(format string, args ...any)
 
-	// shadow state
-	n          uint64 // lines per sub-region
-	lowBits    uint   // log2(n)
-	cnt        uint64 // writes since the last outer step
-	crp        uint64 // outer CRP in [0, N]; Lines means "round complete"
-	roundsSeen uint64 // outer CRP wraps observed since boot
-	probeSeq   uint64 // rotates the voting probe address across rounds
-
-	res Result
-	// Diagnostics
-	DetectWrites uint64
-	FloodWrites  uint64
-	Rounds       uint64
+	// Phases splits the writes by phase (diagnostics filled in by Run):
+	// detection and the flood (WearWrites); there is no alignment.
+	Phases
+	// Rounds counts the outer rounds the attack detected in.
+	Rounds uint64
 	// RecoveredHighDs lists the per-round recovered high bits of
-	// keyc XOR keyp (shifted down), for tests to check against truth.
-	RecoveredHighDs []uint64
+	// keyc XOR keyp, each with the outer round it was detected in, for
+	// tests to check against truth.
+	RecoveredHighDs []RoundDiff
+
+	srShadow        // the outer level's step schedule
+	n        uint64 // lines per sub-region
+	lowBits  uint   // log2(n)
+	probeSeq uint64 // rotates the voting probe address across rounds
 }
+
+// RoundDiff is one outer round's recovered key difference.
+type RoundDiff struct {
+	// Round is the outer round, counted from 0 at boot as
+	// secref.OneLevel.Rounds counts completed rounds. The attacker knows
+	// it from its own write count.
+	Round uint64
+	// D is the high log2(R) bits of keyc XOR keyp, shifted down, or
+	// ^uint64(0) when the round rolled over before detection finished.
+	D uint64
+}
+
+// votesPerBit is how many classified outer-step observations the attack
+// gathers per key bit (odd, so the majority is strict).
+const votesPerBit = 9
 
 // Run executes the attack until the device fails or the budget is spent.
 func (a *RTATwoLevelSRExact) Run() (Result, error) {
-	if a.Lines == 0 || a.Lines&(a.Lines-1) != 0 {
-		return Result{}, fmt.Errorf("attack: lines must be a power of two, got %d", a.Lines)
+	if err := a.start(); err != nil {
+		return Result{}, err
 	}
-	if a.Regions == 0 || a.Lines%a.Regions != 0 || a.InnerInterval == 0 || a.OuterInterval == 0 {
-		return Result{}, fmt.Errorf("attack: bad SR parameters")
-	}
-	if a.Timing == (pcm.Timing{}) {
-		a.Timing = pcm.DefaultTiming
-	}
-	if a.VotesPerBit <= 0 {
-		a.VotesPerBit = 9
-	}
-	if a.VotesPerBit%2 == 0 {
-		a.VotesPerBit++
-	}
-	a.n = a.Lines / a.Regions
-	for v := a.n; v > 1; v >>= 1 {
-		a.lowBits++
-	}
-	a.crp = a.Lines // boot state: previous round complete
-
-	group := a.Group % a.Regions
+	// The flood starts on logical group 0: its physical sub-region this
+	// round becomes the pinned target.
+	group := uint64(0)
 	for {
-		d, err := a.detectRoundHighD()
+		d, round, err := a.detectRoundHighD()
 		if err != nil {
-			return a.res, a.finish(err)
+			return a.result(err)
 		}
 		if d != unknownD {
 			group ^= d
 		}
-		a.RecoveredHighDs = append(a.RecoveredHighDs, d)
+		a.RecoveredHighDs = append(a.RecoveredHighDs, RoundDiff{Round: round, D: d})
 		a.Rounds++
 		if err := a.floodUntilRoundEnd(group); err != nil {
-			return a.res, a.finish(err)
+			return a.result(err)
 		}
 	}
+}
+
+// start checks the configuration and boots the engine and the outer
+// schedule.
+func (a *RTATwoLevelSRExact) start() error {
+	if err := checkGeometry(a.Lines, a.Regions, a.InnerInterval, a.OuterInterval); err != nil {
+		return err
+	}
+	a.srShadow = newSRShadow(newEngine(a.Target, a.Lines, a.Timing, a.MaxWrites, a.Oracle), a.Lines, a.OuterInterval)
+	a.Phases, a.Rounds, a.RecoveredHighDs = Phases{}, 0, nil
+	a.n = a.Lines / a.Regions
+	a.lowBits = addressBits(a.n)
+	a.probeSeq = 0
+	return nil
 }
 
 // unknownD marks a round whose key difference could not be recovered
@@ -128,136 +130,31 @@ func (a *RTATwoLevelSRExact) Run() (Result, error) {
 // group (best effort) and re-synchronizes next round.
 const unknownD = ^uint64(0)
 
-func (a *RTATwoLevelSRExact) finish(err error) error {
-	if errors.Is(err, errStopped) {
-		return nil
-	}
-	return err
-}
-
-// write issues one attacker write, advances the outer shadow, and
-// returns (extra latency, outer step fired, CRP value it processed).
-func (a *RTATwoLevelSRExact) write(la uint64, c pcm.Content) (extra uint64, stepped bool, stepLA uint64, err error) {
-	if a.Oracle != nil && a.Oracle() {
-		a.res.Failed = true
-		return 0, false, 0, errStopped
-	}
-	if a.MaxWrites > 0 && a.res.Writes >= a.MaxWrites {
-		return 0, false, 0, errStopped
-	}
-	ns := a.Target.Write(la, c)
-	a.res.Writes++
-	a.res.AttackNs += ns
-	extra = ns - a.Timing.WriteNs(c)
-	a.cnt++
-	if a.cnt >= a.OuterInterval {
-		a.cnt = 0
-		if a.crp == a.Lines {
-			a.crp = 0
-			a.roundsSeen++
-		}
-		stepLA = a.crp
-		a.crp++
-		stepped = true
-	}
-	return extra, stepped, stepLA, nil
-}
-
-// writeN issues k consecutive writes of c to la (1 ≤ k ≤ OuterInterval −
-// cnt, so only the k-th write can carry an outer step) and advances the
-// outer shadow in lock-step. Batch-boundary Oracle/budget semantics are
-// as in RTARBSG.writeN — exact for the device-failure oracle. Extra
-// latencies are not reported: its only caller (the flood phase) never
-// inspects them; the detection phases, which do, stay write-by-write.
-func (a *RTATwoLevelSRExact) writeN(la uint64, c pcm.Content, k uint64) error {
-	bt, batched := a.Target.(BatchTarget)
-	if !batched || k < 2 {
-		for j := uint64(0); j < k; j++ {
-			if _, _, _, err := a.write(la, c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if a.Oracle != nil && a.Oracle() {
-		a.res.Failed = true
-		return errStopped
-	}
-	want := k
-	if a.MaxWrites > 0 {
-		if a.res.Writes >= a.MaxWrites {
-			return errStopped
-		}
-		if rem := a.MaxWrites - a.res.Writes; want > rem {
-			want = rem
-		}
-	}
-	var issued uint64
-	var err error
-	for issued < want {
-		got, ns := bt.WriteRun(la, c, want-issued, a.Oracle != nil, nil)
-		issued += got
-		a.res.Writes += got
-		a.res.AttackNs += ns
-		if issued == want {
-			break
-		}
-		if a.Oracle() {
-			a.res.Failed = true
-			err = errStopped
-			break
-		}
-	}
-	a.cnt += issued
-	if a.cnt >= a.OuterInterval {
-		if a.cnt > a.OuterInterval {
-			panic(fmt.Errorf("attack: writeN(%d) crossed an outer step", k))
-		}
-		a.cnt = 0
-		if a.crp == a.Lines {
-			a.crp = 0
-			a.roundsSeen++
-		}
-		a.crp++
-	}
-	if err == nil && issued < k {
-		err = errStopped // budget exhausted, like the naive precheck
-	}
-	return err
-}
-
 // detectRoundHighD waits for the round boundary, then recovers the high
-// log2(R) bits of this round's D by pattern sweeps and majority-voted
-// outer-swap latencies.
-func (a *RTATwoLevelSRExact) detectRoundHighD() (uint64, error) {
+// log2(R) bits of the next round's D by pattern sweeps and
+// majority-voted outer-swap latencies. It returns them with that round's
+// number.
+func (a *RTATwoLevelSRExact) detectRoundHighD() (d, round uint64, err error) {
 	start := a.res.Writes
 	defer func() { a.DetectWrites += a.res.Writes - start }()
 
 	// Advance to the round boundary so D stays stable below us. The
 	// waiting writes rotate across the whole space so they add no
 	// hotspot of their own.
-	for w := uint64(0); a.crp != a.Lines && a.crp != 0; w++ {
-		if _, _, _, err := a.write(w%a.Lines, pcm.Zeros); err != nil {
-			return 0, err
+	for w := uint64(0); a.sched.crp != a.Lines; w++ {
+		if _, _, err := a.step(w%a.Lines, pcm.Zeros, 1); err != nil {
+			return 0, 0, err
 		}
 	}
-	epoch := a.roundsSeen
-	if a.crp == a.Lines {
-		epoch++ // the detected round begins on the next step's re-key
-	}
-	var d uint64
-	bits := uint(0)
-	for v := a.Regions; v > 1; v >>= 1 {
-		bits++
-	}
+	// The detected round begins with the next step's re-key; the rounds
+	// begun so far number it from 0.
+	round = a.sched.rounds
+	bits := addressBits(a.Regions)
 	for j := a.lowBits; j < a.lowBits+bits; j++ {
-		if a.roundsSeen > epoch {
+		if a.sched.rounds > round+1 {
 			// The round rolled over mid-detection (pathological no-swap
 			// runs stretched the votes): this round's D is lost.
-			if a.Debug != nil {
-				a.Debug("round lost at bit %d: roundsSeen=%d epoch=%d crp=%d", j, a.roundsSeen, epoch, a.crp)
-			}
-			return unknownD, nil
+			return unknownD, round, nil
 		}
 		// Pattern sweep keyed by logical bit j. The first sweep of the
 		// round rewrites everything (flooding left ALL-1 debris); later
@@ -267,8 +164,8 @@ func (a *RTATwoLevelSRExact) detectRoundHighD() (uint64, error) {
 			if j > a.lowBits && patternOf(la, j) == patternOf(la, j-1) {
 				continue
 			}
-			if _, _, _, err := a.write(la, patternOf(la, j)); err != nil {
-				return 0, err
+			if _, _, err := a.step(la, patternOf(la, j), 1); err != nil {
+				return 0, 0, err
 			}
 		}
 		// Vote on outer-step swap latencies through a single probe
@@ -294,11 +191,11 @@ func (a *RTATwoLevelSRExact) detectRoundHighD() (uint64, error) {
 		for attempt := 0; attempt < 4 && !calibrated; attempt++ {
 			// Move to just after an outer step.
 			for {
-				_, stepped, _, err := a.write(probe, probeContent)
+				_, st, err := a.step(probe, probeContent, 1)
 				if err != nil {
-					return 0, err
+					return 0, 0, err
 				}
-				if stepped {
+				if st.fired {
 					break
 				}
 			}
@@ -307,11 +204,11 @@ func (a *RTATwoLevelSRExact) detectRoundHighD() (uint64, error) {
 			// fires are invisible; ride the longest such run out.
 			scan := a.InnerInterval * (a.n/2 + 2*a.OuterInterval)
 			for w := uint64(0); w < scan; w++ {
-				extra, stepped, _, err := a.write(probe, probeContent)
+				extra, st, err := a.step(probe, probeContent, 1)
 				if err != nil {
-					return 0, err
+					return 0, 0, err
 				}
-				if !stepped && extra > 0 {
+				if !st.fired && extra > 0 {
 					innerCnt = 0 // just fired: counter known exactly
 					calibrated = true
 					break
@@ -321,13 +218,13 @@ func (a *RTATwoLevelSRExact) detectRoundHighD() (uint64, error) {
 				// Fires are hiding under outer steps: slip the combs
 				// apart and retry.
 				off := probe ^ (1 << a.lowBits)
-				if _, _, _, err := a.write(off, patternOf(off, j)); err != nil {
-					return 0, err
+				if _, _, err := a.step(off, patternOf(off, j), 1); err != nil {
+					return 0, 0, err
 				}
 			}
 		}
 		if !calibrated {
-			return 0, fmt.Errorf("attack: could not calibrate the inner refresh phase for bit %d", j)
+			return 0, 0, fmt.Errorf("attack: could not calibrate the inner refresh phase for bit %d", j)
 		}
 		// If the combs are locked — ψi divides ψo and every upcoming
 		// outer step coincides with an inner fire — slip them apart with
@@ -337,25 +234,25 @@ func (a *RTATwoLevelSRExact) detectRoundHighD() (uint64, error) {
 		if calibrated && a.OuterInterval%a.InnerInterval == 0 {
 			off := probe ^ (1 << a.lowBits)
 			offContent := patternOf(off, j)
-			for (a.OuterInterval-a.cnt)%a.InnerInterval == (a.InnerInterval-innerCnt%a.InnerInterval)%a.InnerInterval {
-				if _, _, _, err := a.write(off, offContent); err != nil {
-					return 0, err
+			for a.sched.left()%a.InnerInterval == (a.InnerInterval-innerCnt%a.InnerInterval)%a.InnerInterval {
+				if _, _, err := a.step(off, offContent, 1); err != nil {
+					return 0, 0, err
 				}
 			}
 		}
 		votes0, votes1 := 0, 0
-		deadline := 64 * uint64(a.VotesPerBit) * a.OuterInterval
-		for w := uint64(0); w < deadline && votes0+votes1 < a.VotesPerBit; w++ {
-			extra, stepped, k, err := a.write(probe, probeContent)
+		deadline := 64 * votesPerBit * a.OuterInterval
+		for w := uint64(0); w < deadline && votes0+votes1 < votesPerBit; w++ {
+			extra, st, err := a.step(probe, probeContent, 1)
 			if err != nil {
-				return 0, err
+				return 0, 0, err
 			}
 			innerCnt++
 			innerFires := innerCnt >= a.InnerInterval
 			if innerFires {
 				innerCnt = 0
 			}
-			if !stepped {
+			if !st.fired {
 				if extra > 0 && !innerFires {
 					// Phase slipped (the probe was remapped mid-round);
 					// resynchronize on this observed fire.
@@ -366,14 +263,10 @@ func (a *RTATwoLevelSRExact) detectRoundHighD() (uint64, error) {
 			if innerFires || extra == 0 {
 				continue // collided or no swap: abstain
 			}
-			b := k >> j & 1
-			same := 2 * (a.Timing.ReadNs + a.Timing.WriteNs(pcm.Zeros))
-			sameHi := 2 * (a.Timing.ReadNs + a.Timing.WriteNs(pcm.Ones))
-			mixed := 2*a.Timing.ReadNs + a.Timing.WriteNs(pcm.Zeros) + a.Timing.WriteNs(pcm.Ones)
-			switch {
-			case b == 0 && extra == same, b == 1 && extra == sameHi:
-				votes0++ // partner matches k's bit: D_j = 0
-			case extra == mixed:
+			switch kind, b := classifySwap(a.timing, extra), st.la>>j&1; {
+			case kind == swapZeros && b == 0, kind == swapOnes && b == 1:
+				votes0++ // partner matches the step's bit: D_j = 0
+			case kind == swapMixed:
 				votes1++
 			default:
 				// Unexpected value: an unmodeled collision; abstain.
@@ -386,7 +279,7 @@ func (a *RTATwoLevelSRExact) detectRoundHighD() (uint64, error) {
 			d |= 1 << (j - a.lowBits)
 		}
 	}
-	return d, nil
+	return d, round, nil
 }
 
 // floodUntilRoundEnd funnels every remaining write of the round into the
@@ -394,22 +287,19 @@ func (a *RTATwoLevelSRExact) detectRoundHighD() (uint64, error) {
 // SR pins each on a single physical line.
 func (a *RTATwoLevelSRExact) floodUntilRoundEnd(group uint64) error {
 	start := a.res.Writes
-	defer func() { a.FloodWrites += a.res.Writes - start }()
+	defer func() { a.WearWrites += a.res.Writes - start }()
 	stint := a.n * a.InnerInterval
 	for i := uint64(0); ; i++ {
 		la := group<<a.lowBits | (i % a.n)
 		// The shadow CRP only changes on outer steps, which batch to the
 		// end of each outer epoch; check the round boundary there.
 		for w := uint64(0); w < stint; {
-			k := a.OuterInterval - a.cnt
-			if rem := stint - w; k > rem {
-				k = rem
-			}
-			if err := a.writeN(la, pcm.Ones, k); err != nil {
+			k := min(a.sched.left(), stint-w)
+			if _, _, err := a.step(la, pcm.Ones, k); err != nil {
 				return err
 			}
 			w += k
-			if a.crp == a.Lines {
+			if a.sched.crp == a.Lines {
 				return nil // round complete: re-detect before continuing
 			}
 		}

@@ -8,21 +8,26 @@ import (
 	"securityrbsg/internal/wear"
 )
 
-// outerSpy records the outer level's key difference whenever it changes,
+// outerSpy records the outer level's key difference per outer round,
 // giving the test ground truth to compare the attacker's recovered bits
 // against. (The attacker never sees it.)
 type outerSpy struct {
 	c  *wear.Controller
 	s  *secref.TwoLevel
-	ds []uint64
+	ds []uint64 // ds[r] is round r's keyc XOR keyp, rounds counted from 0
 }
 
 func (sp *outerSpy) observe() {
-	kc, kp := sp.s.Outer().Keys()
-	d := kc ^ kp
-	if len(sp.ds) == 0 || sp.ds[len(sp.ds)-1] != d {
-		sp.ds = append(sp.ds, d)
+	o := sp.s.Outer()
+	if o.CRP() == o.LogicalLines() {
+		return // round complete, the next one not keyed yet
 	}
+	r := o.Rounds()
+	for uint64(len(sp.ds)) <= r {
+		sp.ds = append(sp.ds, 0)
+	}
+	kc, kp := o.Keys()
+	sp.ds[r] = kc ^ kp
 }
 
 func (sp *outerSpy) Write(la uint64, content pcm.Content) uint64 {
@@ -78,24 +83,22 @@ func TestRTATwoLevelSRExact(t *testing.T) {
 		t.Fatal("no key bits recovered")
 	}
 
-	// Ground truth: spy.ds[0] is the boot D (0); the attack's i-th
-	// detection sees spy.ds[i+1].
+	// Ground truth by round: a skipped or lost round costs only itself.
 	lowBits := uint(0)
 	for v := n; v > 1; v >>= 1 {
 		lowBits++
 	}
 	wrong := 0
-	for i, got := range a.RecoveredHighDs {
-		if i+1 >= len(spy.ds) {
-			break
-		}
-		if got == ^uint64(0) {
+	for _, got := range a.RecoveredHighDs {
+		if got.D == ^uint64(0) {
 			continue // the attack marked this round as lost; skip
 		}
-		want := spy.ds[i+1] >> lowBits
-		if got != want {
+		if got.Round >= uint64(len(spy.ds)) {
+			t.Fatalf("round %d recovered, but the spy saw only %d rounds", got.Round, len(spy.ds))
+		}
+		if want := spy.ds[got.Round] >> lowBits; got.D != want {
 			wrong++
-			t.Logf("round %d: recovered %#x, truth %#x", i, got, want)
+			t.Logf("round %d: recovered %#x, truth %#x", got.Round, got.D, want)
 		}
 	}
 	if wrong > len(a.RecoveredHighDs)/10 {
@@ -111,7 +114,7 @@ func TestRTATwoLevelSRExact(t *testing.T) {
 			raa.Writes, res.Writes)
 	}
 	t.Logf("exact attack: %d writes over %d rounds (detect %d, flood %d), %d/%d rounds exact; RAA alive after %d writes",
-		res.Writes, a.Rounds, a.DetectWrites, a.FloodWrites,
+		res.Writes, a.Rounds, a.DetectWrites, a.WearWrites,
 		len(a.RecoveredHighDs)-wrong, len(a.RecoveredHighDs), raa.Writes)
 }
 

@@ -15,7 +15,7 @@
 //
 //   - Epoch fast-forward. The attack loops themselves advance their
 //     shadow state in closed form per inter-movement epoch instead of per
-//     write (see the writeN/tickN helpers in internal/attack), so the
+//     write (see the timing attacks' engine in internal/attack), so the
 //     per-write cost of the hot hammer phases collapses to the per-epoch
 //     cost of the movement writes.
 //

@@ -282,11 +282,11 @@ func TestDifferentialRTAOnRBSG(t *testing.T) {
 				t.Fatalf("errors diverge: naive %v, fast %v", errN, errF)
 			}
 			compareResults(t, name, rn, rf)
-			if an.AlignmentWrites != af.AlignmentWrites || an.DetectionWrites != af.DetectionWrites ||
+			if an.AlignWrites != af.AlignWrites || an.DetectWrites != af.DetectWrites ||
 				an.WearWrites != af.WearWrites {
 				t.Fatalf("diagnostics diverge: naive align=%d detect=%d wear=%d, fast align=%d detect=%d wear=%d",
-					an.AlignmentWrites, an.DetectionWrites, an.WearWrites,
-					af.AlignmentWrites, af.DetectionWrites, af.WearWrites)
+					an.AlignWrites, an.DetectWrites, an.WearWrites,
+					af.AlignWrites, af.DetectWrites, af.WearWrites)
 			}
 			if !slices.Equal(an.Sequence(), af.Sequence()) {
 				t.Fatalf("recovered sequences diverge: naive %v, fast %v", an.Sequence(), af.Sequence())
@@ -295,11 +295,11 @@ func TestDifferentialRTAOnRBSG(t *testing.T) {
 			if !rn.Failed {
 				t.Fatal("the attack should wear out the device at this endurance")
 			}
-			if an.DetectionWrites == 0 {
+			if an.DetectWrites == 0 {
 				t.Fatal("the device died before detection: the differential never reached the sweep kernel")
 			}
 			t.Logf("%s: %d writes to failure (align %d, detect %d, wear %d)",
-				name, rn.Writes, an.AlignmentWrites, an.DetectionWrites, an.WearWrites)
+				name, rn.Writes, an.AlignWrites, an.DetectWrites, an.WearWrites)
 		})
 	}
 }
@@ -410,9 +410,9 @@ func TestDifferentialRTAOnTwoLevelSR(t *testing.T) {
 		t.Fatalf("errors diverge: naive %v, fast %v", errN, errF)
 	}
 	compareResults(t, "two-level-sr", rn, rf)
-	if an.DetectWrites != af.DetectWrites || an.FloodWrites != af.FloodWrites || an.Rounds != af.Rounds {
+	if an.DetectWrites != af.DetectWrites || an.WearWrites != af.WearWrites || an.Rounds != af.Rounds {
 		t.Fatalf("diagnostics diverge: naive detect=%d flood=%d rounds=%d, fast detect=%d flood=%d rounds=%d",
-			an.DetectWrites, an.FloodWrites, an.Rounds, af.DetectWrites, af.FloodWrites, af.Rounds)
+			an.DetectWrites, an.WearWrites, an.Rounds, af.DetectWrites, af.WearWrites, af.Rounds)
 	}
 	if !slices.Equal(an.RecoveredHighDs, af.RecoveredHighDs) {
 		t.Fatalf("recovered key bits diverge: naive %v, fast %v", an.RecoveredHighDs, af.RecoveredHighDs)

@@ -141,12 +141,12 @@ func TestRouterRTAMatchesDirect(t *testing.T) {
 		}
 	}
 	if dres.Writes != rres.Writes ||
-		da.AlignmentWrites != ra.AlignmentWrites ||
-		da.DetectionWrites != ra.DetectionWrites ||
+		da.AlignWrites != ra.AlignWrites ||
+		da.DetectWrites != ra.DetectWrites ||
 		da.WearWrites != ra.WearWrites {
 		t.Fatalf("router changed the attack cost: direct writes=%d (align %d, detect %d, wear %d), routed writes=%d (align %d, detect %d, wear %d)",
-			dres.Writes, da.AlignmentWrites, da.DetectionWrites, da.WearWrites,
-			rres.Writes, ra.AlignmentWrites, ra.DetectionWrites, ra.WearWrites)
+			dres.Writes, da.AlignWrites, da.DetectWrites, da.WearWrites,
+			rres.Writes, ra.AlignWrites, ra.DetectWrites, ra.WearWrites)
 	}
 
 	// The untouched shards must be untouched: the attack stream never
@@ -162,5 +162,5 @@ func TestRouterRTAMatchesDirect(t *testing.T) {
 		}
 	}
 	t.Logf("router RTA: %d writes (align %d, detect %d, wear %d), direct identical",
-		rres.Writes, ra.AlignmentWrites, ra.DetectionWrites, ra.WearWrites)
+		rres.Writes, ra.AlignWrites, ra.DetectWrites, ra.WearWrites)
 }

@@ -229,7 +229,7 @@ func TestWireAdaptiveEscalatesBeforeRTARecovery(t *testing.T) {
 	if !bres.Failed {
 		t.Fatal("baseline RTA did not wear out a line — no recovery cost to compare against")
 	}
-	recovery := ba.AlignmentWrites + ba.DetectionWrites
+	recovery := ba.AlignWrites + ba.DetectWrites
 	if recovery == 0 {
 		t.Fatal("baseline RTA reported no recovery phase")
 	}
@@ -284,5 +284,5 @@ func TestWireAdaptiveEscalatesBeforeRTARecovery(t *testing.T) {
 			first, recovery)
 	}
 	t.Logf("baseline recovery %d writes (align %d + detect %d); adaptive first raise at write %d (attack err: %v)",
-		recovery, ba.AlignmentWrites, ba.DetectionWrites, first, werr)
+		recovery, ba.AlignWrites, ba.DetectWrites, first, werr)
 }

@@ -149,9 +149,9 @@ func checkRTA(t *testing.T, s *Server, target attack.Target, ctl *Client) {
 	if m["memctld_failed_lines"] == 0 {
 		t.Fatal("wear-out phase did not register a failed line in /metrics")
 	}
-	if res.Writes != 3647 || a.AlignmentWrites != 316 || a.DetectionWrites != 2840 || a.WearWrites != 491 {
+	if res.Writes != 3647 || a.AlignWrites != 316 || a.DetectWrites != 2840 || a.WearWrites != 491 {
 		t.Fatalf("wire RTA cost %d writes (align %d, detect %d, wear %d), want 3647 (316, 2840, 491)",
-			res.Writes, a.AlignmentWrites, a.DetectionWrites, a.WearWrites)
+			res.Writes, a.AlignWrites, a.DetectWrites, a.WearWrites)
 	}
 }
 

@@ -68,22 +68,8 @@ var attacks = []registry.Attack{
 				"srbsg-adaptive",
 			},
 		},
-		Prepare: prepareRTA,
-		RunExact: func(env *registry.Env) (registry.Result, error) {
-			switch env.Scheme.Name {
-			case "security-refresh":
-				return runRTASR(env)
-			case "two-level-sr":
-				return runRTATwoLevel(env)
-			default:
-				// start-gap, rbsg, rbsg+detector, security-rbsg and
-				// srbsg-adaptive all face the RBSG shadow model — for the
-				// hardened three that is the point: the attacker wrongly
-				// models the victim as plain RBSG and the cell records
-				// whether that breaks.
-				return runRTARBSG(env)
-			}
-		},
+		Prepare:  prepareRTA,
+		RunExact: runRTA,
 	},
 	// The focused-write adversary of the Multi-Way SR analysis exists
 	// only as a closed form; it registers model-only (no exact runner).
@@ -169,68 +155,55 @@ func rbsgSeqLen(endurance, perRegion, interval uint64) uint64 {
 	return uint64(math.Ceil(float64(endurance)/float64((perRegion+1)*interval))) + 1
 }
 
-func runRTARBSG(env *registry.Env) (registry.Result, error) {
+// runRTA plays the timing attack whose shadow model fits the victim's
+// family. start-gap, rbsg, rbsg+detector, security-rbsg and
+// srbsg-adaptive all face the RBSG shadow model — for the hardened three
+// that is the point: the attacker wrongly models the victim as plain
+// RBSG, and the cell records whether that breaks.
+func runRTA(env *registry.Env) (registry.Result, error) {
 	cfg := env.Cfg
-	per := cfg.Lines / cfg.Regions
-	seqLen := rbsgSeqLen(cfg.Endurance, per, cfg.InnerInterval)
-	if max := per - 1; per >= 2 && seqLen > max {
-		seqLen = max // hardened targets: the attack aborts long before this matters
-	}
-	a := &attack.RTARBSG{
-		Target: env.Target,
-		Lines:  cfg.Lines, Regions: cfg.Regions, Interval: cfg.InnerInterval,
-		Timing: cfg.Device().Timing,
-		Li:     victimLA(cfg.Lines), SeqLen: seqLen,
-		MaxWrites: cfg.MaxWrites,
-		Oracle:    func() bool { return env.Controller.Bank().Failed() },
-	}
-	res, err := a.Run()
-	out := fromResult(res)
-	out.AlignWrites = a.AlignmentWrites
-	out.DetectWrites = a.DetectionWrites
-	out.WearWrites = a.WearWrites
-	if err != nil {
-		if hardened(env.Scheme.Name) {
-			out.Aborted = true
-			out.Note = "attack aborted: " + err.Error()
-			return out, nil
+	timing := cfg.Device().Timing
+	oracle := func() bool { return env.Controller.Bank().Failed() }
+	var run func() (attack.Result, error)
+	var phases *attack.Phases
+	switch env.Scheme.Name {
+	case "security-refresh":
+		a := &attack.RTASR{
+			Target: env.Target,
+			Lines:  cfg.Lines, Interval: cfg.InnerInterval,
+			Timing: timing, Li: victimLA(cfg.Lines),
+			MaxWrites: cfg.MaxWrites, Oracle: oracle,
 		}
-		return out, err
+		run, phases = a.Run, &a.Phases
+	case "two-level-sr":
+		a := &attack.RTATwoLevelSRExact{
+			Target: env.Target,
+			Lines:  cfg.Lines, Regions: cfg.Regions,
+			InnerInterval: cfg.InnerInterval, OuterInterval: cfg.OuterInterval,
+			Timing: timing, MaxWrites: cfg.MaxWrites, Oracle: oracle,
+		}
+		run, phases = a.Run, &a.Phases
+	default:
+		per := cfg.Lines / cfg.Regions
+		seqLen := rbsgSeqLen(cfg.Endurance, per, cfg.InnerInterval)
+		if max := per - 1; per >= 2 && seqLen > max {
+			seqLen = max // hardened targets: the attack aborts long before this matters
+		}
+		a := &attack.RTARBSG{
+			Target: env.Target,
+			Lines:  cfg.Lines, Regions: cfg.Regions, Interval: cfg.InnerInterval,
+			Timing: timing, Li: victimLA(cfg.Lines), SeqLen: seqLen,
+			MaxWrites: cfg.MaxWrites, Oracle: oracle,
+		}
+		run, phases = a.Run, &a.Phases
 	}
-	return out, nil
-}
-
-func runRTASR(env *registry.Env) (registry.Result, error) {
-	cfg := env.Cfg
-	a := &attack.RTASR{
-		Target: env.Target,
-		Lines:  cfg.Lines, Interval: cfg.InnerInterval,
-		Timing:    cfg.Device().Timing,
-		Li:        victimLA(cfg.Lines),
-		MaxWrites: cfg.MaxWrites,
-		Oracle:    func() bool { return env.Controller.Bank().Failed() },
-	}
-	res, err := a.Run()
+	res, err := run()
 	out := fromResult(res)
-	out.AlignWrites = a.AlignWrites
-	out.DetectWrites = a.DetectWrites
-	out.WearWrites = a.WearWrites
-	return out, err
-}
-
-func runRTATwoLevel(env *registry.Env) (registry.Result, error) {
-	cfg := env.Cfg
-	a := &attack.RTATwoLevelSRExact{
-		Target: env.Target,
-		Lines:  cfg.Lines, Regions: cfg.Regions,
-		InnerInterval: cfg.InnerInterval, OuterInterval: cfg.OuterInterval,
-		Timing:    cfg.Device().Timing,
-		MaxWrites: cfg.MaxWrites,
-		Oracle:    func() bool { return env.Controller.Bank().Failed() },
+	out.Phases = *phases
+	if err != nil && hardened(env.Scheme.Name) {
+		out.Aborted = true
+		out.Note = "attack aborted: " + err.Error()
+		return out, nil
 	}
-	res, err := a.Run()
-	out := fromResult(res)
-	out.DetectWrites = a.DetectWrites
-	out.WearWrites = a.FloodWrites
 	return out, err
 }

@@ -40,12 +40,10 @@ type Result struct {
 	Aborted bool
 	Note    string
 	// Phase accounting, where the attack distinguishes phases (zero
-	// otherwise). DetectWrites is the attacker-side detection latency:
-	// writes spent aligning with and extracting the scheme's mapping
-	// secrets before targeted wear-out could begin.
-	AlignWrites  uint64
-	DetectWrites uint64
-	WearWrites   uint64
+	// otherwise). AlignWrites + DetectWrites is the attacker-side
+	// detection latency: writes spent aligning with and extracting the
+	// scheme's mapping secrets before targeted wear-out could begin.
+	attack.Phases
 }
 
 // AlarmReporter is an optional wear.Scheme capability: a scheme with an

@@ -6,20 +6,44 @@
 # at 2^10 lines, asserts that every playable cell of the plugin registry
 # completed, checks the CSV's SHA-256 against the reference for the
 # default geometry, and proves the checkpoint/resume path by re-running
-# the grid and requiring a byte-identical CSV. The output directory can
-# be pinned with TOURNAMENT_OUT (CI does, to upload the CSV as an
-# artifact); otherwise everything lands in a temp dir.
+# the grid and requiring a byte-identical CSV. It then plays the matrix
+# once more at the sim_tournament benchmark's geometry (2^14 lines,
+# endurance 10^5), where the hardened RTA cells run their full write
+# budget through the batched attack path instead of aborting early, and
+# checks that CSV's SHA-256 too. The output directory can be pinned with
+# TOURNAMENT_OUT (CI does, to upload the CSVs as an artifact); otherwise
+# everything lands in a temp dir.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 LINES=${TOURNAMENT_LINES:-1024}
 ENDURANCE=${TOURNAMENT_ENDURANCE:-3000}
 
-# SHA-256 of the CSV at the default geometry (2^10 lines, endurance
-# 3000); bench/rbsgbench pins the same value for its -smoke run.
-# A change that moves it changes the tournament's output, not just its
-# speed.
-REFERENCE_SHA=00f87ef8b159bbd816ee8b9e96ffe6be8dd62bf781ae6a88bdf9b04548f9d7f0
+# SHA-256 of the CSV at each pinned geometry, lines/endurance: the
+# default (bench/rbsgbench pins the same value for its -smoke run) and
+# the sim_tournament benchmark's (bench/rbsgbench pins it for its full
+# run). A change that moves one changes the tournament's output, not
+# just its speed.
+reference_sha() {
+    case "$1/$2" in
+    1024/3000) echo 00f87ef8b159bbd816ee8b9e96ffe6be8dd62bf781ae6a88bdf9b04548f9d7f0 ;;
+    16384/100000) echo ca8cc11069152f64020fe5fd08f38d6a44054689948bd6d9cd42bd89d41a9ffa ;;
+    esac
+}
+
+# check_sha CSV LINES ENDURANCE fails unless CSV matches the reference
+# for its geometry; a geometry without one is reported and skipped.
+check_sha() {
+    local want sha
+    want=$(reference_sha "$2" "$3")
+    if [ -z "$want" ]; then
+        echo "== SHA check SKIPPED: no reference for $2 lines at endurance $3"
+        return
+    fi
+    sha=$(sha256sum "$1" | cut -d' ' -f1)
+    echo "== CSV SHA-256 $sha"
+    [ "$sha" = "$want" ] || { echo "FAIL: CSV SHA-256 $sha, reference $want"; exit 1; }
+}
 
 tmp=$(mktemp -d)
 out=${TOURNAMENT_OUT:-$tmp/out}
@@ -49,19 +73,17 @@ echo "== $done_rows/$rows cells done ($expected registered)"
 [ "$rows" -eq "$expected" ] || { echo "FAIL: CSV has $rows cells, registry plays $expected"; exit 1; }
 [ "$done_rows" -eq "$expected" ] || { echo "FAIL: only $done_rows/$expected cells completed"; exit 1; }
 
-if [ "$LINES" = 1024 ] && [ "$ENDURANCE" = 3000 ]; then
-    sha=$(sha256sum "$out/tournament.csv" | cut -d' ' -f1)
-    echo "== CSV SHA-256 $sha"
-    [ "$sha" = "$REFERENCE_SHA" ] \
-        || { echo "FAIL: CSV SHA-256 $sha, reference $REFERENCE_SHA"; exit 1; }
-else
-    echo "== SHA check SKIPPED: the reference is for 1024 lines at endurance 3000, this run is $LINES lines at endurance $ENDURANCE"
-fi
+check_sha "$out/tournament.csv" "$LINES" "$ENDURANCE"
 
 echo "== resume must be byte-identical"
 "$tmp/tournament" -lines "$LINES" -endurance "$ENDURANCE" -quiet \
     -ckpt "$tmp/ckpt" -resume -out "$tmp/resumed.csv"
 cmp "$out/tournament.csv" "$tmp/resumed.csv" \
     || { echo "FAIL: resumed CSV differs from the fresh run"; exit 1; }
+
+echo "== benchmark geometry: 16384 lines at endurance 100000"
+"$tmp/tournament" -lines 16384 -endurance 100000 -quiet \
+    -out "$out/tournament-16384.csv"
+check_sha "$out/tournament-16384.csv" 16384 100000
 
 echo "== tournament smoke OK"
