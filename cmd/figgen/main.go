@@ -6,7 +6,7 @@
 // Usage:
 //
 //	figgen [-out results] [-stdout] [-full] [-runs N]
-//	       [-workers N] [-resume] [-ckpt DIR] [-cell-timeout D] [-quiet]
+//	       [-workers N] [-resume] [-ckpt DIR] [-quiet]
 //	       [fig11 fig12 fig13 fig14 fig15 fig16 overhead perf adaptive]
 //
 // With no figure arguments, every figure is generated. -full evaluates
@@ -18,7 +18,7 @@
 // experiment runner (internal/runner): cells spread across -workers
 // goroutines with deterministic per-cell seeds (sharded output is
 // bit-identical to sequential), completed cells checkpoint under -ckpt,
-// and an interrupted run (Ctrl-C, timeout, crash) resumes with -resume
+// and an interrupted run (Ctrl-C, crash) resumes with -resume
 // without recomputing finished cells. Progress streams to stderr; the
 // per-cell accounting of the whole invocation lands in
 // <out>/runmeta.json.
@@ -34,7 +34,6 @@ import (
 	"path/filepath"
 	"strings"
 	"syscall"
-	"time"
 
 	"securityrbsg/internal/analytic"
 	"securityrbsg/internal/asciiplot"
@@ -56,7 +55,6 @@ func main() {
 	workers := flag.Int("workers", 0, "worker goroutines for Monte-Carlo grids (0 = NumCPU)")
 	resume := flag.Bool("resume", false, "skip cells already checkpointed under -ckpt")
 	ckptDir := flag.String("ckpt", "results/.checkpoints", "checkpoint directory ('' disables checkpointing)")
-	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell wall-time budget (0 = none); timed-out cells are retriable via -resume")
 	quiet := flag.Bool("quiet", false, "suppress the live progress ticker")
 	flag.Parse()
 
@@ -72,8 +70,7 @@ func main() {
 
 	g := &generator{
 		ctx: ctx, outDir: *outDir, stdout: *toStdout, full: *full, runs: *runs,
-		plot: *plot, workers: *workers, resume: *resume, ckptDir: *ckptDir,
-		cellTimeout: *cellTimeout, quiet: *quiet,
+		plot: *plot, workers: *workers, resume: *resume, ckptDir: *ckptDir, quiet: *quiet,
 	}
 	for _, f := range figs {
 		var err error
@@ -113,18 +110,17 @@ func main() {
 }
 
 type generator struct {
-	ctx         context.Context
-	outDir      string
-	stdout      bool
-	full        bool
-	runs        int
-	plot        bool
-	workers     int
-	resume      bool
-	ckptDir     string
-	cellTimeout time.Duration
-	quiet       bool
-	reports     []*runner.Report
+	ctx     context.Context
+	outDir  string
+	stdout  bool
+	full    bool
+	runs    int
+	plot    bool
+	workers int
+	resume  bool
+	ckptDir string
+	quiet   bool
+	reports []*runner.Report
 }
 
 // scale maps -full onto the experiment geometry.
@@ -140,7 +136,6 @@ func (g *generator) scale() experiments.Scale {
 func (g *generator) runGrid(grid runner.Grid) (*runner.Report, error) {
 	opts := runner.Options{
 		Workers:       g.workers,
-		CellTimeout:   g.cellTimeout,
 		CheckpointDir: g.ckptDir,
 		Resume:        g.resume,
 	}

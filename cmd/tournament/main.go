@@ -9,7 +9,7 @@
 //	           [-schemes a,b,...] [-attacks x,y,...]
 //	           [-out tournament.csv] [-meta runmeta.json]
 //	           [-ckpt DIR] [-resume] [-workers N] [-cell-workers N]
-//	           [-cell-timeout D] [-quiet]
+//	           [-quiet]
 //	tournament -list
 //
 // The matrix is whatever the plugin registry holds (internal/registry,
@@ -41,7 +41,6 @@ import (
 	"strings"
 	"syscall"
 	"text/tabwriter"
-	"time"
 
 	"securityrbsg/internal/experiments"
 	"securityrbsg/internal/registry"
@@ -62,7 +61,6 @@ func main() {
 	resume := flag.Bool("resume", false, "reuse matching checkpoints from -ckpt")
 	workers := flag.Int("workers", 0, "concurrent cells (0 = NumCPU)")
 	cellWorkers := flag.Int("cell-workers", 1, "accelerator goroutines inside one cell")
-	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell wall-time bound (0 = none)")
 	quiet := flag.Bool("quiet", false, "suppress the progress ticker")
 	list := flag.Bool("list", false, "list registered schemes, attacks and the playable matrix")
 	flag.Parse()
@@ -78,7 +76,7 @@ func main() {
 			CellWorkers: *cellWorkers,
 		},
 		out: *out, meta: *meta, ckpt: *ckpt, resume: *resume,
-		workers: *workers, cellTimeout: *cellTimeout, quiet: *quiet,
+		workers: *workers, quiet: *quiet,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "tournament:", err)
 		os.Exit(1)
@@ -86,13 +84,12 @@ func main() {
 }
 
 type tournamentOptions struct {
-	cfg         experiments.TournamentConfig
-	out, meta   string
-	ckpt        string
-	resume      bool
-	workers     int
-	cellTimeout time.Duration
-	quiet       bool
+	cfg       experiments.TournamentConfig
+	out, meta string
+	ckpt      string
+	resume    bool
+	workers   int
+	quiet     bool
 }
 
 func run(o tournamentOptions) error {
@@ -104,7 +101,6 @@ func run(o tournamentOptions) error {
 	defer stop()
 	opts := runner.Options{
 		Workers:       o.workers,
-		CellTimeout:   o.cellTimeout,
 		CheckpointDir: o.ckpt,
 		Resume:        o.resume,
 		MetaPath:      o.meta,

@@ -22,11 +22,10 @@
 //   - Packages are processed in dependency order, so a pass may read
 //     facts exported by its imports in the same run.
 //
-// There are two loaders, one per driver protocol. Load runs `go list
-// -export -deps` over a module; it serves `rbsglint ./...` and the
-// analysistest fixtures, whose roots are modules of their own.
-// LoadFiles type-checks the one compilation a `go vet -vettool` config
-// describes.
+// One loader, Load, runs `go list -export -deps` over a module and
+// type-checks every in-module package it reaches in one process. It
+// serves `rbsglint ./...` and the analysistest fixtures, whose roots
+// are modules of their own.
 package analysis
 
 import (
@@ -44,10 +43,9 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of the contract it enforces.
 	Doc string
-	// FactTypes lists the fact types the analyzer may export; each must
-	// also be registered with RegisterFact. Analyzers with fact types
-	// run over facts-only packages (dependencies of the analysis
-	// targets) so their facts are available to dependents.
+	// FactTypes lists the fact types the analyzer may export. Analyzers
+	// with fact types run over facts-only packages (dependencies of the
+	// analysis targets) so their facts are available to dependents.
 	FactTypes []Fact
 	// Run reports diagnostics for one package through the pass.
 	Run func(*Pass) error
@@ -61,7 +59,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	facts *Facts
+	facts Facts
 	dirs  directiveSet
 	diags []Diagnostic
 }
@@ -113,28 +111,21 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 	return nil
 }
 
-// Run applies every analyzer to every package with a fresh fact store.
-// See RunFacts.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunFacts(pkgs, analyzers, NewFacts())
-}
-
-// RunFacts applies every analyzer to every package, resolves allow
+// Run applies every analyzer to every package, resolves allow
 // directives, and returns the surviving diagnostics sorted by position.
-// Packages must arrive in dependency order (imports before importers)
-// so facts flow forward; facts may be pre-seeded (the vet protocol's
-// .vetx files) through the store. Facts-only packages contribute facts
-// but no diagnostics. Framework findings — malformed directives, and
-// directives naming analyzers absent from the running suite (stale
-// suppressions) — are included and cannot be suppressed.
-func RunFacts(pkgs []*Package, analyzers []*Analyzer, facts *Facts) ([]Diagnostic, error) {
+// Packages must arrive in dependency order (imports before importers,
+// as Load returns them) so facts flow forward. facts is the run's
+// store: the caller passes it empty and may read it afterwards.
+// Facts-only packages contribute facts but no diagnostics. Framework findings — malformed
+// directives, and directives naming analyzers absent from the running
+// suite (stale suppressions) — are included and cannot be suppressed.
+func Run(pkgs []*Package, analyzers []*Analyzer, facts Facts) ([]Diagnostic, error) {
 	known := map[string]bool{}
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
 	var out []Diagnostic
 	for _, pkg := range pkgs {
-		facts.addPackage(pkg.Path)
 		dirs, uses, malformed := parseDirectives(pkg.Fset, pkg.Files)
 		if !pkg.FactsOnly {
 			out = append(out, malformed...)

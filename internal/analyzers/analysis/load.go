@@ -24,9 +24,9 @@ type Package struct {
 	Files     []*ast.File
 	Types     *types.Package
 	TypesInfo *types.Info
-	// FactsOnly marks a dependency loaded solely so fact-producing
-	// analyzers can observe it: it contributes facts to the store but
-	// no diagnostics (mirroring the vet protocol's VetxOnly mode).
+	// FactsOnly marks an in-module dependency that no pattern named,
+	// loaded so fact-producing analyzers can observe it: it contributes
+	// facts to the store but no diagnostics.
 	FactsOnly bool
 }
 
@@ -70,24 +70,12 @@ func goList(dir string, patterns []string) ([]listedPackage, error) {
 	return pkgs, nil
 }
 
-// exportImporter returns a types importer that resolves import paths
-// through compiled export data files (import path → file).
-func exportImporter(fset *token.FileSet, exports func(path string) (string, bool)) types.Importer {
-	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := exports(path)
-		if !ok || file == "" {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-}
-
-// typecheck parses the named files and type-checks them as the package
-// importPath, resolving imports through imp.
-func typecheck(fset *token.FileSet, imp types.Importer, importPath, dir string, goFiles []string) (*Package, error) {
+// typecheck parses the package's listed files and type-checks them,
+// resolving imports through imp.
+func typecheck(fset *token.FileSet, imp types.Importer, p listedPackage) (*Package, error) {
 	var files []*ast.File
-	for _, name := range goFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+	for _, name := range p.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
@@ -101,11 +89,14 @@ func typecheck(fset *token.FileSet, imp types.Importer, importPath, dir string, 
 		Implicits:  map[ast.Node]types.Object{},
 	}
 	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(importPath, fset, files, info)
+	tpkg, err := conf.Check(p.ImportPath, fset, files, info)
 	if err != nil {
 		return nil, err
 	}
-	return &Package{Path: importPath, Dir: dir, Fset: fset, Files: files, Types: tpkg, TypesInfo: info}, nil
+	return &Package{
+		Path: p.ImportPath, Dir: p.Dir, Fset: fset, Files: files,
+		Types: tpkg, TypesInfo: info, FactsOnly: p.DepOnly,
+	}, nil
 }
 
 // Load type-checks the non-test compilation of every package matched by
@@ -138,35 +129,23 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 
 	fset := token.NewFileSet()
-	imp := exportImporter(fset, func(path string) (string, bool) {
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := exports[path]
-		return file, ok
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
 	})
 	var out []*Package
 	for _, p := range listed {
 		if p.Standard || len(p.GoFiles) == 0 {
 			continue
 		}
-		files := make([]string, len(p.GoFiles))
-		for i, name := range p.GoFiles {
-			files[i] = filepath.Join(p.Dir, name)
-		}
-		pkg, err := typecheck(fset, imp, p.ImportPath, p.Dir, files)
+		pkg, err := typecheck(fset, imp, p)
 		if err != nil {
 			return nil, fmt.Errorf("typecheck %s: %w", p.ImportPath, err)
 		}
-		pkg.FactsOnly = p.DepOnly
 		out = append(out, pkg)
 	}
 	return out, nil
-}
-
-// LoadFiles type-checks a single compilation from an explicit file
-// list, resolving every import through the exports lookup (import path
-// → export data file). This is the loader behind the `go vet -vettool`
-// protocol, where cmd/go has already compiled the dependency graph and
-// hands us the export file of each import.
-func LoadFiles(importPath, dir string, goFiles []string, exports func(path string) (string, bool)) (*Package, error) {
-	fset := token.NewFileSet()
-	return typecheck(fset, exportImporter(fset, exports), importPath, dir, goFiles)
 }

@@ -70,10 +70,15 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgPaths ...string) {
 	if err != nil {
 		t.Fatalf("loading fixtures: %v", err)
 	}
-	facts := analysis.NewFacts()
-	diags, err := analysis.RunFacts(pkgs, []*analysis.Analyzer{a}, facts)
+	facts := analysis.Facts{}
+	diags, err := analysis.Run(pkgs, []*analysis.Analyzer{a}, facts)
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
+	}
+	factStrings := map[analysis.FactKey][]string{}
+	for k, f := range facts {
+		k.Type = "" // wants name the package and object, not the fact type
+		factStrings[k] = append(factStrings[k], fmt.Sprint(f))
 	}
 
 	// Group surviving diagnostics by file:line.
@@ -92,10 +97,6 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgPaths ...string) {
 	for _, pkg := range pkgs {
 		if pkg.FactsOnly {
 			continue
-		}
-		factStrings := map[string][]string{}
-		for _, of := range facts.PackageFacts(pkg.Path) {
-			factStrings[of.Obj] = append(factStrings[of.Obj], fmt.Sprint(of.Fact))
 		}
 		entries, err := os.ReadDir(pkg.Dir)
 		if err != nil {
@@ -117,7 +118,7 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgPaths ...string) {
 				delete(got, k)
 				for _, w := range wants {
 					if w.obj != "" {
-						matchFact(t, path, i+1, factStrings, w)
+						matchFact(t, path, i+1, factStrings[analysis.FactKey{Pkg: pkg.Path, Obj: w.obj}], w)
 						continue
 					}
 					idx := -1
@@ -146,15 +147,14 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgPaths ...string) {
 }
 
 // matchFact checks one fact expectation against the facts recorded for
-// the fixture package owning the annotated line.
-func matchFact(t *testing.T, file string, lineno int, factStrings map[string][]string, w expectation) {
+// the object it names in the fixture package owning the annotated line.
+func matchFact(t *testing.T, file string, lineno int, have []string, w expectation) {
 	t.Helper()
-	for _, s := range factStrings[w.obj] {
+	for _, s := range have {
 		if w.re.MatchString(s) {
 			return
 		}
 	}
-	have := factStrings[w.obj]
 	if len(have) == 0 {
 		t.Errorf("%s:%d: no fact recorded for object %q", file, lineno, w.obj)
 		return

@@ -63,8 +63,6 @@ func (f *AllocProfile) String() string {
 	return "allocates: " + f.Why
 }
 
-func init() { analysis.RegisterFact(&AllocProfile{}) }
-
 // Analyzer is the hotpathalloc pass.
 var Analyzer = &analysis.Analyzer{
 	Name:      "hotpathalloc",
@@ -405,18 +403,14 @@ func collectCall(pass *analysis.Pass, fi *funcInfo, call *ast.CallExpr, add func
 	path := pkg.Path()
 	if path == modulePrefix || strings.HasPrefix(path, modulePrefix+"/") {
 		var prof AllocProfile
-		if pass.ImportObjectFact(fn, &prof) {
-			if !prof.Free {
-				add(call.Pos(), callChainWhy(fn, prof.Why))
-			}
-			return
-		}
-		if pass.SeenPackage(path) {
-			// Analyzed, no profile: a bodyless function.
+		switch {
+		case !pass.ImportObjectFact(fn, &prof):
+			// Load analyzes every in-module dependency first, so no
+			// profile means a bodyless function.
 			add(call.Pos(), fmt.Sprintf("calls %s, which has no alloc profile", calleeNameOf(fn)))
+		case !prof.Free:
+			add(call.Pos(), callChainWhy(fn, prof.Why))
 		}
-		// Package never analyzed (partial vet run): trust it rather
-		// than flagging every cross-package call.
 		return
 	}
 	// Out of module: safe list or deny.

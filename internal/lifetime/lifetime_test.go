@@ -10,6 +10,7 @@ import (
 	"securityrbsg/internal/pcm"
 	"securityrbsg/internal/rbsg"
 	"securityrbsg/internal/secref"
+	"securityrbsg/internal/startgap"
 	"securityrbsg/internal/wear"
 )
 
@@ -88,6 +89,29 @@ func TestRAAOnRBSGMatchesExactSim(t *testing.T) {
 	s := rbsg.MustNew(rbsg.Config{Lines: 256, Regions: 8, Interval: 4, Seed: 1})
 	c := wear.MustNewController(pcm.Config{Endurance: 2000, Timing: pcm.DefaultTiming}, s)
 	res := attack.RAA(c, 3, pcm.Mixed, 0)
+	if !res.Failed {
+		t.Fatal("sim did not fail")
+	}
+	if ratio := model.Writes / float64(res.Writes); ratio < 0.9 || ratio > 1.1 {
+		t.Fatalf("closed form %v writes vs sim %v (ratio %.3f)", model.Writes, res.Writes, ratio)
+	}
+}
+
+// TestRAAOnStartGapMatchesExactSim checks the first-visit regime: at
+// 2^10 lines and ψ = 100 a whole-bank Start-Gap round (102,500 writes)
+// outlasts E = 10^4, so the hammered line dies on its first visit, not
+// after the averaged formula's ≈10^7 writes. The victim address is the
+// registry's raa cell's.
+func TestRAAOnStartGapMatchesExactSim(t *testing.T) {
+	d := lifetime.Device{Lines: 1 << 10, Endurance: 10000, Timing: pcm.DefaultTiming}
+	model := lifetime.RAAOnStartGap(d, 100)
+
+	s, err := startgap.NewSingle(1<<10, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := wear.MustNewController(pcm.Config{Endurance: 10000, Timing: pcm.DefaultTiming}, s)
+	res := attack.RAA(c, 17, pcm.Mixed, 0)
 	if !res.Failed {
 		t.Fatal("sim did not fail")
 	}

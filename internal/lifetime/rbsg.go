@@ -21,12 +21,24 @@ type RBSGParams struct {
 //
 //	wear(T) = T/(n+1) + T/((n+1)·ψ)  ⇒  T_fail = E·(n+1)·ψ/(ψ+1).
 //
+// That average holds while a slot survives one visit, (n+1)·ψ < E. A
+// longer round kills the line on its first visit: on its first slot, or,
+// when the gap reaches it there first (after a uniform share of the
+// round), on the next one. Averaged over the gap's start,
+//
+//	T_fail = E + E²/(2·(n+1)·ψ),  between E and 1.5·E.
+//
 // Demand writes are generic data (SET latency); each gap movement adds a
 // read + SET copy.
 func RAAOnRBSG(d Device, p RBSGParams) Estimate {
 	n := float64(d.Lines) / float64(p.Regions)
 	psi := float64(p.Interval)
-	writes := float64(d.Endurance) * (n + 1) * psi / (psi + 1)
+	e := float64(d.Endurance)
+	round := (n + 1) * psi
+	writes := e * round / (psi + 1)
+	if round >= e {
+		writes = e + e*e/(2*round)
+	}
 	perWrite := float64(d.Timing.SetNs) +
 		float64(d.Timing.ReadNs+d.Timing.SetNs)/psi // amortized movement
 	return Estimate{
@@ -84,6 +96,8 @@ func RTAOnRBSG(d Device, p RBSGParams) Estimate {
 // RAAOnStartGap models RAA against a single whole-bank Start-Gap region
 // (no regioning): the same formula with R = 1 — the configuration whose
 // Line Vulnerability Factor the MICRO'09 paper shows is uselessly large.
+// At paper scale its round, (2^22+1)·ψ writes, outlasts E = 10^8 for any
+// ψ ≥ 24, so the hammered line dies on its first visit.
 func RAAOnStartGap(d Device, interval uint64) Estimate {
 	e := RAAOnRBSG(d, RBSGParams{Regions: 1, Interval: interval})
 	e.Scheme = "start-gap"

@@ -20,9 +20,9 @@
 //     full per-cell accounting is written to Options.MetaPath as
 //     machine-readable JSON.
 //
-// A cell that errors or exceeds Options.CellTimeout is marked failed and
-// retriable rather than aborting the grid: the remaining cells still
-// run, and a later -resume pass retries only the failures.
+// A cell that errors is marked failed and retriable rather than
+// aborting the grid: the remaining cells still run, and a later -resume
+// pass retries only the failures.
 package runner
 
 import (
@@ -57,8 +57,8 @@ type Metrics struct {
 }
 
 // CellFunc evaluates one cell. seed is the cell's deterministic RNG
-// seed; implementations must draw all randomness from it. Long-running
-// cells should honor ctx so per-cell timeouts can reclaim the worker.
+// seed; implementations must draw all randomness from it. ctx is the
+// run's context.
 type CellFunc func(ctx context.Context, cell Cell, seed uint64) (Metrics, error)
 
 // Grid is a declarative experiment grid: a name (which scopes seeds and
@@ -80,8 +80,6 @@ const (
 	StatusResumed Status = "resumed"
 	// StatusFailed: the cell function returned an error; retriable.
 	StatusFailed Status = "failed"
-	// StatusTimeout: the cell exceeded Options.CellTimeout; retriable.
-	StatusTimeout Status = "timeout"
 	// StatusCancelled: the run's context was cancelled before or during
 	// the cell; a -resume rerun picks it up.
 	StatusCancelled Status = "cancelled"
@@ -140,15 +138,10 @@ func (r *Report) FailedErr() error {
 }
 
 // Options configure one grid run. The zero value runs on NumCPU
-// workers with no timeout, no checkpoints, and no telemetry.
+// workers with no checkpoints and no telemetry.
 type Options struct {
 	// Workers caps the worker pool; <= 0 means NumCPU.
 	Workers int
-	// CellTimeout bounds one cell's wall time; 0 disables. A cell that
-	// exceeds it is marked StatusTimeout and the grid continues. The
-	// cell function is handed a context that expires at the deadline;
-	// functions that ignore it leak a goroutine until they return.
-	CellTimeout time.Duration
 	// CheckpointDir is the root directory for per-cell checkpoints
 	// (one subdirectory per grid); "" disables checkpointing.
 	CheckpointDir string
@@ -165,8 +158,8 @@ type Options struct {
 	MetaPath string
 }
 
-// Run executes the grid. Cell-level failures and timeouts are recorded
-// in the Report, not returned; the error return is reserved for grid
+// Run executes the grid. Cell-level failures are recorded in the
+// Report, not returned; the error return is reserved for grid
 // setup problems, checkpoint I/O failures, and context cancellation (in
 // which case the partial Report is still returned).
 func Run(ctx context.Context, g Grid, opts Options) (*Report, error) {
@@ -230,7 +223,7 @@ func Run(ctx context.Context, g Grid, opts Options) (*Report, error) {
 
 		//rbsglint:allow simdeterminism -- per-cell wall time is runtime telemetry; the cell metrics are computed before it is read
 		cellBegin := time.Now()
-		m, err := runCell(ctx, opts.CellTimeout, g.Run, cell, seed)
+		m, err := g.Run(ctx, cell, seed)
 		//rbsglint:allow simdeterminism -- per-cell wall time is runtime telemetry; the cell metrics are computed before it is read
 		res.WallSeconds = time.Since(cellBegin).Seconds()
 		res.Metrics = m
@@ -244,11 +237,6 @@ func Run(ctx context.Context, g Grid, opts Options) (*Report, error) {
 			if store != nil {
 				saveErr = store.save(res)
 			}
-		case errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil:
-			res.Status = StatusTimeout
-			res.Retriable = true
-			res.Error = err.Error()
-			res.Metrics = Metrics{}
 		case ctx.Err() != nil:
 			res.Status = StatusCancelled
 			res.Error = ctx.Err().Error()
@@ -278,7 +266,7 @@ func Run(ctx context.Context, g Grid, opts Options) (*Report, error) {
 			rep.Done++
 		case StatusResumed:
 			rep.Resumed++
-		case StatusFailed, StatusTimeout:
+		case StatusFailed:
 			rep.Failed++
 		case StatusCancelled:
 			rep.Cancelled++
@@ -296,30 +284,4 @@ func Run(ctx context.Context, g Grid, opts Options) (*Report, error) {
 		return rep, err
 	}
 	return rep, ctx.Err()
-}
-
-// runCell evaluates one cell, bounding its wall time when timeout > 0.
-// On timeout the worker moves on; the cell function keeps the expired
-// context and is expected to notice it and return.
-func runCell(ctx context.Context, timeout time.Duration, fn CellFunc, cell Cell, seed uint64) (Metrics, error) {
-	if timeout <= 0 {
-		return fn(ctx, cell, seed)
-	}
-	cctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	type outcome struct {
-		m   Metrics
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		m, err := fn(cctx, cell, seed)
-		ch <- outcome{m, err}
-	}()
-	select {
-	case o := <-ch:
-		return o.m, o.err
-	case <-cctx.Done():
-		return Metrics{}, fmt.Errorf("runner: cell %s: %w", cell.ID, cctx.Err())
-	}
 }

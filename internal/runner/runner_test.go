@@ -120,29 +120,6 @@ func TestCellFailureIsRetriableNotFatal(t *testing.T) {
 	}
 }
 
-func TestCellTimeoutMarksRetriableAndContinues(t *testing.T) {
-	g := syntheticGrid("timeout-test", 6)
-	inner := g.Run
-	g.Run = func(ctx context.Context, c Cell, seed uint64) (Metrics, error) {
-		if c.ID == "cell=002" {
-			<-ctx.Done() // a well-behaved long cell: blocks until the deadline
-			return Metrics{}, ctx.Err()
-		}
-		return inner(ctx, c, seed)
-	}
-	rep, err := Run(context.Background(), g, Options{Workers: 3, CellTimeout: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Done != 5 || rep.Failed != 1 {
-		t.Fatalf("done=%d failed=%d, want 5/1", rep.Done, rep.Failed)
-	}
-	r := rep.Results[2]
-	if r.Status != StatusTimeout || !r.Retriable {
-		t.Fatalf("cell 2: %+v", r)
-	}
-}
-
 func TestCancelledRunReturnsPartialReport(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{}, 1)

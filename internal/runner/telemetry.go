@@ -74,7 +74,7 @@ func (t *tracker) observe(res CellResult) {
 		t.cellSecs += res.WallSeconds
 	case StatusResumed:
 		t.resumed++
-	case StatusFailed, StatusTimeout:
+	case StatusFailed:
 		t.failed++
 	case StatusCancelled:
 		t.cancelled++
