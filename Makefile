@@ -54,9 +54,12 @@ race:
 
 # Second race pass: the exact tier's parallel sub-region sweep kernel,
 # sharded across up to 64 goroutines — the shape most likely to surface
-# a pcm.Shard ownership race. Mirrors the CI race job's second step.
+# a pcm.Shard ownership race — and two shards split at an odd line, as
+# the kernel splits a bank, written at once: adjacent shards' boundary
+# lines must not share memory. Mirrors the CI race job's second step.
 race-sweep:
 	$(GO) test -race -run 'TestParallelSweep' ./internal/exactsim/
+	$(GO) test -race -run '^TestShardsSplitAtOddBoundary$$' ./internal/pcm/
 
 # Fuzz every Fuzz* target for FUZZTIME (default 10s) each; plain
 # `go test` only replays their seed corpora. A crasher lands in the

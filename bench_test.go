@@ -39,7 +39,7 @@ import (
 // Fig 4 on the live device model: Start-Gap moves at 250/1125 ns and
 // Security Refresh swaps at 500/1375/2250 ns.
 func BenchmarkFig4_RemapLatency(b *testing.B) {
-	bank := pcm.MustNewBank(pcm.Config{Lines: 4, Endurance: 1 << 40})
+	bank := pcm.MustNewBank(pcm.Config{Lines: 4, Endurance: pcm.MaxEndurance})
 	var move0, move1, swap00, swap01, swap11 uint64
 	for i := 0; i < b.N; i++ {
 		bank.Write(0, pcm.Zeros)
@@ -325,7 +325,7 @@ func BenchmarkControllerWrite(b *testing.B) {
 		OuterInterval: 128, Stages: 7, Seed: 1,
 	})
 	c := wear.MustNewController(pcm.Config{
-		Endurance: 1 << 40, Timing: pcm.DefaultTiming,
+		Endurance: pcm.MaxEndurance, Timing: pcm.DefaultTiming,
 	}, s)
 	for i := 0; i < b.N; i++ {
 		c.Write(uint64(i)&(1<<16-1), pcm.Mixed)
@@ -415,7 +415,7 @@ func BenchmarkLifetimeRAAScaled(b *testing.B) {
 // in O(1). A regression here means WriteN lost its constant-time path.
 func BenchmarkBankWriteN(b *testing.B) {
 	bank := pcm.MustNewBank(pcm.Config{
-		Lines: 1 << 10, Endurance: 1 << 40, Timing: pcm.DefaultTiming,
+		Lines: 1 << 10, Endurance: pcm.MaxEndurance, Timing: pcm.DefaultTiming,
 	})
 	for i := 0; i < b.N; i++ {
 		bank.WriteN(uint64(i)&(1<<10-1), pcm.Mixed, 1000)
@@ -514,7 +514,7 @@ func BenchmarkAblation_MigrationSpareWear(b *testing.B) {
 			OuterInterval: 5, Stages: 7, Migration: core.MigrationMove, Seed: 15,
 		})
 		c := wear.MustNewController(pcm.Config{
-			Endurance: 1 << 30, Timing: pcm.DefaultTiming,
+			Endurance: pcm.MaxEndurance, Timing: pcm.DefaultTiming,
 		}, s)
 		for s.Rounds() < 10 {
 			c.Write(0, pcm.Mixed)

@@ -120,7 +120,7 @@ func staticCell(stages int, seed uint64) (runner.Metrics, error) {
 		return runner.Metrics{}, err
 	}
 	ctrl := wear.MustNewController(pcm.Config{
-		Endurance: 1 << 30, Timing: pcm.DefaultTiming,
+		Endurance: pcm.MaxEndurance, Timing: pcm.DefaultTiming,
 	}, s)
 	rng := stats.NewRNG(seed)
 	lat := make([]float64, benignWrites)
@@ -158,7 +158,7 @@ func adaptiveCell(policy string, seed uint64) (runner.Metrics, error) {
 		return runner.Metrics{}, err
 	}
 	ctrl := wear.MustNewController(pcm.Config{
-		Endurance: 1 << 30, Timing: pcm.DefaultTiming,
+		Endurance: pcm.MaxEndurance, Timing: pcm.DefaultTiming,
 	}, a)
 	rng := stats.NewRNG(seed)
 	maxLevel := a.Level()

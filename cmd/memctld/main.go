@@ -34,6 +34,7 @@ import (
 
 	"securityrbsg/internal/detector"
 	"securityrbsg/internal/memserver"
+	"securityrbsg/internal/pcm"
 	"securityrbsg/internal/seclevel"
 )
 
@@ -49,7 +50,7 @@ func main() {
 	interval := flag.Uint64("interval", 100, "remapping interval ψ")
 	stages := flag.Int("stages", 7, "DFN stages (srbsg)")
 	seed := flag.Uint64("seed", 1, "key seed (bank i uses seed+i)")
-	endurance := flag.Uint64("endurance", 1<<30, "per-line endurance")
+	endurance := flag.Uint64("endurance", pcm.MaxEndurance, "per-line endurance, 1 to 2^30−2 (default: the maximum)")
 	queue := flag.Int("queue", 256, "per-bank queue depth: runs admitted and not yet started")
 	detWindow := flag.Uint64("detector-window", 0, "detector observation window in writes (0 = default)")
 	detBoost := flag.Uint64("detector-boost", 0, "detector remapping-rate boost (0 = default)")

@@ -33,7 +33,7 @@ func main() {
 	inner := flag.Uint64("inner", 8, "inner remapping interval")
 	outer := flag.Uint64("outer", 16, "outer remapping interval")
 	stages := flag.Int("stages", 7, "DFN stages (security-rbsg)")
-	endurance := flag.Uint64("endurance", 1<<30, "per-line endurance")
+	endurance := flag.Uint64("endurance", pcm.MaxEndurance, "per-line endurance, 1 to 2^30−2 (default: the maximum)")
 	seed := flag.Uint64("seed", 1, "key seed")
 	flag.Parse()
 
@@ -79,7 +79,7 @@ func main() {
 	}
 	fmt.Println()
 	fmt.Printf("wear uniformity error: %.4f (0 = perfectly even)\n",
-		stats.UniformityError(ctrl.Bank().WearCounts()))
+		stats.UniformityError(ctrl.Bank().WearSnapshot(nil)))
 	fmt.Printf("energy: %.1f µJ\n", cs.EnergyMicrojoules)
 	if st.Failed {
 		fmt.Printf("DEVICE FAILED at physical line %d\n", st.FailedPA)

@@ -45,7 +45,7 @@ func TestRAAAgainstRBSGMatchesClosedForm(t *testing.T) {
 }
 
 func TestRAAMaxWritesBound(t *testing.T) {
-	c := wear.MustNewController(bankCfg(1<<30), wear.NewPassthrough(8))
+	c := wear.MustNewController(bankCfg(pcm.MaxEndurance), wear.NewPassthrough(8))
 	res := RAA(c, 0, pcm.Mixed, 500)
 	if res.Failed || res.Writes != 500 {
 		t.Fatalf("bounded RAA: %+v", res)
@@ -324,7 +324,7 @@ func TestRTAWriteNZeroAlloc(t *testing.T) {
 		}
 	}
 	t.Run("rbsg", func(t *testing.T) {
-		c := wear.MustNewController(bankCfg(1<<40),
+		c := wear.MustNewController(bankCfg(pcm.MaxEndurance),
 			rbsg.MustNew(rbsg.Config{Lines: lines, Regions: regions, Interval: interval, Seed: 3}))
 		a := &RTARBSG{
 			Target: c, Lines: lines, Regions: regions, Interval: interval, Li: 17,
@@ -339,7 +339,7 @@ func TestRTAWriteNZeroAlloc(t *testing.T) {
 		})
 	})
 	t.Run("sr", func(t *testing.T) {
-		c := wear.MustNewController(bankCfg(1<<40), secref.MustNewOneLevel(lines, interval, 0, nil))
+		c := wear.MustNewController(bankCfg(pcm.MaxEndurance), secref.MustNewOneLevel(lines, interval, 0, nil))
 		a := &RTASR{
 			Target: c, Lines: lines, Interval: interval, Li: 17,
 			Oracle: func() bool { return c.Bank().Failed() },
@@ -356,7 +356,7 @@ func TestRTAWriteNZeroAlloc(t *testing.T) {
 		s := secref.MustNewTwoLevel(secref.TwoLevelConfig{
 			Lines: lines, Regions: regions, InnerInterval: interval / 4, OuterInterval: interval, Seed: 3,
 		})
-		c := wear.MustNewController(bankCfg(1<<40), s)
+		c := wear.MustNewController(bankCfg(pcm.MaxEndurance), s)
 		a := &RTATwoLevelSRExact{
 			Target: c, Lines: lines, Regions: regions,
 			InnerInterval: interval / 4, OuterInterval: interval,

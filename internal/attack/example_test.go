@@ -59,7 +59,7 @@ func ExampleSweepZeros() {
 		panic(err)
 	}
 	ctrl := wear.MustNewController(pcm.Config{
-		Endurance: 1 << 30, Timing: pcm.DefaultTiming,
+		Endurance: pcm.MaxEndurance, Timing: pcm.DefaultTiming,
 	}, scheme)
 
 	fmt.Println("1. The device asymmetry (Fig 1 / Section II-C):")

@@ -62,7 +62,7 @@ func ExampleScheme_Translate() {
 		Stages: 7, Seed: 3,
 	})
 	ctrl := wear.MustNewController(pcm.Config{
-		Endurance: 1 << 30,
+		Endurance: pcm.MaxEndurance,
 	}, scheme)
 
 	before := scheme.Translate(7)

@@ -47,6 +47,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"securityrbsg/internal/feistel"
 	"securityrbsg/internal/startgap"
@@ -132,8 +133,12 @@ const noBufLA = ^uint64(0)
 // Scheme is a Security RBSG instance implementing wear.Scheme.
 type Scheme struct {
 	cfg       Config
-	perRegion uint64 // inner lines per sub-region n' = N/R
-	sparePA   uint64 // physical address of the outer spare line
+	perRegion uint64 // inner lines per sub-region n' = N/R, a power of two
+	// Its shift and mask split an intermediate address into its
+	// sub-region, ia>>regionShift, and its offset there, ia&regionMask.
+	regionShift uint
+	regionMask  uint64
+	sparePA     uint64 // physical address of the outer spare line
 
 	kc, kp feistel.Permutation
 	rng    *stats.RNG
@@ -189,37 +194,37 @@ func New(cfg Config) (*Scheme, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	bits := uint(0)
-	for v := cfg.Lines; v > 1; v >>= 1 {
-		bits++
-	}
+	addrBits := uint(bits.TrailingZeros64(cfg.Lines)) // Lines is a power of two
+	per := cfg.Lines / cfg.Regions                    // so is per, which divides it
 	s := &Scheme{
-		cfg:       cfg,
-		perRegion: cfg.Lines / cfg.Regions,
-		sparePA:   cfg.Regions * (cfg.Lines/cfg.Regions + 1),
-		rng:       stats.NewRNG(cfg.Seed),
-		isRemap:   make([]uint64, (cfg.Lines+63)/64),
-		bufLA:     noBufLA,
-		dispLA:    noBufLA,
-		memoLA:    noBufLA,
-		gap:       cfg.Lines,
+		cfg:         cfg,
+		perRegion:   per,
+		regionShift: uint(bits.TrailingZeros64(per)),
+		regionMask:  per - 1,
+		sparePA:     cfg.Regions * (per + 1),
+		rng:         stats.NewRNG(cfg.Seed),
+		isRemap:     make([]uint64, (cfg.Lines+63)/64),
+		bufLA:       noBufLA,
+		dispLA:      noBufLA,
+		memoLA:      noBufLA,
+		gap:         cfg.Lines,
 	}
 	// Odd address widths run a one-bit-wider network under cycle walking.
-	width := bits + bits%2
+	width := addrBits + addrBits%2
 	for i := range s.nets {
 		n, err := feistel.New(width, make([]uint64, cfg.Stages))
 		if err != nil {
 			return nil, err
 		}
 		s.nets[i], s.perms[i] = n, n
-		if bits%2 != 0 {
-			// Cannot fail: Lines = 2^bits < 2^width.
+		if addrBits%2 != 0 {
+			// Cannot fail: Lines = 2^addrBits < 2^width.
 			s.perms[i] = feistel.MustNewWalker(n, cfg.Lines)
 		}
 	}
 	s.nets[0].RekeyRandom(s.rng) // the draws a fresh construction makes
 	s.kc = s.perms[0]
-	if !cfg.NoTableCache && bits <= feistel.MaxTableBits {
+	if !cfg.NoTableCache && addrBits <= feistel.MaxTableBits {
 		s.tables[0] = feistel.MustNewTable(s.perms[0])
 		s.kc = s.tables[0]
 	}
@@ -389,7 +394,7 @@ func (s *Scheme) translateIA(ia uint64) uint64 {
 	if ia == s.cfg.Lines {
 		return s.sparePA
 	}
-	return s.regions[ia/s.perRegion].Translate(ia % s.perRegion)
+	return s.regions[ia>>s.regionShift].Translate(ia & s.regionMask)
 }
 
 // Translate maps a logical address to its current physical line. It
@@ -416,7 +421,7 @@ func (s *Scheme) Epoch(la uint64) (pa, k uint64) {
 	if ia == s.cfg.Lines {
 		return s.sparePA, k
 	}
-	pa, inner := s.regions[ia/s.perRegion].Epoch(ia % s.perRegion)
+	pa, inner := s.regions[ia>>s.regionShift].Epoch(ia & s.regionMask)
 	return pa, min(k, inner)
 }
 
@@ -430,7 +435,7 @@ func (s *Scheme) Advance(la, k uint64, m wear.Mover) uint64 {
 	}
 	var ns uint64
 	if ia := s.Intermediate(la); ia != s.cfg.Lines { // writes to the parked line don't tick a region
-		ns = s.regions[ia/s.perRegion].Advance(k, m)
+		ns = s.regions[ia>>s.regionShift].Advance(k, m)
 	}
 	s.writeCount += k
 	if s.writeCount == s.cfg.OuterInterval {

@@ -228,7 +228,7 @@ func TestSpareHotspotUnderMigrationMove(t *testing.T) {
 		OuterInterval: 5, Stages: 4, Migration: MigrationMove, Seed: 15,
 	})
 	c := wear.MustNewController(pcm.Config{
-		Endurance: 1 << 30, Timing: pcm.DefaultTiming,
+		Endurance: pcm.MaxEndurance, Timing: pcm.DefaultTiming,
 	}, s)
 	for s.Rounds() < 10 {
 		c.Write(0, pcm.Mixed)

@@ -31,7 +31,7 @@ func newTwinPair(t *testing.T, lines, regions uint64, migration Migration) (a, b
 	t.Helper()
 	cfgA, cfgB := twinConfigs(lines, regions, migration)
 	a, b = MustNew(cfgA), MustNew(cfgB)
-	bank := pcm.Config{Endurance: 1 << 30, Timing: pcm.DefaultTiming}
+	bank := pcm.Config{Endurance: pcm.MaxEndurance, Timing: pcm.DefaultTiming}
 	return a, b, wear.MustNewController(bank, a), wear.MustNewController(bank, b)
 }
 
@@ -97,7 +97,7 @@ func TestRedrawNeverServesStaleTable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := MustNew(tc.cfg)
 			c := wear.MustNewController(pcm.Config{
-				Endurance: 1 << 30, Timing: pcm.DefaultTiming,
+				Endurance: pcm.MaxEndurance, Timing: pcm.DefaultTiming,
 			}, s)
 
 			// snapshot lists p's forward mapping, then its inverse.
@@ -170,7 +170,7 @@ func TestIntermediateMemoMatchesRecomputation(t *testing.T) {
 					Stages: 7, Migration: mig, Seed: 41, NoTableCache: noTable,
 				})
 				c := wear.MustNewController(pcm.Config{
-					Endurance: 1 << 30, Timing: pcm.DefaultTiming,
+					Endurance: pcm.MaxEndurance, Timing: pcm.DefaultTiming,
 				}, s)
 				check := func(step int, la uint64) {
 					t.Helper()
@@ -228,7 +228,7 @@ func TestRoundStartsZeroAlloc(t *testing.T) {
 					Stages: 7, Seed: 5, NoTableCache: noTable,
 				})
 				c := wear.MustNewController(pcm.Config{
-					Endurance: 1 << 40, Timing: pcm.DefaultTiming,
+					Endurance: pcm.MaxEndurance, Timing: pcm.DefaultTiming,
 				}, s)
 				var la uint64
 				rounds := s.Rounds()

@@ -222,22 +222,27 @@ func (t *FastTarget) Sweep(bit int) (writes, ns uint64, ok bool) {
 
 // sweepWorker executes the sweep's writes for regions [rLo, rHi), each
 // region in the naive pass's ascending-address order, driving the bank
-// exclusively through the worker's own shard.
+// exclusively through the worker's own shard. It counts movements in
+// locals and stores them once: the workers' result slots are adjacent
+// words of one array.
 //
 //rbsglint:hotpath
 func (t *FastTarget) sweepWorker(wg *sync.WaitGroup, shard *pcm.Shard, rLo, rHi uint64, bit int, events, moveNs *uint64) {
 	defer wg.Done()
 	per := t.rb.LinesPerRegion()
+	mask := per - 1 // per is a power of two: RBSG's lines are, and its regions divide them
+	var ev, mNs uint64
 	for r := rLo; r < rHi; r++ {
 		reg := t.rb.Region(int(r))
 		for _, la32 := range t.buckets[r*per : (r+1)*per] {
 			la := uint64(la32)
 			ia := t.rb.Intermediate(la)
-			shard.Write(reg.Translate(ia%per), sweepContent(la, bit))
+			shard.Write(reg.Translate(ia&mask), sweepContent(la, bit))
 			if ns := reg.Advance(1, shard); ns > 0 {
-				*events++
-				*moveNs += ns
+				ev++
+				mNs += ns
 			}
 		}
 	}
+	*events, *moveNs = ev, mNs
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func bankCfg() pcm.Config {
-	return pcm.Config{Endurance: 1 << 30, Timing: pcm.DefaultTiming}
+	return pcm.Config{Endurance: pcm.MaxEndurance, Timing: pcm.DefaultTiming}
 }
 
 func srbsgFactory(bank int, lines uint64) (wear.Scheme, error) {

@@ -71,7 +71,7 @@ type bankState struct {
 	sinceSnap, sinceWear uint64 // executor-private: ops since the last publish and wear refresh
 	setWrites            uint64 // executor-private running split
 	resetWrites          uint64
-	wearSel              wearSelect // percentile scratch, executor-private
+	wearSel              pcm.WearSelect // percentile scratch, executor-private
 
 	queued   atomic.Int64  // runs admitted and not yet started, at most Config.QueueDepth
 	rejected atomic.Uint64 // runs refused at admission
@@ -180,8 +180,8 @@ func (b *bankState) publish(refreshWear bool) {
 	}
 	if refreshWear {
 		// publish runs on the bank's executor between runs, so it may
-		// read the live wear array; the selection never writes it.
-		s.WearP50, s.WearP90, s.WearP99 = b.wearSel.quantiles(b.ctrl.Bank().WearCounts(), uint32(s.Stats.MaxWear))
+		// read the live line words; the selection never writes them.
+		s.WearP50, s.WearP90, s.WearP99 = b.wearSel.Quantiles(b.ctrl.Bank())
 	} else {
 		prev := b.snap.Load() // newBankState's full publish makes this non-nil
 		s.WearP50, s.WearP90, s.WearP99 = prev.WearP50, prev.WearP90, prev.WearP99

@@ -75,8 +75,9 @@ type Config struct {
 	// Seed seeds per-bank key generation; bank i uses Seed+i so no two
 	// banks share randomizer keys.
 	Seed uint64
-	// Endurance is per-line write endurance (default 2^30 so a demo
-	// server does not wear out mid-run; lower it to study failures).
+	// Endurance is per-line write endurance, at most pcm.MaxEndurance
+	// (the default, 2^30 − 2, so a demo server does not wear out mid-run;
+	// lower it to study failures).
 	Endurance uint64
 	// QueueDepth bounds each bank's admission: the runs (one per batch
 	// touching the bank) admitted and not yet started by the bank's
@@ -129,7 +130,7 @@ func (c *Config) normalize() error {
 		c.Stages = 7
 	}
 	if c.Endurance == 0 {
-		c.Endurance = 1 << 30
+		c.Endurance = pcm.MaxEndurance
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256

@@ -11,9 +11,17 @@
 //     the side channel the Remapping Timing Attack measures.
 //
 //   - Limited endurance. Each line tolerates a bounded number of writes
-//     (10^8 by default) after which it becomes a stuck-at hard fault. The
-//     bank records the elapsed device time at the first failure, which is
-//     the "lifetime" every experiment in the paper reports.
+//     (the paper assumes 10^8) after which it becomes a stuck-at hard
+//     fault. The bank records the elapsed device time at the first
+//     failure, which is the "lifetime" every experiment in the paper
+//     reports.
+//
+// A line's state is one uint32 word: its wear in the upper 30 bits and
+// its content class in the lower two. A write reads and writes that one
+// word, so a bank of n lines holds 4n bytes, and the 30-bit field bounds
+// the endurance a bank accepts (MaxEndurance). Only this package decodes
+// a word: other packages read wear through Wear, WearSnapshot, MaxWear
+// and WearSelect.
 //
 // The bank knows nothing about wear leveling: it is addressed purely by
 // physical line number. Address translation lives in the scheme packages
@@ -82,6 +90,22 @@ func (t Timing) WriteNs(c Content) uint64 {
 	return t.SetNs
 }
 
+// The line word: wear<<contentBits | content.
+const (
+	contentBits = 2
+	contentMask = 1<<contentBits - 1
+	// wearMax is the wear field's largest value. Wear saturates there
+	// instead of wrapping; only writes to a failed line can reach it.
+	wearMax = 1<<(32-contentBits) - 1
+)
+
+// MaxEndurance is the largest endurance a bank accepts, 2^30 − 2: the
+// write that fails a line takes its wear to endurance + 1, which the
+// 30-bit wear field must still hold exactly. Demos and benchmarks that
+// want lines that never fail pass it; a line then fails only after more
+// than 10^9 writes.
+const MaxEndurance = wearMax - 1
+
 // Config describes a PCM bank.
 type Config struct {
 	// Lines is the number of physical memory lines in the bank. This must
@@ -89,7 +113,7 @@ type Config struct {
 	// wear-leveling scheme needs.
 	Lines uint64
 	// Endurance is the number of writes a line tolerates before it becomes
-	// a stuck-at fault. The paper assumes 10^8.
+	// a stuck-at fault: 1 to MaxEndurance. The paper assumes 10^8.
 	Endurance uint64
 	// Timing holds the device latencies; zero value means DefaultTiming.
 	Timing Timing
@@ -101,6 +125,9 @@ func (c *Config) normalize() error {
 	}
 	if c.Endurance == 0 {
 		return errors.New("pcm: endurance must be positive")
+	}
+	if c.Endurance > MaxEndurance {
+		return fmt.Errorf("pcm: endurance %d exceeds the maximum %d (pcm.MaxEndurance)", c.Endurance, uint64(MaxEndurance))
 	}
 	if c.Timing == (Timing{}) {
 		c.Timing = DefaultTiming
@@ -116,9 +143,8 @@ var ErrBadAddress = errors.New("pcm: physical address out of range")
 // It is not safe for concurrent use; the experiments shard work by running
 // one bank per goroutine.
 type Bank struct {
-	cfg     Config
-	wear    []uint32
-	content []Content
+	cfg   Config
+	lines []uint32 // one word per line: wear<<contentBits | content
 
 	failedLines uint64 // number of lines past endurance
 	firstFailPA uint64
@@ -142,7 +168,27 @@ type Bank struct {
 	// (memctld's executors, the tournament's workers). Unpadded, the
 	// two-worker tournament ran slower with a long tail (DESIGN.md,
 	// "Performance engineering"). TestBankFillsCacheLines checks the size.
-	_ [24]byte
+	_ [48]byte
+}
+
+// wearWrite applies one write of c under endurance e to a line's word
+// and returns the line's new wear and whether this write is the one that
+// fails the line. A live line stores c; a failed line keeps its content
+// (the stuck-at fault) while its wear keeps counting, saturating at
+// wearMax. Only the two class bits of c are stored, so no Content value
+// reaches the wear.
+func wearWrite(line *uint32, c Content, e uint64) (wear uint32, fails bool) {
+	w := *line >> contentBits
+	if uint64(w) < e {
+		*line = (w+1)<<contentBits | uint32(c)&contentMask
+		return w + 1, false
+	}
+	fails = uint64(w) == e
+	if w < wearMax {
+		w++
+		*line += 1 << contentBits
+	}
+	return w, fails
 }
 
 // noteWear folds one line's new wear value into the running maximum,
@@ -162,11 +208,7 @@ func NewBank(cfg Config) (*Bank, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	return &Bank{
-		cfg:     cfg,
-		wear:    make([]uint32, cfg.Lines),
-		content: make([]Content, cfg.Lines),
-	}, nil
+	return &Bank{cfg: cfg, lines: make([]uint32, cfg.Lines)}, nil
 }
 
 // MustNewBank is NewBank that panics on config errors; for tests and
@@ -197,14 +239,14 @@ func (b *Bank) Read(pa uint64) (Content, uint64) {
 	b.check(pa)
 	b.totalReads++
 	b.elapsedNs += b.cfg.Timing.ReadNs
-	return b.content[pa], b.cfg.Timing.ReadNs
+	return Content(b.lines[pa] & contentMask), b.cfg.Timing.ReadNs
 }
 
 // Peek returns the content of line pa without advancing time or counters;
 // for assertions and data-movement bookkeeping.
 func (b *Bank) Peek(pa uint64) Content {
 	b.check(pa)
-	return b.content[pa]
+	return Content(b.lines[pa] & contentMask)
 }
 
 // Write stores content c into line pa, wears the line, and advances device
@@ -219,22 +261,16 @@ func (b *Bank) Write(pa uint64, c Content) uint64 {
 		b.resetWrites++
 	}
 	b.elapsedNs += ns
-	w := uint64(b.wear[pa]) + 1
-	b.wear[pa] = uint32(w)
-	b.noteWear(pa, uint32(w))
-	endurance := b.cfg.Endurance
-	if w > endurance {
-		if w == endurance+1 {
-			b.failedLines++
-			if !b.failed {
-				b.failed = true
-				b.firstFailPA = pa
-				b.firstFailNs = b.elapsedNs
-			}
+	w, fails := wearWrite(&b.lines[pa], c, b.cfg.Endurance)
+	b.noteWear(pa, w)
+	if fails {
+		b.failedLines++
+		if !b.failed {
+			b.failed = true
+			b.firstFailPA = pa
+			b.firstFailNs = b.elapsedNs
 		}
-		return ns // stuck-at: content not updated
 	}
-	b.content[pa] = c
 	return ns
 }
 
@@ -247,10 +283,9 @@ func (b *Bank) Write(pa uint64, c Content) uint64 {
 // n·WriteNs(c); if the batch carries the line past its endurance, the
 // crossing write's index is computed arithmetically and the recorded
 // first-failure time is the clock exactly after that write, as the loop
-// would have recorded it. The one representational limit is the uint32
-// wear counter: a single line's lifetime wear must stay below 2^32, which
-// holds for every supported configuration (endurance ≤ 10^8 and callers
-// stop hammering failed lines).
+// would have recorded it. Wear saturates at 2^30 − 1, as in Write; since
+// endurance is at most MaxEndurance, the crossing write's wear always
+// fits and only a failed line's wear can saturate.
 func (b *Bank) WriteN(pa uint64, c Content, n uint64) uint64 {
 	if n == 0 {
 		return 0
@@ -261,12 +296,18 @@ func (b *Bank) WriteN(pa uint64, c Content, n uint64) uint64 {
 	if c == Zeros {
 		b.resetWrites += n
 	}
-	w0 := uint64(b.wear[pa])
-	w1 := w0 + n
-	b.wear[pa] = uint32(w1)
-	b.noteWear(pa, uint32(w1))
-	endurance := b.cfg.Endurance
-	if w0 <= endurance && w1 > endurance {
+	line := &b.lines[pa]
+	w0, endurance := uint64(*line>>contentBits), b.cfg.Endurance
+	content := *line & contentMask
+	if w0 < endurance {
+		// At least one write of the batch landed before the line stuck, and
+		// every successful write stored the same content.
+		content = uint32(c) & contentMask
+	}
+	w1 := uint32(min(w0+n, wearMax))
+	*line = w1<<contentBits | content
+	b.noteWear(pa, w1)
+	if w0 <= endurance && n > endurance-w0 {
 		// The (endurance+1−w0)-th write of this batch is the crossing one.
 		b.failedLines++
 		if !b.failed {
@@ -276,11 +317,6 @@ func (b *Bank) WriteN(pa uint64, c Content, n uint64) uint64 {
 		}
 	}
 	b.elapsedNs += n * ns
-	if w0 < endurance {
-		// At least one write of the batch landed before the line stuck, and
-		// every successful write stored the same content.
-		b.content[pa] = c
-	}
 	return n * ns
 }
 
@@ -306,7 +342,7 @@ func (b *Bank) Swap(x, y uint64) uint64 {
 // Wear returns the write count of line pa.
 func (b *Bank) Wear(pa uint64) uint64 {
 	b.check(pa)
-	return uint64(b.wear[pa])
+	return uint64(b.lines[pa] >> contentBits)
 }
 
 // WritesToFailure returns how many more writes line pa takes up to and
@@ -314,29 +350,27 @@ func (b *Bank) Wear(pa uint64) uint64 {
 // wear past the endurance. It returns 0 once the line has failed.
 func (b *Bank) WritesToFailure(pa uint64) uint64 {
 	b.check(pa)
-	e, w := b.cfg.Endurance, uint64(b.wear[pa])
+	e, w := b.cfg.Endurance, uint64(b.lines[pa]>>contentBits)
 	if w > e {
 		return 0
 	}
 	return e + 1 - w
 }
 
-// WearCounts returns the underlying wear array without copying, because
-// experiment code scans millions of counters.
-//
-// Aliasing hazard: the returned slice IS the bank's live state. It mutates
-// under the caller on every subsequent Write/WriteN/Move/Swap, so it must
-// only be read between operations on the bank's own goroutine and never
-// retained or handed to another goroutine — use WearSnapshot for that.
-func (b *Bank) WearCounts() []uint32 { return b.wear }
-
-// WearSnapshot appends a copy of the wear array to dst (growing it as
-// needed) and returns it. The copy is decoupled from the bank: safe to
-// retain, sort, or read from other goroutines while the bank keeps
-// writing. Pass nil to allocate, or a reused buffer for zero steady-state
-// allocations.
+// WearSnapshot copies every line's wear, indexed by physical address,
+// into dst (growing it as needed) and returns it. The copy is decoupled
+// from the bank: safe to retain, sort, or read from other goroutines
+// while the bank keeps writing. Pass nil to allocate, or a reused buffer
+// for zero steady-state allocations.
 func (b *Bank) WearSnapshot(dst []uint32) []uint32 {
-	return append(dst[:0], b.wear...)
+	if uint64(cap(dst)) < b.cfg.Lines {
+		dst = make([]uint32, b.cfg.Lines)
+	}
+	dst = dst[:b.cfg.Lines]
+	for pa, word := range b.lines {
+		dst[pa] = word >> contentBits
+	}
+	return dst
 }
 
 // MaxWear returns the highest wear of any line and its address (the

@@ -159,6 +159,130 @@ func TestConfigValidation(t *testing.T) {
 	if b.Config().Timing != DefaultTiming {
 		t.Error("timing should default")
 	}
+	if MaxEndurance != 1<<30-2 {
+		t.Errorf("MaxEndurance = %d, want 2^30 − 2", MaxEndurance)
+	}
+	if _, err := NewBank(Config{Lines: 4, Endurance: MaxEndurance}); err != nil {
+		t.Errorf("endurance MaxEndurance: %v", err)
+	}
+	if _, err := NewBank(Config{Lines: 4, Endurance: MaxEndurance + 1}); err == nil {
+		t.Error("endurance MaxEndurance+1 must fail: the failing write's wear would not fit the wear field")
+	}
+}
+
+// TestFailedLineContentSticks: once a line has failed, no write path
+// changes its content — not Write, not WriteN, not a Shard's Write —
+// while its wear keeps counting.
+func TestFailedLineContentSticks(t *testing.T) {
+	b := testBank(4, 3)
+	b.WriteN(1, Mixed, 3)
+	b.Write(1, Zeros) // the failing write: content stays Mixed
+	s := b.Shard(0, 4)
+	for i, write := range []func(){
+		func() { b.Write(1, Ones) },
+		func() { b.WriteN(1, Zeros, 5) },
+		func() { b.WriteN(1, Ones, 1) },
+		func() { s.Write(1, Zeros) },
+		func() { s.Write(1, Ones) },
+	} {
+		before := b.Wear(1)
+		write()
+		if got := b.Peek(1); got != Mixed {
+			t.Fatalf("write path %d changed a failed line's content to %v", i, got)
+		}
+		if b.Wear(1) <= before {
+			t.Fatalf("write path %d: wear %d did not move past %d", i, b.Wear(1), before)
+		}
+	}
+	b.MergeShards(s)
+	if b.FailedLines() != 1 {
+		t.Fatalf("FailedLines = %d, want 1", b.FailedLines())
+	}
+}
+
+// TestFailureAtMaxEndurance: at the largest endurance the failing write
+// (wear MaxEndurance+1, the wear field's top value) is booked exactly
+// once with its exact time, through Write, WriteN and a Shard, and the
+// writes after it book nothing more.
+func TestFailureAtMaxEndurance(t *testing.T) {
+	b := testBank(4, MaxEndurance)
+	b.WriteN(0, Ones, MaxEndurance) // 1000 ns each
+	if b.Failed() || b.WritesToFailure(0) != 1 {
+		t.Fatalf("failed early (%v) or miscounted: %d writes to failure", b.Failed(), b.WritesToFailure(0))
+	}
+	b.Write(0, Zeros)
+	pa, at, ok := b.FirstFailure()
+	if want := uint64(MaxEndurance)*1000 + 125; !ok || pa != 0 || at != want {
+		t.Fatalf("FirstFailure = (%d, %d, %v), want (0, %d, true)", pa, at, ok, want)
+	}
+	b.Write(0, Ones)
+	b.WriteN(0, Ones, 10)
+	if b.FailedLines() != 1 || b.Wear(0) != wearMax {
+		t.Fatalf("after the failure: %d failed lines, wear %d; want 1, %d", b.FailedLines(), b.Wear(0), wearMax)
+	}
+
+	// A batch that crosses: its (MaxEndurance+1)-th write fails line 1.
+	clock := b.ElapsedNs()
+	b.WriteN(1, Zeros, MaxEndurance+5)
+	if b.FailedLines() != 2 || b.Wear(1) != wearMax || b.ElapsedNs() != clock+(MaxEndurance+5)*125 {
+		t.Fatalf("crossing batch: %d failed lines, wear %d, clock %d", b.FailedLines(), b.Wear(1), b.ElapsedNs())
+	}
+
+	// Through a shard: the failing write is its own, booked once at merge.
+	s2 := testBank(4, MaxEndurance)
+	s2.WriteN(3, Mixed, MaxEndurance)
+	clock = s2.ElapsedNs()
+	sh := s2.Shard(2, 4)
+	sh.Write(3, Ones)
+	sh.Write(3, Ones)
+	s2.MergeShards(sh)
+	pa, at, ok = s2.FirstFailure()
+	if !ok || pa != 3 || at != clock+1000 || s2.FailedLines() != 1 || s2.Wear(3) != wearMax {
+		t.Fatalf("shard: FirstFailure (%d, %d, %v), %d failed lines, wear %d; want (3, %d, true), 1, %d",
+			pa, at, ok, s2.FailedLines(), s2.Wear(3), clock+1000, wearMax)
+	}
+}
+
+// TestWearSaturates: a failed line's wear stops at 2^30 − 1 instead of
+// wrapping, through single and batched writes, and MaxWear agrees.
+func TestWearSaturates(t *testing.T) {
+	b := testBank(2, 10)
+	b.WriteN(1, Ones, 1<<40)
+	if b.Wear(1) != wearMax {
+		t.Fatalf("wear after 2^40 writes = %d, want %d", b.Wear(1), wearMax)
+	}
+	b.Write(1, Ones)
+	b.WriteN(1, Ones, 1<<32)
+	if b.Wear(1) != wearMax || b.FailedLines() != 1 {
+		t.Fatalf("wear %d, %d failed lines; want %d, 1", b.Wear(1), b.FailedLines(), wearMax)
+	}
+	if pa, w := b.MaxWear(); pa != 1 || w != wearMax {
+		t.Fatalf("MaxWear = (%d, %d), want (1, %d)", pa, w, wearMax)
+	}
+	if b.Peek(1) != Ones {
+		t.Fatalf("content %v, want ALL-1", b.Peek(1))
+	}
+}
+
+// TestContentNeverReachesWear: whatever Content value a write carries,
+// the line's wear moves by exactly the writes made; only the class's
+// two bits are stored.
+func TestContentNeverReachesWear(t *testing.T) {
+	b := testBank(4, 1000)
+	s := b.Shard(2, 4)
+	for c := 0; c < 256; c++ {
+		b.Write(0, Content(c))
+		b.WriteN(1, Content(c), 2)
+		s.Write(2, Content(c))
+		for pa, want := range []uint64{uint64(c + 1), 2 * uint64(c+1), uint64(c + 1)} {
+			if b.Wear(uint64(pa)) != want {
+				t.Fatalf("Content(%d): line %d wear %d, want %d", c, pa, b.Wear(uint64(pa)), want)
+			}
+			if got := b.Peek(uint64(pa)); got != Content(c)&contentMask {
+				t.Fatalf("Content(%d): line %d reads back %v", c, pa, got)
+			}
+		}
+	}
 }
 
 func TestBadAddressPanics(t *testing.T) {
@@ -238,8 +362,19 @@ func TestBankFillsCacheLines(t *testing.T) {
 	}
 }
 
+// TestShardFillsCacheLines: a Shard is a whole number of 64-byte cache
+// lines (see its trailing pad).
+func TestShardFillsCacheLines(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pad is sized for 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(Shard{}); n%64 != 0 {
+		t.Fatalf("Shard is %d bytes, want a multiple of 64: resize its pad", n)
+	}
+}
+
 func BenchmarkBankWrite(b *testing.B) {
-	bank := testBank(1<<16, ^uint64(0)>>1)
+	bank := testBank(1<<16, MaxEndurance)
 	for i := 0; i < b.N; i++ {
 		bank.Write(uint64(i)&(1<<16-1), Mixed)
 	}

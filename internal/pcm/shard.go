@@ -6,11 +6,13 @@ import "fmt"
 // [lo, hi) of a Bank. It exposes the bank's operation set (Read, Write,
 // Move, Swap — so it satisfies wear.Mover) but books every counter —
 // operation counts, the device clock, first failure, the wear maximum —
-// privately, touching only its own range of the shared wear and content
-// arrays. Shards over disjoint ranges of the same bank may therefore run
-// on different goroutines concurrently: they share no mutable state, in
-// the same way distinct banks don't (see the package comment on the
-// single-writer-per-bank contract).
+// privately, touching only its own range of the bank's line words. Shards
+// over disjoint ranges of the same bank may therefore run on different
+// goroutines concurrently: they share no mutable state, in the same way
+// distinct banks don't (see the package comment on the single-writer-per-
+// bank contract). A line's wear and content live in one word, so any
+// split point is safe: no two lines share a byte, as they would if the
+// content were packed below word size.
 //
 // A shard's clock is relative to its creation; Bank.MergeShards folds the
 // private books back into the bank, serializing the shards in argument
@@ -32,6 +34,13 @@ type Shard struct {
 
 	maxWearVal uint32
 	maxWearPA  uint64
+
+	// The pad makes a Shard exactly two 64-byte cache lines on 64-bit
+	// platforms (size class 128 keeps it line-aligned): the sweep kernel
+	// allocates one per worker back to back, and each worker bumps its
+	// shard's counters on every write. TestShardFillsCacheLines checks
+	// the size.
+	_ [24]byte
 }
 
 // Shard opens a single-writer window onto physical lines [lo, hi).
@@ -63,7 +72,7 @@ func (s *Shard) Read(pa uint64) (Content, uint64) {
 	s.check(pa)
 	s.reads++
 	s.elapsedNs += s.b.cfg.Timing.ReadNs
-	return s.b.content[pa], s.b.cfg.Timing.ReadNs
+	return Content(s.b.lines[pa] & contentMask), s.b.cfg.Timing.ReadNs
 }
 
 // Write mirrors Bank.Write within the shard's range.
@@ -76,22 +85,16 @@ func (s *Shard) Write(pa uint64, c Content) uint64 {
 		s.resetWrites++
 	}
 	s.elapsedNs += ns
-	w := uint64(b.wear[pa]) + 1
-	b.wear[pa] = uint32(w)
-	s.noteWear(pa, uint32(w))
-	endurance := b.cfg.Endurance
-	if w > endurance {
-		if w == endurance+1 {
-			s.failedLines++
-			if !s.failed {
-				s.failed = true
-				s.failPA = pa
-				s.failRelNs = s.elapsedNs
-			}
+	w, fails := wearWrite(&b.lines[pa], c, b.cfg.Endurance)
+	s.noteWear(pa, w)
+	if fails {
+		s.failedLines++
+		if !s.failed {
+			s.failed = true
+			s.failPA = pa
+			s.failRelNs = s.elapsedNs
 		}
-		return ns // stuck-at: content not updated
 	}
-	b.content[pa] = c
 	return ns
 }
 
@@ -121,7 +124,7 @@ func (s *Shard) Failed() bool { return s.failed }
 // MergeShards folds the private books of shards back into the bank,
 // serializing them in argument order: shard i's operations are placed on
 // the device clock after all of shard 0..i−1's, exactly as if the shards
-// had run sequentially in that order. Counter totals and wear arrays are
+// had run sequentially in that order. Counter totals and line words are
 // order-independent (each shard already wrote its disjoint range); the
 // ordering convention only pins down event *times*. A first failure
 // inside a shard is therefore placed at bank-clock = clock-at-merge +

@@ -229,7 +229,7 @@ func hashHit(line, n uint64, p float64) bool {
 // versus the no-wear-leveling baseline.
 func RunBenchmark(cfg Config, prof workload.Profile, factory SchemeFactory) (Result, error) {
 	baseCtrl, err := wear.NewController(pcm.Config{
-		Endurance: ^uint64(0) >> 1, Timing: pcm.DefaultTiming,
+		Endurance: pcm.MaxEndurance, Timing: pcm.DefaultTiming,
 	}, wear.NewPassthrough(cfg.MemLines))
 	if err != nil {
 		return Result{}, err
@@ -241,7 +241,7 @@ func RunBenchmark(cfg Config, prof workload.Profile, factory SchemeFactory) (Res
 		return Result{}, err
 	}
 	ctrl, err := wear.NewController(pcm.Config{
-		Endurance: ^uint64(0) >> 1, Timing: pcm.DefaultTiming,
+		Endurance: pcm.MaxEndurance, Timing: pcm.DefaultTiming,
 	}, scheme)
 	if err != nil {
 		return Result{}, err

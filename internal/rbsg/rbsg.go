@@ -13,6 +13,7 @@ package rbsg
 
 import (
 	"fmt"
+	"math/bits"
 
 	"securityrbsg/internal/feistel"
 	"securityrbsg/internal/startgap"
@@ -46,7 +47,11 @@ type Scheme struct {
 	cfg        Config
 	randomizer feistel.Permutation
 	regions    []*startgap.Region
-	perRegion  uint64 // lines per region n = N/R
+	perRegion  uint64 // lines per region n = N/R, a power of two
+	// Its shift and mask split an intermediate address into its region,
+	// ia>>regionShift, and its offset there, ia&regionMask.
+	regionShift uint
+	regionMask  uint64
 }
 
 // New builds an RBSG scheme from cfg.
@@ -63,22 +68,19 @@ func New(cfg Config) (*Scheme, error) {
 	if cfg.Stages <= 0 {
 		cfg.Stages = 3
 	}
-	bits := uint(0)
-	for v := cfg.Lines; v > 1; v >>= 1 {
-		bits++
-	}
+	width := uint(bits.TrailingZeros64(cfg.Lines))
 	rng := stats.NewRNG(cfg.Seed)
 	var randomizer feistel.Permutation
 	var err error
 	if cfg.UseMatrix {
-		randomizer, err = feistel.NewMatrix(bits, rng)
-	} else if bits%2 == 0 {
-		randomizer, err = feistel.Random(bits, cfg.Stages, rng)
+		randomizer, err = feistel.NewMatrix(width, rng)
+	} else if width%2 == 0 {
+		randomizer, err = feistel.Random(width, cfg.Stages, rng)
 	} else {
-		// Odd address width: run a (bits+1)-wide network under a
+		// Odd address width: run a (width+1)-wide network under a
 		// cycle-walking restriction to [0, N).
 		var inner *feistel.Network
-		inner, err = feistel.Random(bits+1, cfg.Stages, rng)
+		inner, err = feistel.Random(width+1, cfg.Stages, rng)
 		if err == nil {
 			randomizer, err = feistel.NewWalker(inner, cfg.Lines)
 		}
@@ -92,7 +94,11 @@ func New(cfg Config) (*Scheme, error) {
 	// index (see feistel.MaxTableBits; paper-scale banks evaluate
 	// directly).
 	randomizer = feistel.Materialize(randomizer)
-	s := &Scheme{cfg: cfg, randomizer: randomizer, perRegion: cfg.Lines / cfg.Regions}
+	per := cfg.Lines / cfg.Regions // a power of two: it divides Lines
+	s := &Scheme{
+		cfg: cfg, randomizer: randomizer,
+		perRegion: per, regionShift: uint(bits.TrailingZeros64(per)), regionMask: per - 1,
+	}
 	s.regions = make([]*startgap.Region, cfg.Regions)
 	for i := range s.regions {
 		base := uint64(i) * (s.perRegion + 1)
@@ -147,8 +153,7 @@ func (s *Scheme) Intermediate(la uint64) uint64 {
 // Translate maps a logical address to its current physical line.
 func (s *Scheme) Translate(la uint64) uint64 {
 	ia := s.randomizer.Encrypt(la)
-	region := ia / s.perRegion
-	return s.regions[region].Translate(ia % s.perRegion)
+	return s.regions[ia>>s.regionShift].Translate(ia & s.regionMask)
 }
 
 // NoteWrite books the write against the region owning la's intermediate
@@ -161,14 +166,14 @@ func (s *Scheme) NoteWrite(la uint64, m wear.Mover) uint64 { return s.Advance(la
 // triggered by writes to la, so k is exact, not a bound.
 func (s *Scheme) Epoch(la uint64) (pa, k uint64) {
 	ia := s.randomizer.Encrypt(la)
-	return s.regions[ia/s.perRegion].Epoch(ia % s.perRegion)
+	return s.regions[ia>>s.regionShift].Epoch(ia & s.regionMask)
 }
 
 // Advance implements wear.FastForwarder: book k writes to la against its
 // region, running the gap movement the k-th may complete.
 func (s *Scheme) Advance(la, k uint64, m wear.Mover) uint64 {
 	ia := s.randomizer.Encrypt(la)
-	return s.regions[ia/s.perRegion].Advance(k, m)
+	return s.regions[ia>>s.regionShift].Advance(k, m)
 }
 
 // LineVulnerabilityFactor returns the LVF — the maximum number of writes a

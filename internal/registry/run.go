@@ -164,7 +164,7 @@ func (r *Registry) RunExact(scheme, attack string, cfg Config) (*ExactOutcome, e
 		SchemeName: s.Name, AttackName: a.Name,
 		Cfg: cfg, Result: res,
 		Stats:    ctrl.Stats(),
-		WearGini: stats.Gini(ctrl.Bank().WearCounts()),
+		WearGini: stats.Gini(ctrl.Bank().WearSnapshot(nil)),
 	}
 	if ar, ok := inst.(AlarmReporter); ok {
 		out.FirstAlarmWrite, out.FirstAlarmOK = ar.FirstAlarmWrite()

@@ -137,7 +137,7 @@ func snapshot(a *seclevel.Adaptive, ctrl *wear.Controller) loopState {
 		Lowers:       a.Controller().Lowers(),
 		Alarms:       a.Monitor().Alarms(),
 		Windows:      a.Monitor().RateWindow().Windows(),
-		Wear:         append([]uint32(nil), ctrl.Bank().WearCounts()...),
+		Wear:         ctrl.Bank().WearSnapshot(nil),
 	}
 }
 

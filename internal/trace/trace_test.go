@@ -129,7 +129,7 @@ func TestReplayDeterminism(t *testing.T) {
 	run := func() ([]uint32, ReplayStats) {
 		s, _ := startgap.NewSingle(256, 16)
 		c := wear.MustNewController(pcm.Config{
-			Endurance: 1 << 30, Timing: pcm.DefaultTiming,
+			Endurance: pcm.MaxEndurance, Timing: pcm.DefaultTiming,
 		}, s)
 		r, err := NewReader(bytes.NewReader(raw))
 		if err != nil {
@@ -139,7 +139,7 @@ func TestReplayDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return append([]uint32(nil), c.Bank().WearCounts()...), st
+		return c.Bank().WearSnapshot(nil), st
 	}
 	w1, s1 := run()
 	w2, s2 := run()
