@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build fmt fmt-check vet lint unlinked test race race-sweep fuzz-smoke bench-smoke bench-test bench-record bench-gate profile serve serve-smoke adaptive-smoke router-smoke loadgen tournament-smoke tournament-nightly ci
+.PHONY: build fmt fmt-check vet lint unlinked test race race-sweep fuzz-smoke bench-smoke bench-test bench-record bench-gate profile serve serve-smoke adaptive-smoke router-smoke loadgen tournament-smoke ci
 
 build:
 	$(GO) build ./...
@@ -126,19 +126,11 @@ router-smoke:
 
 # Full registered scheme×attack matrix at smoke scale (2^10 lines)
 # through cmd/tournament: every playable registry cell must complete,
-# the CSV must match its pinned SHA-256, and a checkpointed rerun must
+# the CSV must match its pinned SHA-256, and a -workers 1 rerun must
 # emit a byte-identical CSV. One more play at the sim_tournament
 # benchmark's geometry (2^14 lines, endurance 10^5) must match its
 # pinned SHA-256 too.
 tournament-smoke:
 	./scripts/tournament_smoke.sh
-
-# Nightly-scale tournament (2^14 lines). Checkpoints accumulate under
-# .tournament-ckpt, so an interrupted run resumes instead of restarting;
-# CI's workflow_dispatch job persists that directory via actions/cache.
-tournament-nightly:
-	$(GO) run ./cmd/tournament -lines 16384 -endurance 100000 \
-		-ckpt .tournament-ckpt -resume \
-		-out tournament.csv -meta runmeta.tournament.json
 
 ci: fmt-check test lint unlinked race race-sweep fuzz-smoke bench-smoke bench-test bench-gate serve-smoke adaptive-smoke router-smoke tournament-smoke

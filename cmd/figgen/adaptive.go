@@ -81,8 +81,8 @@ func buildGrid() runner.Grid {
 	}
 	return runner.Grid{
 		// The geometry and stream lengths are part of cell semantics:
-		// encode them in the name so checkpoints and seeds never cross
-		// incompatible sweeps.
+		// encode them in the name so seeds never cross incompatible
+		// sweeps.
 		Name:  fmt.Sprintf("adaptive-tradeoff/l%d-r%d-i%d-o%d-w%d", exLines, exRegions, exInner, exOuter, phaseWrites),
 		Cells: cells,
 		Run:   runCell,

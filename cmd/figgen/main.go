@@ -6,22 +6,23 @@
 // Usage:
 //
 //	figgen [-out results] [-stdout] [-full] [-runs N]
-//	       [-workers N] [-resume] [-ckpt DIR] [-quiet]
+//	       [-workers N] [-quiet]
 //	       [fig11 fig12 fig13 fig14 fig15 fig16 overhead perf adaptive]
 //
 // With no figure arguments, every figure is generated. -full evaluates
 // the Monte-Carlo figures (14, 15, 16) at the paper's 1 GB geometry
-// instead of the scaled geometry (minutes instead of seconds); the
-// closed-form figures (11, 12, 13) always use the paper geometry.
+// instead of the scaled geometry (about four minutes for every figure
+// on two cores, instead of seconds); the closed-form figures (11, 12,
+// 13) always use the paper geometry.
 //
 // The Monte-Carlo figures and the adaptive grid run through the sharded
 // experiment runner (internal/runner): cells spread across -workers
-// goroutines with deterministic per-cell seeds (sharded output is
-// bit-identical to sequential), completed cells checkpoint under -ckpt,
-// and an interrupted run (Ctrl-C, crash) resumes with -resume
-// without recomputing finished cells. Progress streams to stderr; the
-// per-cell accounting of the whole invocation lands in
-// <out>/runmeta.json.
+// goroutines with deterministic per-cell seeds, so sharded output is
+// bit-identical to sequential. Progress streams to stderr; the per-cell
+// accounting of the whole invocation lands in <out>/runmeta.json.
+// Ctrl-C or SIGTERM stops a grid: the cells not yet started are marked
+// cancelled in runmeta.json, the figure's CSV is not written, figgen
+// exits 130, and a rerun recomputes the grid.
 package main
 
 import (
@@ -53,8 +54,6 @@ func main() {
 	runs := flag.Int("runs", 5, "random-key trials to average (the paper uses 5)")
 	plot := flag.Bool("plot", false, "also draw ASCII charts on stdout")
 	workers := flag.Int("workers", 0, "worker goroutines for Monte-Carlo grids (0 = NumCPU)")
-	resume := flag.Bool("resume", false, "skip cells already checkpointed under -ckpt")
-	ckptDir := flag.String("ckpt", "results/.checkpoints", "checkpoint directory ('' disables checkpointing)")
 	quiet := flag.Bool("quiet", false, "suppress the live progress ticker")
 	flag.Parse()
 
@@ -63,14 +62,14 @@ func main() {
 		figs = []string{"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "overhead", "perf", "adaptive"}
 	}
 
-	// Ctrl-C / SIGTERM cancel the grid cleanly: completed cells keep
-	// their checkpoints, so -resume picks up where the run stopped.
+	// Ctrl-C / SIGTERM cancel the grid cleanly: runmeta.json records
+	// which cells finished before the exit.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	g := &generator{
 		ctx: ctx, outDir: *outDir, stdout: *toStdout, full: *full, runs: *runs,
-		plot: *plot, workers: *workers, resume: *resume, ckptDir: *ckptDir, quiet: *quiet,
+		plot: *plot, workers: *workers, quiet: *quiet,
 	}
 	for _, f := range figs {
 		var err error
@@ -100,7 +99,6 @@ func main() {
 			g.writeMeta()
 			fmt.Fprintf(os.Stderr, "figgen: %s: %v\n", f, err)
 			if ctx.Err() != nil {
-				fmt.Fprintln(os.Stderr, "figgen: interrupted — rerun with -resume to continue without recomputing finished cells")
 				os.Exit(130)
 			}
 			os.Exit(1)
@@ -117,8 +115,6 @@ type generator struct {
 	runs    int
 	plot    bool
 	workers int
-	resume  bool
-	ckptDir string
 	quiet   bool
 	reports []*runner.Report
 }
@@ -132,13 +128,9 @@ func (g *generator) scale() experiments.Scale {
 }
 
 // runGrid drives one Monte-Carlo grid through the sharded runner and
-// fails if any cell did (pointing at -resume for the retry).
+// fails if any cell did.
 func (g *generator) runGrid(grid runner.Grid) (*runner.Report, error) {
-	opts := runner.Options{
-		Workers:       g.workers,
-		CheckpointDir: g.ckptDir,
-		Resume:        g.resume,
-	}
+	opts := runner.Options{Workers: g.workers}
 	if !g.quiet {
 		opts.Progress = os.Stderr
 	}

@@ -2,12 +2,31 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"testing"
+	"time"
+
+	"securityrbsg/internal/experiments"
+	"securityrbsg/internal/runner"
 )
+
+// buildFiggen builds the command into a test temp dir: a real binary,
+// so a test can signal it (go run does not forward signals).
+func buildFiggen(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "figgen")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	return bin
+}
 
 // TestGolden runs the built figgen over every figure that finishes in
 // about a second and requires each CSV it writes to be byte-identical
@@ -17,10 +36,7 @@ import (
 // metrics, at fewer trials, instead. The -workers 1 case pins the
 // runner's promise that sharding never changes a byte.
 func TestGolden(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "figgen")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
+	bin := buildFiggen(t)
 	figs := []struct{ name, file string }{
 		{"fig11", "fig11_rbsg_rta_vs_raa.csv"},
 		{"fig12", "fig12_sr_rta.csv"},
@@ -40,7 +56,7 @@ func TestGolden(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
-			args := append([]string{"-out", dir, "-ckpt", "", "-quiet"}, tc.flags...)
+			args := append([]string{"-out", dir, "-quiet"}, tc.flags...)
 			var want bytes.Buffer
 			for _, f := range figs {
 				args = append(args, f.name)
@@ -70,5 +86,77 @@ func TestGolden(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestInterruptRecordsPartialGrid sends SIGINT to a fig15 run once one
+// of its cells has finished. figgen must exit 130, record the partial
+// grid in runmeta.json (every cell done or cancelled, some cancelled)
+// and write no fig15 CSV: a rerun recomputes the grid.
+func TestInterruptRecordsPartialGrid(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds figgen and runs fig15 until a cell finishes")
+	}
+	bin := buildFiggen(t)
+	dir := t.TempDir()
+	cells := len(experiments.Fig15CellList())
+	// Two workers, however many cores the host has, so most of the grid
+	// is still unstarted when the first cell finishes.
+	cmd := exec.Command(bin, "-out", dir, "-workers", "2", "fig15")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	watchdog := time.AfterFunc(5*time.Minute, func() { cmd.Process.Kill() })
+	defer watchdog.Stop()
+
+	// The progress ticker rewrites "<grid>: N/<cells> cells" every second.
+	finished := regexp.MustCompile(fmt.Sprintf(`: [1-9][0-9]*/%d cells`, cells))
+	var log bytes.Buffer
+	buf := make([]byte, 4096)
+	interrupted := false
+	for {
+		n, rerr := stderr.Read(buf)
+		log.Write(buf[:n])
+		if !interrupted && finished.Match(log.Bytes()) {
+			if err := cmd.Process.Signal(os.Interrupt); err != nil {
+				t.Fatal(err)
+			}
+			interrupted = true
+		}
+		if rerr != nil {
+			break
+		}
+	}
+	err = cmd.Wait()
+	if !interrupted {
+		t.Fatalf("no cell finished before figgen exited (%v):\n%s", err, log.Bytes())
+	}
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 130 {
+		t.Fatalf("figgen fig15 after SIGINT: %v, want exit status 130\n%s", err, log.Bytes())
+	}
+
+	data, err := os.ReadFile(filepath.Join(dir, "runmeta.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta runner.Meta
+	if err := json.Unmarshal(data, &meta); err != nil {
+		t.Fatal(err)
+	}
+	if len(meta.Grids) != 1 {
+		t.Fatalf("runmeta has %d grids, want 1", len(meta.Grids))
+	}
+	g := meta.Grids[0]
+	if g.Done+g.Cancelled != cells || g.Cancelled == 0 || g.Failed != 0 {
+		t.Fatalf("runmeta: %d done, %d cancelled, %d failed; want done + cancelled = %d with some cancelled",
+			g.Done, g.Cancelled, g.Failed, cells)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "fig15_srbsg_raa.csv")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("interrupted fig15 wrote its CSV (stat: %v)", err)
 	}
 }

@@ -195,7 +195,7 @@ func compareAll(d lifetime.Device, runs, workers int, quiet bool) error {
 	defer w.Flush()
 	fmt.Fprintln(w, "scheme\tattack\tlifetime\tfraction of ideal")
 	for _, res := range rep.Results {
-		if res.Status != runner.StatusDone && res.Status != runner.StatusResumed {
+		if res.Status != runner.StatusDone {
 			fmt.Fprintf(os.Stderr, "lifetime: %s: %s\n", res.ID, res.Error)
 			continue
 		}

@@ -32,7 +32,6 @@ import (
 	"syscall"
 	"time"
 
-	"securityrbsg/internal/detector"
 	"securityrbsg/internal/memserver"
 	"securityrbsg/internal/pcm"
 	"securityrbsg/internal/seclevel"
@@ -52,15 +51,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "key seed (bank i uses seed+i)")
 	endurance := flag.Uint64("endurance", pcm.MaxEndurance, "per-line endurance, 1 to 2^30−2 (default: the maximum)")
 	queue := flag.Int("queue", 256, "per-bank queue depth: runs admitted and not yet started")
-	detWindow := flag.Uint64("detector-window", 0, "detector observation window in writes (0 = default)")
-	detBoost := flag.Uint64("detector-boost", 0, "detector remapping-rate boost (0 = default)")
-	levelPolicy := flag.String("level-policy", "", "srbsg+adaptive decision policy: hysteresis|aggressive|static (empty = hysteresis)")
-	levelMin := flag.Int("level-min", 0, "srbsg+adaptive minimum DFN stage count (0 = default)")
-	levelMax := flag.Int("level-max", 0, "srbsg+adaptive maximum DFN stage count (0 = default)")
-	levelRaise := flag.Float64("level-raise-rate", 0, "alarm rate (crossings/window) that escalates (0 = default)")
-	levelLower := flag.Float64("level-lower-rate", 0, "alarm rate at or below which the level relaxes (default 0: fully quiet)")
-	levelStep := flag.Int("level-step", 0, "stages added per escalation (0 = default)")
-	levelCooldown := flag.Uint64("level-cooldown", 0, "remap rounds between level transitions (0 = default)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-drain deadline")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (default off; keep it loopback)")
 	flag.Parse()
@@ -71,13 +61,6 @@ func main() {
 		Banks: *banks, Lines: *lines, Scheme: *scheme,
 		Regions: *regions, Interval: *interval, Stages: *stages,
 		Seed: *seed, Endurance: *endurance, QueueDepth: *queue,
-		Detector: detector.Config{Window: *detWindow, Boost: *detBoost},
-		Level: seclevel.Config{
-			Policy:   *levelPolicy,
-			MinLevel: *levelMin, MaxLevel: *levelMax,
-			RaiseRate: *levelRaise, LowerRate: *levelLower,
-			Step: *levelStep, CooldownRounds: *levelCooldown,
-		},
 		// Level-change events are the operator-visible trail of the
 		// adaptive loop. The hook runs on the executor that owns the
 		// bank, and a blocking hook stalls every bank of that executor,

@@ -8,8 +8,7 @@
 //	tournament [-lines N] [-endurance E] [-budget W]
 //	           [-schemes a,b,...] [-attacks x,y,...]
 //	           [-out tournament.csv] [-meta runmeta.json]
-//	           [-ckpt DIR] [-resume] [-workers N] [-cell-workers N]
-//	           [-quiet]
+//	           [-workers N] [-quiet]
 //	tournament -list
 //
 // The matrix is whatever the plugin registry holds (internal/registry,
@@ -27,9 +26,10 @@
 //
 // Cells run concurrently on -workers goroutines with per-cell seeds
 // derived from (grid name, cell ID), so results are identical no matter
-// how the grid is sharded. With -ckpt each finished cell is checkpointed
-// and -resume completes an interrupted tournament without recomputing;
-// failed cells exit nonzero but leave the rest of the grid standing.
+// how the grid is sharded; each cell's sweep kernel runs on one
+// goroutine. Failed cells exit nonzero but leave the rest of the grid
+// standing. An interrupted play writes its partial CSV, and a rerun
+// plays the whole matrix again.
 package main
 
 import (
@@ -57,10 +57,7 @@ func main() {
 	attacks := flag.String("attacks", "", "comma-separated attack subset (empty = all registered)")
 	out := flag.String("out", "tournament.csv", "per-cell CSV report path")
 	meta := flag.String("meta", "", "runmeta JSON path (wall times, throughput; empty = none)")
-	ckpt := flag.String("ckpt", "", "checkpoint directory (empty = no checkpoints)")
-	resume := flag.Bool("resume", false, "reuse matching checkpoints from -ckpt")
 	workers := flag.Int("workers", 0, "concurrent cells (0 = NumCPU)")
-	cellWorkers := flag.Int("cell-workers", 1, "accelerator goroutines inside one cell")
 	quiet := flag.Bool("quiet", false, "suppress the progress ticker")
 	list := flag.Bool("list", false, "list registered schemes, attacks and the playable matrix")
 	flag.Parse()
@@ -73,10 +70,8 @@ func main() {
 		cfg: experiments.TournamentConfig{
 			Lines: *lines, Endurance: *endurance, MaxWrites: *budget,
 			Schemes: splitNames(*schemes), Attacks: splitNames(*attacks),
-			CellWorkers: *cellWorkers,
 		},
-		out: *out, meta: *meta, ckpt: *ckpt, resume: *resume,
-		workers: *workers, quiet: *quiet,
+		out: *out, meta: *meta, workers: *workers, quiet: *quiet,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "tournament:", err)
 		os.Exit(1)
@@ -86,8 +81,6 @@ func main() {
 type tournamentOptions struct {
 	cfg       experiments.TournamentConfig
 	out, meta string
-	ckpt      string
-	resume    bool
 	workers   int
 	quiet     bool
 }
@@ -99,19 +92,15 @@ func run(o tournamentOptions) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	opts := runner.Options{
-		Workers:       o.workers,
-		CheckpointDir: o.ckpt,
-		Resume:        o.resume,
-		MetaPath:      o.meta,
-	}
+	opts := runner.Options{Workers: o.workers, MetaPath: o.meta}
 	if !o.quiet {
 		opts.Progress = os.Stderr
 	}
 	rep, err := runner.Run(ctx, grid, opts)
 	if rep != nil && o.out != "" {
-		// Emit the CSV even for partial runs: a -resume pass rewrites it
-		// complete, and a partial report is what you debug from.
+		// Emit the CSV even for partial runs: its status column names
+		// the unfinished cells, and a partial report is what you debug
+		// from.
 		if werr := runner.WriteCSVFile(o.out, rep); werr != nil && err == nil {
 			err = werr
 		}
@@ -130,7 +119,7 @@ func printSummary(rep *runner.Report) {
 	defer w.Flush()
 	fmt.Fprintln(w, "scheme\tattack\tstatus\twrites\tfraction\tdetect writes\twear gini")
 	for _, res := range rep.Results {
-		if res.Status != runner.StatusDone && res.Status != runner.StatusResumed {
+		if res.Status != runner.StatusDone {
 			fmt.Fprintf(w, "%s\t%s\t%s\t-\t-\t-\t-\n",
 				res.Labels["scheme"], res.Labels["attack"], res.Status)
 			continue

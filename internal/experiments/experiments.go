@@ -6,8 +6,8 @@
 //
 // Each grid's name encodes everything that changes cell semantics —
 // figure, scale, trial count — because the runner derives per-cell RNG
-// seeds from (grid name, cell ID) and scopes checkpoints by grid name:
-// two different configurations can never share seeds or checkpoints.
+// seeds from (grid name, cell ID): two different configurations can
+// never share seeds.
 package experiments
 
 import (

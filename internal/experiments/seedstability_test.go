@@ -17,7 +17,7 @@ import (
 // reusable simulators, worker-pooled trial averaging). Every optimized
 // kernel must keep producing byte-identical metrics for a fixed seed —
 // the repo's determinism contract (DESIGN.md) is what makes CHECKSUMS
-// and resumable experiment sharding meaningful. If one of these hashes
+// and sharded experiment grids meaningful. If one of these hashes
 // moves, a "performance" change altered simulation results; that is a
 // correctness bug, not a baseline to re-record. (Re-capture is
 // legitimate only for a change that *intentionally* alters the modeled

@@ -22,10 +22,6 @@ type TournamentConfig struct {
 	// means all registered. Unknown names are rejected with the registry's
 	// listable errors.
 	Schemes, Attacks []string
-	// CellWorkers is handed to the exact-tier accelerator inside each
-	// cell; <= 0 means 1, keeping cell-level parallelism orthogonal to the
-	// runner's worker pool.
-	CellWorkers int
 }
 
 // TournamentCell is one playable pairing of the matrix.
@@ -81,8 +77,9 @@ func TournamentCells(reg *registry.Registry, schemes, attacks []string) ([]Tourn
 // wear-Gini coefficient of the final wear map.
 //
 // The grid name encodes the device geometry because the runner derives
-// per-cell seeds and checkpoint scopes from it: a 2^10-line smoke run
-// and a 2^14-line nightly can never share state.
+// per-cell seeds from it: a 2^10-line smoke run and a 2^14-line play
+// never share seeds. Each cell's sweep kernel runs on one worker, so
+// the runner's pool is the only parallelism.
 func TournamentGrid(reg *registry.Registry, tc TournamentConfig) (runner.Grid, error) {
 	list, err := TournamentCells(reg, tc.Schemes, tc.Attacks)
 	if err != nil {
@@ -97,12 +94,8 @@ func TournamentGrid(reg *registry.Registry, tc TournamentConfig) (runner.Grid, e
 		}}
 		byID[id] = c
 	}
-	workers := tc.CellWorkers
-	if workers <= 0 {
-		workers = 1
-	}
 	// The budget changes cell semantics (it bounds the attacker), so a
-	// non-default budget gets its own seed/checkpoint scope.
+	// non-default budget gets its own seed scope.
 	name := fmt.Sprintf("tournament/lines=%d/endurance=%d", tc.Lines, tc.Endurance)
 	if tc.MaxWrites > 0 {
 		name += fmt.Sprintf("/budget=%d", tc.MaxWrites)
@@ -114,7 +107,7 @@ func TournamentGrid(reg *registry.Registry, tc TournamentConfig) (runner.Grid, e
 			c := byID[cell.ID]
 			out, err := reg.RunExact(c.Scheme, c.Attack, registry.Config{
 				Lines: tc.Lines, Endurance: tc.Endurance,
-				MaxWrites: tc.MaxWrites, Seed: seed, Workers: workers,
+				MaxWrites: tc.MaxWrites, Seed: seed, Workers: 1,
 			})
 			if err != nil {
 				return runner.Metrics{}, err

@@ -14,7 +14,7 @@ const (
 	tourEndurance = 1500
 )
 
-func tournamentReport(t *testing.T, workers int, ckpt string, resume bool) *runner.Report {
+func tournamentReport(t *testing.T, workers int) *runner.Report {
 	t.Helper()
 	grid, err := TournamentGrid(registry.Default, TournamentConfig{
 		Lines: tourLines, Endurance: tourEndurance,
@@ -22,9 +22,7 @@ func tournamentReport(t *testing.T, workers int, ckpt string, resume bool) *runn
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := runner.Run(context.Background(), grid, runner.Options{
-		Workers: workers, CheckpointDir: ckpt, Resume: resume,
-	})
+	rep, err := runner.Run(context.Background(), grid, runner.Options{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +43,7 @@ func TestTournamentFullMatrix(t *testing.T) {
 	if len(cells) < 25 {
 		t.Fatalf("matrix shrank to %d cells", len(cells))
 	}
-	rep := tournamentReport(t, 0, "", false)
+	rep := tournamentReport(t, 0)
 	if rep.Done != len(cells) {
 		t.Fatalf("%d/%d cells done", rep.Done, len(cells))
 	}
@@ -67,8 +65,8 @@ func TestTournamentFullMatrix(t *testing.T) {
 // matter how it is sharded — the runner seeds by (grid, cell), never by
 // worker.
 func TestTournamentWorkerInvariance(t *testing.T) {
-	seq := tournamentReport(t, 1, "", false)
-	par := tournamentReport(t, 8, "", false)
+	seq := tournamentReport(t, 1)
+	par := tournamentReport(t, 8)
 	if len(seq.Results) != len(par.Results) {
 		t.Fatalf("cell counts differ: %d vs %d", len(seq.Results), len(par.Results))
 	}
@@ -81,25 +79,6 @@ func TestTournamentWorkerInvariance(t *testing.T) {
 			if b.Metrics.Values[k] != v {
 				t.Errorf("%s: metric %s differs across worker counts: %v vs %v",
 					a.ID, k, v, b.Metrics.Values[k])
-			}
-		}
-	}
-}
-
-// TestTournamentResume: a second run over the same checkpoints recomputes
-// nothing and reproduces every metric exactly.
-func TestTournamentResume(t *testing.T) {
-	ckpt := t.TempDir()
-	fresh := tournamentReport(t, 0, ckpt, false)
-	resumed := tournamentReport(t, 0, ckpt, true)
-	if resumed.Resumed != fresh.Total || resumed.Done != 0 {
-		t.Fatalf("resume recomputed cells: %+v", resumed)
-	}
-	for i, a := range fresh.Results {
-		b := resumed.Results[i]
-		for k, v := range a.Metrics.Values {
-			if b.Metrics.Values[k] != v {
-				t.Errorf("%s: metric %s changed across resume: %v vs %v", a.ID, k, v, b.Metrics.Values[k])
 			}
 		}
 	}

@@ -90,12 +90,6 @@ type Config struct {
 	// every max(SnapshotEvery, lines per bank) ops; like every other
 	// field they are exact after drain.
 	SnapshotEvery uint64
-	// Detector tunes the per-bank online detector (rbsg+detector and
-	// srbsg+adaptive).
-	Detector detector.Config
-	// Level tunes the per-bank security-level controller (srbsg+adaptive
-	// only; zero fields take seclevel defaults).
-	Level seclevel.Config
 	// OnLevelChange, when set, observes every applied security-level
 	// transition (srbsg+adaptive only). It runs on the executor that owns
 	// the bank, so it must not block: a blocking hook stalls every bank of
@@ -191,8 +185,6 @@ func New(cfg Config) (*Server, error) {
 					InnerInterval: cfg.Interval, OuterInterval: cfg.Interval,
 					Stages: cfg.Stages, Seed: seed, NoTableCache: true,
 				},
-				Detector: cfg.Detector,
-				Level:    cfg.Level,
 			})
 			if err != nil {
 				return nil, err
@@ -210,7 +202,7 @@ func New(cfg Config) (*Server, error) {
 			if err != nil {
 				return nil, err
 			}
-			det, err := detector.NewAdaptiveRBSG(base, cfg.Detector)
+			det, err := detector.NewAdaptiveRBSG(base, detector.Config{})
 			if err != nil {
 				return nil, err
 			}

@@ -1,7 +1,8 @@
-// Package parallel provides the small deterministic fan-out helpers the
+// Package parallel provides the deterministic fan-out helper the
 // experiment harness uses to spread independent simulations across CPU
-// cores: indexed work with results written to index-addressed slots, so
-// parallel runs produce bit-identical output to sequential ones.
+// cores: indexed work whose callers write results to index-addressed
+// slots, so parallel runs produce bit-identical output to sequential
+// ones.
 package parallel
 
 import (
@@ -45,29 +46,4 @@ func ForEach(n, workers int, f func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// ForEachErr is ForEach for fallible work: it runs f(i) for every i in
-// [0, n) and returns the errors in index-addressed slots (nil entries
-// for successes), so callers can tell exactly which work items failed —
-// and, for example, retry just those — rather than learning only that
-// something failed. It returns nil when n <= 0.
-func ForEachErr(n, workers int, f func(i int) error) []error {
-	if n <= 0 {
-		return nil
-	}
-	errs := make([]error, n)
-	ForEach(n, workers, func(i int) { errs[i] = f(i) })
-	return errs
-}
-
-// First returns the lowest-index non-nil error in errs, or nil — the
-// deterministic reduction of an index-addressed error slice.
-func First(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"errors"
 	"sync/atomic"
 	"testing"
 )
@@ -23,49 +22,6 @@ func TestForEachEmpty(t *testing.T) {
 	ForEach(0, 4, func(int) { called = true })
 	if called {
 		t.Fatal("f called for empty range")
-	}
-}
-
-func TestForEachErrIndexAddressedSlots(t *testing.T) {
-	errA := errors.New("a")
-	errB := errors.New("b")
-	for _, workers := range []int{1, 4, 64} {
-		errs := ForEachErr(10, workers, func(i int) error {
-			switch i {
-			case 3:
-				return errA
-			case 7:
-				return errB
-			}
-			return nil
-		})
-		if len(errs) != 10 {
-			t.Fatalf("workers=%d: got %d slots, want 10", workers, len(errs))
-		}
-		for i, err := range errs {
-			want := error(nil)
-			switch i {
-			case 3:
-				want = errA
-			case 7:
-				want = errB
-			}
-			if err != want {
-				t.Fatalf("workers=%d: slot %d = %v, want %v", workers, i, err, want)
-			}
-		}
-		if got := First(errs); got != errA {
-			t.Fatalf("workers=%d: First = %v, want lowest-index error", workers, got)
-		}
-	}
-}
-
-func TestForEachErrEmpty(t *testing.T) {
-	if errs := ForEachErr(0, 4, func(int) error { return errors.New("x") }); errs != nil {
-		t.Fatalf("got %v, want nil for empty range", errs)
-	}
-	if err := First(nil); err != nil {
-		t.Fatalf("First(nil) = %v", err)
 	}
 }
 

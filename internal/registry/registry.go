@@ -27,7 +27,7 @@
 // CompatibleExact with an error naming the missing capability.
 //
 // Registration contract: names are non-empty, contain no '/', ',' or
-// whitespace (they appear in cell IDs, CSV rows and checkpoint paths),
+// whitespace (they appear in cell IDs and CSV rows),
 // and are registered exactly once — a duplicate registration panics at
 // init time, because two entries claiming one name is a programming
 // error no run should paper over.

@@ -16,8 +16,8 @@ import (
 //
 // The emission is deterministic: column order derives from sorted key
 // sets, row order is grid order, and runtime telemetry (wall seconds,
-// writes/sec) is deliberately excluded so two runs of the same grid —
-// sharded differently, resumed, or not — produce byte-identical files.
+// writes/sec) is deliberately excluded so two runs of the same grid,
+// sharded differently or not, produce byte-identical files.
 // Telemetry belongs in the Meta JSON (WriteMetaFile), not here.
 func WriteCSV(w io.Writer, rep *Report) error {
 	labelKeys := map[string]struct{}{}
@@ -45,14 +45,7 @@ func WriteCSV(w io.Writer, rep *Report) error {
 		for _, k := range labels {
 			row = append(row, c.Labels[k])
 		}
-		// Whether a cell ran now or was satisfied from a checkpoint is
-		// provenance, not result: fold it away so resumed runs emit the
-		// same bytes as fresh ones.
-		status := c.Status
-		if status == StatusResumed {
-			status = StatusDone
-		}
-		row = append(row, string(status))
+		row = append(row, string(c.Status))
 		for _, k := range metrics {
 			v, ok := c.Metrics.Values[k]
 			if !ok {
@@ -69,23 +62,42 @@ func WriteCSV(w io.Writer, rep *Report) error {
 	return cw.Error()
 }
 
-// WriteCSVFile writes the Report's CSV atomically (temp file + rename),
+// WriteCSVFile writes the Report's CSV atomically (see writeFileAtomic),
 // so a crash mid-write never leaves a truncated report behind.
 func WriteCSVFile(path string, rep *Report) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".csv-*")
+	if err := writeFileAtomic(path, func(w io.Writer) error { return WriteCSV(w, rep) }); err != nil {
+		return fmt.Errorf("runner: csv: %w", err)
+	}
+	return nil
+}
+
+// writeFileAtomic writes path through a temporary file in the same
+// directory and a rename, so the file is either absent or complete. The
+// temporary file is created mode 0644, so the umask applies to it as it
+// does to os.WriteFile(path, data, 0o644); os.CreateTemp would leave the
+// result 0600. Its name carries the process ID, so concurrent processes
+// never share one. A leftover of a killed process with the same ID is
+// removed first, and O_EXCL refuses a file or link that appears at the
+// name in between, so the write never follows a planted link. One
+// process must not write the same path from two goroutines at once.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	tmp := filepath.Join(filepath.Dir(path), fmt.Sprintf(".%s.%d.tmp", filepath.Base(path), os.Getpid()))
+	os.Remove(tmp)
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
-		return fmt.Errorf("runner: csv: %w", err)
+		return err
 	}
-	defer os.Remove(tmp.Name())
-	if err := WriteCSV(tmp, rep); err != nil {
-		tmp.Close()
-		return fmt.Errorf("runner: csv: %w", err)
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("runner: csv: %w", err)
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	return os.Rename(tmp.Name(), path)
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 func sortedKeys(set map[string]struct{}) []string {

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -24,7 +25,7 @@ func csvReport() *Report {
 			{
 				ID:     "a-cell",
 				Labels: map[string]string{"scheme": "none"},
-				Status: StatusResumed,
+				Status: StatusDone,
 				Metrics: Metrics{Values: map[string]float64{
 					"writes": 42, "extra": 0.5,
 				}},
@@ -48,34 +49,8 @@ func TestWriteCSVDeterministic(t *testing.T) {
 	}
 }
 
-// TestWriteCSVFoldsResumed: a resumed cell must emit "done" — resume
-// provenance must never make a rerun's CSV differ from a fresh run's.
-func TestWriteCSVFoldsResumed(t *testing.T) {
-	fresh := csvReport()
-	resumed := csvReport()
-	for i := range resumed.Results {
-		resumed.Results[i].Status = StatusResumed
-		// Telemetry differs wildly across runs; it must not leak into CSV.
-		resumed.Results[i].WallSeconds *= 17
-		resumed.Results[i].WritesPerSec = 0
-	}
-	for i := range fresh.Results {
-		fresh.Results[i].Status = StatusDone
-	}
-	var a, b bytes.Buffer
-	if err := WriteCSV(&a, fresh); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteCSV(&b, resumed); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("resumed CSV differs from fresh:\n%s\nvs\n%s", b.String(), a.String())
-	}
-}
-
-// Failure statuses, by contrast, must survive into the file: a partial
-// run's CSV has to say which cells are missing.
+// Failure statuses must survive into the file: a partial run's CSV has
+// to say which cells are missing.
 func TestWriteCSVKeepsFailureStatuses(t *testing.T) {
 	rep := csvReport()
 	rep.Results[0].Status = StatusFailed
@@ -115,4 +90,73 @@ func TestWriteCSVFileAtomic(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("stray files in dir: %v", entries)
 	}
+}
+
+// TestAtomicWritersFileMode: both atomic writers leave their file with
+// the mode os.WriteFile(…, 0o644) gives under the same umask (a temp
+// file from os.CreateTemp would leave it 0600), and no temporary file
+// behind.
+func TestAtomicWritersFileMode(t *testing.T) {
+	dir := t.TempDir()
+	ref := filepath.Join(dir, "ref")
+	if err := os.WriteFile(ref, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := fileMode(t, ref)
+	csvPath := filepath.Join(dir, "out.csv")
+	metaPath := filepath.Join(dir, "runmeta.json")
+	if err := WriteCSVFile(csvPath, csvReport()); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteMetaFile(metaPath, csvReport()); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{csvPath, metaPath} {
+		if got := fileMode(t, p); got != want {
+			t.Errorf("%s: mode %v, want %v (os.WriteFile's under the same umask)", filepath.Base(p), got, want)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 3 {
+		t.Fatalf("stray files in dir: %v", entries)
+	}
+}
+
+// TestAtomicWriterReplacesLeftoverLink: a link left at the writer's
+// temporary name (a killed run's leftover, or a planted one) is
+// replaced, never followed, so the file it points at keeps its bytes.
+func TestAtomicWriterReplacesLeftoverLink(t *testing.T) {
+	dir := t.TempDir()
+	victim := filepath.Join(t.TempDir(), "victim")
+	if err := os.WriteFile(victim, []byte("keep"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(victim, filepath.Join(dir, fmt.Sprintf(".out.csv.%d.tmp", os.Getpid()))); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteCSVFile(filepath.Join(dir, "out.csv"), csvReport()); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(victim); err != nil || string(data) != "keep" {
+		t.Fatalf("link target now reads %q (%v), want it untouched", data, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "out.csv" {
+		t.Fatalf("dir holds %v, want only out.csv", entries)
+	}
+}
+
+func fileMode(t *testing.T, path string) os.FileMode {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Mode()
 }

@@ -1,28 +1,25 @@
 // Package runner executes declarative experiment grids — one cell per
 // (scheme, attack, geometry, security level, seed) point — across a
-// worker pool, the batched restartable harness behind cmd/figgen and
-// cmd/lifetime.
+// worker pool in one pass: the harness behind cmd/figgen, cmd/lifetime
+// and cmd/tournament.
 //
-// Three properties make multi-hour full-geometry sweeps practical:
+// Two properties make its grids reproducible and debuggable:
 //
 //   - Determinism. Every cell draws its randomness from a seed derived
 //     by hashing (grid name, cell ID) — see SeedFor — never from worker
 //     identity or execution order, and results land in index-addressed
 //     slots. A run sharded over 8 workers is therefore bit-identical to
 //     a sequential one.
-//   - Resumability. Each completed cell is checkpointed as a JSON file
-//     under Options.CheckpointDir with atomic rename-on-write; a rerun
-//     with Options.Resume skips cells whose checkpoint matches their
-//     expected seed, so an interrupted grid completes without
-//     recomputing finished cells.
 //   - Observability. A live ticker on Options.Progress reports cells
 //     done/total, throughput, simulated writes/sec and an ETA, and the
 //     full per-cell accounting is written to Options.MetaPath as
 //     machine-readable JSON.
 //
-// A cell that errors is marked failed and retriable rather than
-// aborting the grid: the remaining cells still run, and a later -resume
-// pass retries only the failures.
+// A cell that errors is marked failed rather than aborting the grid:
+// the remaining cells still run. A cancelled run marks the cells it
+// had not started as cancelled and still returns the partial Report; a
+// rerun recomputes the whole grid, which takes about four minutes for
+// the slowest one (fig15 at the paper's geometry, on two cores).
 package runner
 
 import (
@@ -37,8 +34,8 @@ import (
 )
 
 // Cell is one point of an experiment grid. ID must be unique within the
-// grid and stable across runs — it names the checkpoint file and, with
-// the grid name, determines the cell's RNG seed.
+// grid and stable across runs: with the grid name, it determines the
+// cell's RNG seed.
 type Cell struct {
 	// ID is the canonical cell key, e.g. "regions=512/inner=64/outer=128".
 	ID string `json:"id"`
@@ -61,9 +58,9 @@ type Metrics struct {
 // run's context.
 type CellFunc func(ctx context.Context, cell Cell, seed uint64) (Metrics, error)
 
-// Grid is a declarative experiment grid: a name (which scopes seeds and
-// checkpoints — encode anything that changes cell semantics, like scale
-// or trial count, into it), the cells, and the function that runs one.
+// Grid is a declarative experiment grid: a name (which scopes seeds —
+// encode anything that changes cell semantics, like scale or trial
+// count, into it), the cells, and the function that runs one.
 type Grid struct {
 	Name  string
 	Cells []Cell
@@ -74,26 +71,22 @@ type Grid struct {
 type Status string
 
 const (
-	// StatusDone: the cell ran to completion in this run.
+	// StatusDone: the cell ran to completion.
 	StatusDone Status = "done"
-	// StatusResumed: the cell was satisfied from a checkpoint.
-	StatusResumed Status = "resumed"
-	// StatusFailed: the cell function returned an error; retriable.
+	// StatusFailed: the cell function returned an error.
 	StatusFailed Status = "failed"
 	// StatusCancelled: the run's context was cancelled before or during
-	// the cell; a -resume rerun picks it up.
+	// the cell.
 	StatusCancelled Status = "cancelled"
 )
 
-// CellResult is the per-cell accounting the runner reports and
-// checkpoints.
+// CellResult is the per-cell accounting the runner reports.
 type CellResult struct {
 	ID          string            `json:"id"`
 	Labels      map[string]string `json:"labels,omitempty"`
 	Seed        uint64            `json:"seed"`
 	Status      Status            `json:"status"`
 	Error       string            `json:"error,omitempty"`
-	Retriable   bool              `json:"retriable,omitempty"`
 	Metrics     Metrics           `json:"metrics"`
 	WallSeconds float64           `json:"wall_seconds"`
 	// WritesPerSec is the cell's simulated line-write throughput
@@ -111,7 +104,6 @@ type Report struct {
 	Workers     int          `json:"workers"`
 	Total       int          `json:"total"`
 	Done        int          `json:"done"`
-	Resumed     int          `json:"resumed"`
 	Failed      int          `json:"failed"`
 	Cancelled   int          `json:"cancelled"`
 	WallSeconds float64      `json:"wall_seconds"`
@@ -119,35 +111,28 @@ type Report struct {
 	Results     []CellResult `json:"cells"`
 }
 
-// FailedErr returns nil when every cell is done or resumed, and
-// otherwise an error naming the first unfinished cell and how many more
-// there are — with the hint that failures are retriable via resume.
+// FailedErr returns nil when every cell is done, and otherwise an error
+// naming the first unfinished cell and how many more there are.
 func (r *Report) FailedErr() error {
 	bad := r.Failed + r.Cancelled
 	if bad == 0 {
 		return nil
 	}
 	for _, c := range r.Results {
-		if c.Status == StatusDone || c.Status == StatusResumed {
+		if c.Status == StatusDone {
 			continue
 		}
-		return fmt.Errorf("grid %s: %d/%d cells unfinished (first: %s %s: %s); rerun with resume to retry them",
+		return fmt.Errorf("grid %s: %d/%d cells unfinished (first: %s %s: %s)",
 			r.Grid, bad, r.Total, c.ID, c.Status, c.Error)
 	}
 	return nil
 }
 
 // Options configure one grid run. The zero value runs on NumCPU
-// workers with no checkpoints and no telemetry.
+// workers with no telemetry.
 type Options struct {
 	// Workers caps the worker pool; <= 0 means NumCPU.
 	Workers int
-	// CheckpointDir is the root directory for per-cell checkpoints
-	// (one subdirectory per grid); "" disables checkpointing.
-	CheckpointDir string
-	// Resume satisfies cells from existing checkpoints when their
-	// recorded seed matches the expected one.
-	Resume bool
 	// Progress receives the live telemetry ticker (typically
 	// os.Stderr); nil disables it.
 	Progress io.Writer
@@ -159,9 +144,9 @@ type Options struct {
 }
 
 // Run executes the grid. Cell-level failures are recorded in the
-// Report, not returned; the error return is reserved for grid
-// setup problems, checkpoint I/O failures, and context cancellation (in
-// which case the partial Report is still returned).
+// Report, not returned; the error return is reserved for grid setup
+// problems, the runmeta write, and context cancellation (in which case
+// the partial Report is still returned).
 func Run(ctx context.Context, g Grid, opts Options) (*Report, error) {
 	if g.Run == nil {
 		return nil, errors.New("runner: grid has no cell function")
@@ -181,75 +166,14 @@ func Run(ctx context.Context, g Grid, opts Options) (*Report, error) {
 		workers = runtime.NumCPU()
 	}
 
-	var store *checkpointStore
-	cached := map[string]CellResult{}
-	if opts.CheckpointDir != "" {
-		var err error
-		store, err = openCheckpointStore(opts.CheckpointDir, g.Name)
-		if err != nil {
-			return nil, err
-		}
-		if opts.Resume {
-			cached = store.load()
-		}
-	}
-
 	results := make([]CellResult, len(g.Cells))
 	track := newTracker(g.Name, len(g.Cells), opts.Progress, opts.TickEvery)
 	track.start()
 	//rbsglint:allow simdeterminism -- WallSeconds is runtime telemetry in the report; cell results never read it
 	begin := time.Now()
-
-	errs := parallel.ForEachErr(len(g.Cells), workers, func(i int) error {
-		cell := g.Cells[i]
-		seed := SeedFor(g.Name, cell.ID)
-		res := CellResult{ID: cell.ID, Labels: cell.Labels, Seed: seed}
-
-		if cp, ok := cached[cell.ID]; ok && cp.Seed == seed && (cp.Status == StatusDone || cp.Status == StatusResumed) {
-			res = cp
-			res.Status = StatusResumed
-			res.Labels = cell.Labels
-			results[i] = res
-			track.observe(res)
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			res.Status = StatusCancelled
-			res.Error = err.Error()
-			results[i] = res
-			track.observe(res)
-			return nil
-		}
-
-		//rbsglint:allow simdeterminism -- per-cell wall time is runtime telemetry; the cell metrics are computed before it is read
-		cellBegin := time.Now()
-		m, err := g.Run(ctx, cell, seed)
-		//rbsglint:allow simdeterminism -- per-cell wall time is runtime telemetry; the cell metrics are computed before it is read
-		res.WallSeconds = time.Since(cellBegin).Seconds()
-		res.Metrics = m
-		if err == nil && m.SimWrites > 0 && res.WallSeconds > 0 {
-			res.WritesPerSec = m.SimWrites / res.WallSeconds
-		}
-		var saveErr error
-		switch {
-		case err == nil:
-			res.Status = StatusDone
-			if store != nil {
-				saveErr = store.save(res)
-			}
-		case ctx.Err() != nil:
-			res.Status = StatusCancelled
-			res.Error = ctx.Err().Error()
-			res.Metrics = Metrics{}
-		default:
-			res.Status = StatusFailed
-			res.Retriable = true
-			res.Error = err.Error()
-			res.Metrics = Metrics{}
-		}
-		results[i] = res
-		track.observe(res)
-		return saveErr // checkpoint I/O is infrastructure, not a cell failure
+	parallel.ForEach(len(g.Cells), workers, func(i int) {
+		results[i] = runCell(ctx, g, g.Cells[i])
+		track.observe(results[i])
 	})
 
 	rep := &Report{
@@ -264,8 +188,6 @@ func Run(ctx context.Context, g Grid, opts Options) (*Report, error) {
 		switch c.Status {
 		case StatusDone:
 			rep.Done++
-		case StatusResumed:
-			rep.Resumed++
 		case StatusFailed:
 			rep.Failed++
 		case StatusCancelled:
@@ -280,8 +202,33 @@ func Run(ctx context.Context, g Grid, opts Options) (*Report, error) {
 			return rep, err
 		}
 	}
-	if err := parallel.First(errs); err != nil {
-		return rep, err
-	}
 	return rep, ctx.Err()
+}
+
+// runCell evaluates one cell, or marks it cancelled when the run's
+// context ended before it started. A failed or cancelled cell keeps no
+// metrics.
+func runCell(ctx context.Context, g Grid, cell Cell) CellResult {
+	res := CellResult{ID: cell.ID, Labels: cell.Labels, Seed: SeedFor(g.Name, cell.ID)}
+	if err := ctx.Err(); err != nil {
+		res.Status, res.Error = StatusCancelled, err.Error()
+		return res
+	}
+	//rbsglint:allow simdeterminism -- per-cell wall time is runtime telemetry; the cell metrics are computed before it is read
+	begin := time.Now()
+	m, err := g.Run(ctx, cell, res.Seed)
+	//rbsglint:allow simdeterminism -- per-cell wall time is runtime telemetry; the cell metrics are computed before it is read
+	res.WallSeconds = time.Since(begin).Seconds()
+	switch {
+	case err == nil:
+		res.Status, res.Metrics = StatusDone, m
+		if m.SimWrites > 0 && res.WallSeconds > 0 {
+			res.WritesPerSec = m.SimWrites / res.WallSeconds
+		}
+	case ctx.Err() != nil:
+		res.Status, res.Error = StatusCancelled, ctx.Err().Error()
+	default:
+		res.Status, res.Error = StatusFailed, err.Error()
+	}
+	return res
 }

@@ -41,8 +41,8 @@ func syntheticGrid(name string, n int) Grid {
 }
 
 // metricsBytes serializes just the per-cell metrics — the part of a
-// report that must be bit-identical across worker counts and resumes
-// (wall times and worker counts legitimately differ).
+// report that must be bit-identical across worker counts (wall times
+// and worker counts legitimately differ).
 func metricsBytes(t *testing.T, rep *Report) []byte {
 	t.Helper()
 	ms := make([]Metrics, len(rep.Results))
@@ -95,7 +95,7 @@ func TestRunShardedBitIdenticalToSequential(t *testing.T) {
 	}
 }
 
-func TestCellFailureIsRetriableNotFatal(t *testing.T) {
+func TestCellFailureIsNotFatal(t *testing.T) {
 	g := syntheticGrid("fail-test", 10)
 	inner := g.Run
 	g.Run = func(ctx context.Context, c Cell, seed uint64) (Metrics, error) {
@@ -112,7 +112,7 @@ func TestCellFailureIsRetriableNotFatal(t *testing.T) {
 		t.Fatalf("done=%d failed=%d, want 9/1", rep.Done, rep.Failed)
 	}
 	r := rep.Results[4]
-	if r.Status != StatusFailed || !r.Retriable || !strings.Contains(r.Error, "synthetic") {
+	if r.Status != StatusFailed || !strings.Contains(r.Error, "synthetic") {
 		t.Fatalf("cell 4: %+v", r)
 	}
 	if rep.FailedErr() == nil {
@@ -162,38 +162,14 @@ func TestDuplicateCellIDsRejected(t *testing.T) {
 	}
 }
 
+// TestCheckpointsAndRunmetaWritten: the run's per-cell accounting lands
+// in the runmeta JSON at Options.MetaPath.
 func TestCheckpointsAndRunmetaWritten(t *testing.T) {
 	dir := t.TempDir()
 	meta := filepath.Join(dir, "runmeta.json")
 	g := syntheticGrid("ckpt-test", 5)
-	rep, err := Run(context.Background(), g, Options{
-		Workers:       2,
-		CheckpointDir: filepath.Join(dir, "ckpt"),
-		MetaPath:      meta,
-	})
-	if err != nil {
+	if _, err := Run(context.Background(), g, Options{Workers: 2, MetaPath: meta}); err != nil {
 		t.Fatal(err)
-	}
-	store, err := openCheckpointStore(filepath.Join(dir, "ckpt"), g.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached := store.load()
-	if len(cached) != 5 {
-		t.Fatalf("got %d checkpoints, want 5", len(cached))
-	}
-	for _, r := range rep.Results {
-		cp, ok := cached[r.ID]
-		if !ok || cp.Seed != r.Seed || cp.Status != StatusDone {
-			t.Fatalf("checkpoint for %s: %+v", r.ID, cp)
-		}
-	}
-	// Atomic writes leave no temp files behind.
-	entries, _ := os.ReadDir(filepath.Join(dir, "ckpt", sanitize(g.Name)))
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), ".tmp-") {
-			t.Fatalf("leftover temp file %s", e.Name())
-		}
 	}
 	data, err := os.ReadFile(meta)
 	if err != nil {

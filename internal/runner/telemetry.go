@@ -12,8 +12,8 @@ import (
 
 // tracker accumulates live progress counters and, when given a writer,
 // renders them as a single rewritten ticker line: cells done/total,
-// failures, resumes, cell throughput, simulated writes/sec and an ETA
-// extrapolated from the cells actually computed this run.
+// failures, cell throughput, simulated writes/sec and an ETA
+// extrapolated from the cells computed so far.
 type tracker struct {
 	name  string
 	total int
@@ -22,11 +22,10 @@ type tracker struct {
 
 	mu        sync.Mutex
 	begin     time.Time
-	done      int // completed this run
-	resumed   int // satisfied from checkpoints
+	done      int
 	failed    int
 	cancelled int
-	cellSecs  float64 // wall time of cells computed this run
+	cellSecs  float64 // wall time of the done cells
 	simWrites float64
 
 	stop chan struct{}
@@ -72,8 +71,6 @@ func (t *tracker) observe(res CellResult) {
 	case StatusDone:
 		t.done++
 		t.cellSecs += res.WallSeconds
-	case StatusResumed:
-		t.resumed++
 	case StatusFailed:
 		t.failed++
 	case StatusCancelled:
@@ -84,13 +81,10 @@ func (t *tracker) observe(res CellResult) {
 
 // line renders one progress line; the caller holds t.mu.
 func (t *tracker) line() string {
-	finished := t.done + t.resumed + t.failed + t.cancelled
+	finished := t.done + t.failed + t.cancelled
 	//rbsglint:allow simdeterminism -- progress-ticker wall clock; drives the stderr ETA line, never a result
 	elapsed := time.Since(t.begin).Seconds()
 	s := fmt.Sprintf("%s: %d/%d cells", t.name, finished, t.total)
-	if t.resumed > 0 {
-		s += fmt.Sprintf(" (%d resumed)", t.resumed)
-	}
 	if t.failed > 0 {
 		s += fmt.Sprintf(" (%d FAILED)", t.failed)
 	}
@@ -114,8 +108,8 @@ func (t *tracker) finish(rep *Report) {
 	if t.w == nil {
 		return
 	}
-	s := fmt.Sprintf("%s: %d cells in %.1fs (%d run, %d resumed, %d failed, %d cancelled)",
-		rep.Grid, rep.Total, rep.WallSeconds, rep.Done, rep.Resumed, rep.Failed, rep.Cancelled)
+	s := fmt.Sprintf("%s: %d cells in %.1fs (%d run, %d failed, %d cancelled)",
+		rep.Grid, rep.Total, rep.WallSeconds, rep.Done, rep.Failed, rep.Cancelled)
 	if rep.Done > 0 {
 		s += fmt.Sprintf(" · avg %.2fs/cell", t.cellSecs/float64(rep.Done))
 	}
@@ -132,34 +126,22 @@ type Meta struct {
 	Grids     []*Report `json:"grids"`
 }
 
-// WriteMetaFile atomically writes the reports as runmeta JSON.
+// WriteMetaFile atomically writes the reports as runmeta JSON (see
+// writeFileAtomic), creating the file's directory if needed.
 func WriteMetaFile(path string, reports ...*Report) error {
 	//rbsglint:allow simdeterminism -- runmeta records when the run happened (provenance), not simulation state
 	meta := Meta{WrittenAt: time.Now().UTC().Format(time.RFC3339), Grids: reports}
 	data, err := json.MarshalIndent(meta, "", "  ")
+	if err == nil {
+		err = os.MkdirAll(filepath.Dir(path), 0o755)
+	}
+	if err == nil {
+		err = writeFileAtomic(path, func(w io.Writer) error {
+			_, err := w.Write(append(data, '\n'))
+			return err
+		})
+	}
 	if err != nil {
-		return fmt.Errorf("runner: runmeta: %w", err)
-	}
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("runner: runmeta: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, ".runmeta-*")
-	if err != nil {
-		return fmt.Errorf("runner: runmeta: %w", err)
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("runner: runmeta: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("runner: runmeta: %w", err)
-	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
 		return fmt.Errorf("runner: runmeta: %w", err)
 	}
 	return nil

@@ -2,6 +2,7 @@ package secref
 
 import (
 	"fmt"
+	"math/bits"
 
 	"securityrbsg/internal/stats"
 	"securityrbsg/internal/wear"
@@ -46,7 +47,11 @@ type TwoLevel struct {
 	cfg       TwoLevelConfig
 	outer     *OneLevel
 	inner     []*OneLevel
-	perRegion uint64
+	perRegion uint64 // lines per sub-region N/R, a power of two
+	// Its shift and mask split an intermediate address into its
+	// sub-region, ia>>regionShift, and its offset there, ia&regionMask.
+	regionShift uint
+	regionMask  uint64
 }
 
 // NewTwoLevel builds a two-level Security Refresh scheme.
@@ -59,7 +64,11 @@ func NewTwoLevel(cfg TwoLevelConfig) (*TwoLevel, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &TwoLevel{cfg: cfg, outer: outer, perRegion: cfg.Lines / cfg.Regions}
+	per := cfg.Lines / cfg.Regions
+	s := &TwoLevel{
+		cfg: cfg, outer: outer,
+		perRegion: per, regionShift: uint(bits.TrailingZeros64(per)), regionMask: per - 1,
+	}
 	s.inner = make([]*OneLevel, cfg.Regions)
 	for i := range s.inner {
 		base := uint64(i) * s.perRegion
@@ -109,8 +118,7 @@ func (s *TwoLevel) Intermediate(la uint64) uint64 {
 
 // translateIA maps an intermediate address through its inner domain.
 func (s *TwoLevel) translateIA(ia uint64) uint64 {
-	region := ia / s.perRegion
-	return s.inner[region].Translate(ia % s.perRegion)
+	return s.inner[ia>>s.regionShift].Translate(ia & s.regionMask)
 }
 
 // Translate maps a logical address to its current physical line.
@@ -132,7 +140,7 @@ func (s *TwoLevel) NoteWrite(la uint64, m wear.Mover) uint64 { return s.Advance(
 // translations are frozen between steps, so k is exact.
 func (s *TwoLevel) Epoch(la uint64) (pa, k uint64) {
 	ia := s.Intermediate(la)
-	pa, inner := s.inner[ia/s.perRegion].Epoch(ia % s.perRegion)
+	pa, inner := s.inner[ia>>s.regionShift].Epoch(ia & s.regionMask)
 	return pa, min(inner, s.WritesToNextOuterStep())
 }
 
@@ -141,7 +149,7 @@ func (s *TwoLevel) Epoch(la uint64) (pa, k uint64) {
 // outer step when the k-th write completes their intervals.
 func (s *TwoLevel) Advance(la, k uint64, m wear.Mover) uint64 {
 	ia := s.Intermediate(la)
-	ns := s.inner[ia/s.perRegion].Advance(ia%s.perRegion, k, m)
+	ns := s.inner[ia>>s.regionShift].Advance(ia&s.regionMask, k, m)
 	if s.outer.tick(k) {
 		ns += s.outerStep(m)
 	}
@@ -186,9 +194,13 @@ func (s *TwoLevel) outerStep(m wear.Mover) uint64 {
 // each wear-leveled by an independent one-level Security Refresh. The
 // paper notes this family inherits the sub-region tracking vulnerability.
 type MultiWay struct {
-	lines     uint64
-	perRegion uint64
-	inner     []*OneLevel
+	lines uint64
+	// The shift and mask of the sub-region size, a power of two, split
+	// a logical address into its sub-region, la>>regionShift, and its
+	// offset there, la&regionMask.
+	regionShift uint
+	regionMask  uint64
+	inner       []*OneLevel
 }
 
 // NewMultiWay builds a Multi-Way SR over lines split into regions
@@ -201,10 +213,11 @@ func NewMultiWay(lines, regions, interval, seed uint64) (*MultiWay, error) {
 		return nil, fmt.Errorf("secref: regions must be a power of two dividing lines, got %d", regions)
 	}
 	rng := stats.NewRNG(seed)
-	s := &MultiWay{lines: lines, perRegion: lines / regions}
+	per := lines / regions
+	s := &MultiWay{lines: lines, regionShift: uint(bits.TrailingZeros64(per)), regionMask: per - 1}
 	s.inner = make([]*OneLevel, regions)
 	for i := range s.inner {
-		in, err := NewOneLevel(s.perRegion, interval, uint64(i)*s.perRegion, rng)
+		in, err := NewOneLevel(per, interval, uint64(i)*per, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -225,7 +238,7 @@ func (s *MultiWay) PhysicalLines() uint64 { return s.lines }
 // Translate maps a logical address to its physical line via the SR domain
 // of its consecutive sub-region.
 func (s *MultiWay) Translate(la uint64) uint64 {
-	return s.inner[la/s.perRegion].Translate(la % s.perRegion)
+	return s.inner[la>>s.regionShift].Translate(la & s.regionMask)
 }
 
 // NoteWrite books the write against la's sub-region domain.
@@ -235,11 +248,11 @@ func (s *MultiWay) NoteWrite(la uint64, m wear.Mover) uint64 { return s.Advance(
 // sub-region's domain, and the other domains never step without writes
 // of their own, so the epoch is that domain's.
 func (s *MultiWay) Epoch(la uint64) (pa, k uint64) {
-	return s.inner[la/s.perRegion].Epoch(la % s.perRegion)
+	return s.inner[la>>s.regionShift].Epoch(la & s.regionMask)
 }
 
 // Advance implements wear.FastForwarder: book k writes against la's
 // sub-region domain.
 func (s *MultiWay) Advance(la, k uint64, m wear.Mover) uint64 {
-	return s.inner[la/s.perRegion].Advance(la%s.perRegion, k, m)
+	return s.inner[la>>s.regionShift].Advance(la&s.regionMask, k, m)
 }

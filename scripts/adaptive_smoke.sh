@@ -57,7 +57,7 @@ echo "== benign uniform stream (level must never rise)"
 raises=$(metric level_raises_total)
 [ "$raises" = "0" ] || { echo "FAIL: benign traffic escalated the level $raises times"; exit 1; }
 level=$(metric security_level)
-# Quiet traffic may relax the level toward -level-min; it must not rise.
+# Quiet traffic may relax the level toward the minimum (3); it must not rise.
 [ "$level" -le 4 ] || { echo "FAIL: level is $level after benign traffic, want at most the boot level 4"; exit 1; }
 
 echo "== escalating attack stream (level must escalate)"

@@ -5,14 +5,14 @@
 # Plays the full registered scheme×attack matrix through cmd/tournament
 # at 2^10 lines, asserts that every playable cell of the plugin registry
 # completed, checks the CSV's SHA-256 against the reference for the
-# default geometry, and proves the checkpoint/resume path by re-running
-# the grid and requiring a byte-identical CSV. It then plays the matrix
-# once more at the sim_tournament benchmark's geometry (2^14 lines,
-# endurance 10^5), where the hardened RTA cells run their full write
-# budget through the batched attack path instead of aborting early, and
-# checks that CSV's SHA-256 too. The output directory can be pinned with
-# TOURNAMENT_OUT (CI does, to upload the CSVs as an artifact); otherwise
-# everything lands in a temp dir.
+# default geometry, and replays the grid on one worker, requiring a
+# byte-identical CSV: the worker count never changes a byte. It then
+# plays the matrix once more at the sim_tournament benchmark's geometry
+# (2^14 lines, endurance 10^5), where the hardened RTA cells run their
+# full write budget through the batched attack path instead of aborting
+# early, and checks that CSV's SHA-256 too. The output directory can be
+# pinned with TOURNAMENT_OUT (CI does, to upload the CSVs as an
+# artifact); otherwise everything lands in a temp dir.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,7 +60,7 @@ expected=$(grep -c 'playable$' "$tmp/list.out")
 
 echo "== full matrix at $LINES lines (expecting $expected cells)"
 "$tmp/tournament" -lines "$LINES" -endurance "$ENDURANCE" -quiet \
-    -ckpt "$tmp/ckpt" -out "$out/tournament.csv" -meta "$out/runmeta.json"
+    -out "$out/tournament.csv" -meta "$out/runmeta.json"
 
 # Every playable cell must appear in the CSV, and every one of them must
 # have completed: the status column is looked up from the header so the
@@ -75,11 +75,11 @@ echo "== $done_rows/$rows cells done ($expected registered)"
 
 check_sha "$out/tournament.csv" "$LINES" "$ENDURANCE"
 
-echo "== resume must be byte-identical"
+echo "== one worker must be byte-identical"
 "$tmp/tournament" -lines "$LINES" -endurance "$ENDURANCE" -quiet \
-    -ckpt "$tmp/ckpt" -resume -out "$tmp/resumed.csv"
-cmp "$out/tournament.csv" "$tmp/resumed.csv" \
-    || { echo "FAIL: resumed CSV differs from the fresh run"; exit 1; }
+    -workers 1 -out "$tmp/workers1.csv"
+cmp "$out/tournament.csv" "$tmp/workers1.csv" \
+    || { echo "FAIL: the -workers 1 CSV differs from the first run's"; exit 1; }
 
 echo "== benchmark geometry: 16384 lines at endurance 100000"
 "$tmp/tournament" -lines 16384 -endurance 100000 -quiet \
